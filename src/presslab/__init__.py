@@ -10,8 +10,8 @@ from .balls import BallSpec, ball_contains, separation_distance, \
     vitali_disjointify
 from .dimension import DimensionResult, bowen_root, expansion_field, \
     unstable_multipotential
-from .errors import AnalyticUnavailable, DepthTooLarge, InfeasibleCover, \
-    ParseError, PresslabError, UnderResolved
+from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
+    PresslabError, UnderResolved
 from .lift import LiftPoint, check_lift_inequalities, lift_birkhoff_sum, \
     lift_pressure_estimate, lifted_potential, skew_apply
 from .localent import LocalEntropyEstimate, MeasureModel, \
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticUnavailable", "BallSpec", "BerendVerdict", "DepthTooLarge",
-    "DimensionResult", "Extrapolation", "InfeasibleCover", "KINDS",
+    "DimensionResult", "Extrapolation", "KINDS",
     "LiftPoint", "LocalEntropyEstimate", "MeasureModel", "MultiPotential",
     "ParseError", "PresslabError", "PressureEstimate",
     "ProductMeasureModel", "SemigroupSystem", "UnderResolved", "Word",

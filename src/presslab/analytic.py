@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AnalyticUnavailable, DepthTooLarge
@@ -66,41 +65,6 @@ def log_sum_exp(terms):
 
 # ---------------------------------------------------------------------------
 # box model for diagonal toral families
-
-
-@dataclass(frozen=True)
-class BallBox:
-    """Axis-aligned model box: per-axis half sides, clamped to the torus."""
-    half_sides: tuple
-
-    def __post_init__(self):
-        if any(h <= 0.0 for h in self.half_sides):
-            raise ValueError("box half sides must be positive")
-
-
-def analytic_ball_box(system, kind, epsilon, depth, word=None):
-    """Half sides of the model box for one ball family on a diagonal
-    system with entries >= 2.
-
-    kinds: trajectory (needs a word), condensed, exhaustive-inner,
-    exhaustive-outer.  Both exhaustive comparison constants are
-    normalized to 1, so the inner and outer boxes coincide."""
-    entries = _diag_entries(system)
-    if kind == "trajectory":
-        if word is None or len(word) != depth:
-            raise ValueError("trajectory box needs a word of the depth")
-        px, py = _axis_products(entries, word)
-        hx = epsilon / px
-        hy = epsilon / py
-    elif kind == "condensed":
-        hx = epsilon / max(e[0] for e in entries) ** depth
-        hy = epsilon / max(e[1] for e in entries) ** depth
-    elif kind in ("exhaustive-inner", "exhaustive-outer"):
-        hx = epsilon / min(e[0] for e in entries) ** depth
-        hy = epsilon / min(e[1] for e in entries) ** depth
-    else:
-        raise ValueError("unknown box kind %r" % kind)
-    return BallBox((min(hx, 0.5), min(hy, 0.5)))
 
 
 def _diag_entries(system):

@@ -10,13 +10,11 @@ under-resolved, 4 parse error.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .dimension import bowen_root
-from .errors import AnalyticUnavailable, DepthTooLarge, InfeasibleCover, \
-    ParseError, UnderResolved
+from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
+    UnderResolved
 from .lift import check_lift_inequalities
 from .localent import ProductMeasureModel, local_amalgamated_entropy, \
     marginal_bound_check, parse_measure, sample_points
@@ -193,22 +191,6 @@ class RunSetup:
         else:
             value, line = _get(entries, "tolerance", "1e-9")
             self.tolerance = _parse_float(value, line, "tolerance")
-        if args.threads is not None:
-            self.threads = args.threads
-        else:
-            env = os.environ.get("PRESSLAB_THREADS")
-            if env is not None:
-                try:
-                    self.threads = int(env)
-                except ValueError:
-                    raise ParseError("PRESSLAB_THREADS must be an integer")
-            else:
-                value, line = _get(entries, "threads", "")
-                if value:
-                    self.threads = _parse_int(value, line, "threads")
-                else:
-                    self.threads = os.cpu_count() or 1
-        self.threads = max(1, self.threads)
         self.out = args.out if args.out is not None \
             else _get(entries, "out")[0]
         if args.format is not None:
@@ -287,19 +269,10 @@ def _estimate_jobs(entries, setup):
 
 def cmd_estimate(entries, setup):
     kinds, depths, epsilons = _estimate_jobs(entries, setup)
-    jobs = [(k, n, eps) for k in kinds for eps in epsilons for n in depths]
-
-    def run(job):
-        kind, n, eps = job
-        return estimate_pressure(setup.system, setup.phi, kind, n, eps,
-                                 pool=setup.pool, rule=setup.rule,
-                                 seed=setup.seed)
-
-    if setup.threads > 1:
-        with ThreadPoolExecutor(max_workers=setup.threads) as ex:
-            ests = list(ex.map(run, jobs))
-    else:
-        ests = [run(j) for j in jobs]
+    ests = [estimate_pressure(setup.system, setup.phi, kind, n, eps,
+                              pool=setup.pool, rule=setup.rule,
+                              seed=setup.seed)
+            for kind in kinds for eps in epsilons for n in depths]
     _emit_rows(setup, [e.as_row() for e in ests], "estimate")
     return 0
 
@@ -310,7 +283,7 @@ def cmd_sweep(entries, setup):
     for kind in kinds:
         ests = sweep_estimates(setup.system, setup.phi, kind, depths,
                                epsilons, pool=setup.pool, rule=setup.rule,
-                               seed=setup.seed, threads=setup.threads)
+                               seed=setup.seed)
         rows.extend(e.as_row() for e in ests)
         tail = extrapolate(ests)
         rows.append({"kind": kind + ":extrapolated", "n": max(depths),
@@ -323,9 +296,16 @@ def cmd_sweep(entries, setup):
     return 0
 
 
+VERIFY_CHECKS = ("chain", "shift", "lipschitz", "lift", "marginal",
+                 "separation")
+
+
 def _verify_rows(entries, setup):
     value, line = _get(entries, "checks", "chain,shift,lipschitz,lift")
     names = _parse_list(value, line, "checks", str)
+    for name in names:
+        if name not in VERIFY_CHECKS:
+            raise ParseError("unknown check %r" % name, line)
     value, line = _get(entries, "n", "3")
     n = _parse_int(value, line, "n")
     value, line = _get(entries, "epsilon", "0.125")
@@ -412,8 +392,6 @@ def _verify_rows(entries, setup):
             add("separation", distinguishable,
                 "distinguishable: %s (gap=%s)"
                 % ("yes" if distinguishable else "no", _fmt(gap)))
-        else:
-            raise ParseError("unknown check %r" % name, line)
     return rows
 
 
@@ -478,18 +456,11 @@ def cmd_localent(entries, setup):
                             "tolerance", "ok"), rows, "localent")
         return 0 if report.all_ok else 2
 
-    def run(x):
-        return local_amalgamated_entropy(measure, setup.system, x, epsilon,
-                                         n_range, pool=setup.pool,
-                                         seed=setup.seed)
-
-    if setup.threads > 1:
-        with ThreadPoolExecutor(max_workers=setup.threads) as ex:
-            ests = list(ex.map(run, pts))
-    else:
-        ests = [run(x) for x in pts]
     rows = []
-    for est in ests:
+    for pt in pts:
+        est = local_amalgamated_entropy(measure, setup.system, pt, epsilon,
+                                        n_range, pool=setup.pool,
+                                        seed=setup.seed)
         x, y = coords(est.x)
         rows.append((x, y, est.h_exhaustive_local, est.h_lower_local,
                      est.h_upper_local, est.epsilon, setup.seed))
@@ -518,6 +489,7 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"))
+        # accepted and ignored: every request runs on one thread
         p.add_argument("--threads", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--tolerance", type=float)
@@ -529,8 +501,7 @@ def main(argv=None):
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 4
-    except (InfeasibleCover, UnderResolved, DepthTooLarge,
-            AnalyticUnavailable) as exc:
+    except (UnderResolved, DepthTooLarge, AnalyticUnavailable) as exc:
         sys.stderr.write("infeasible: %s\n" % exc)
         return 3
     except ValueError as exc:

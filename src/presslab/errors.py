@@ -29,7 +29,3 @@ class DepthTooLarge(PresslabError):
 
 class UnderResolved(PresslabError):
     """Grid or measure resolution too coarse for the requested scale."""
-
-
-class InfeasibleCover(PresslabError):
-    """No feasible cover exists with the given candidate pool."""

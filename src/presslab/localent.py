@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import analytic
 from .balls import BallSpec, ball_contains
 from .errors import ParseError, UnderResolved
@@ -25,7 +23,7 @@ from .words import WordPool
 __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
     "lebesgue_measure", "grid_measure", "empirical_measure",
-    "dirac_measure", "parse_measure", "measure_from_csv", "ball_measure",
+    "dirac_measure", "parse_measure", "ball_measure",
     "local_amalgamated_entropy", "shannon_entropy",
     "lebesgue_entropy_rate", "MarginalPointCheck", "MarginalBoundReport",
     "marginal_bound_check", "sample_points",
@@ -157,29 +155,6 @@ def parse_measure(spec, system, line=None, resolution=64):
         return ProductMeasureModel(probs, lebesgue_measure(system,
                                                            resolution))
     raise ParseError("unknown measure %r" % spec, line)
-
-
-def measure_from_csv(path, system, resolution):
-    """Rows of cell_index,mass; unlisted cells get zero."""
-    dims = 2 if system.is_toral else 1
-    masses = [0.0] * resolution ** dims
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected cell_index,mass", lineno)
-            try:
-                idx = int(parts[0])
-                mass = float(parts[1])
-            except ValueError:
-                raise ParseError("bad cell row %r" % text, lineno)
-            if not 0 <= idx < len(masses):
-                raise ParseError("cell index out of range", lineno)
-            masses[idx] = mass
-    return grid_measure(system, masses, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Multi-potentials: one continuous observable per generator.
 
 Components are described by data, not closures, so potentials pickle
-cleanly and can be re-evaluated bit-identically inside worker threads.
+cleanly and can be compared and hashed by value.
 Every component is scale * base(point) + offset with base one of
   zero      constant zero
   coord     first coordinate of the point (a proxy coordinate on shifts)

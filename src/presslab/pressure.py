@@ -146,6 +146,7 @@ class _GridEngine:
                 "depth or use a closed-form system" % (nwords, npts))
         self.words = list(all_words(system.m, n)) if words is None else words
         self._phi_cache = {}
+        self._word_covers = {}
         self._build_metrics()
         self._build_region()
 
@@ -286,11 +287,11 @@ class _GridEngine:
         """Weighted greedy set cover.  masks: (A, R) bool, lw: (A,),
         need: (R,) bool.  Returns (log cost, picked indices)."""
         uncovered = need.copy()
-        digests = [m.tobytes() for m in masks]
+        # uncovered points per atom, kept up to date as points get covered
+        gains = (masks & uncovered).sum(axis=1)
         log_terms = []
         picked = []
         while uncovered.any():
-            gains = (masks & uncovered).sum(axis=1)
             live = gains > 0
             if not live.any():
                 break
@@ -300,21 +301,26 @@ class _GridEngine:
             if not math.isfinite(smin):
                 break
             if gains[live].max() == 1:
-                # tail: each remaining point takes its cheapest atom
-                atom_w = np.where(masks, lw[:, None], np.inf)
-                for pi in np.where(uncovered)[0]:
-                    col = atom_w[:, pi]
-                    a = int(col.argmin())
-                    if math.isfinite(col[a]):
-                        log_terms.append(float(col[a]))
-                        picked.append(a)
+                # tail: every live atom holds one uncovered point, and each
+                # point takes its cheapest atom (the first one on ties, as
+                # lexsort is stable), in point order
+                atoms = np.flatnonzero(live)
+                points = masks[np.ix_(atoms, np.flatnonzero(uncovered))] \
+                    .argmax(axis=1)
+                order = np.lexsort((lw[atoms], points))
+                atoms, points = atoms[order], points[order]
+                first = np.r_[True, points[1:] != points[:-1]]
+                log_terms.extend(lw[atoms[first]].tolist())
+                picked.extend(atoms[first].tolist())
                 break
             cand = np.where(scores <= smin + 1e-12)[0]
             a = min(cand, key=lambda i: (round(float(lw[i]), 12),
-                                         digests[i], int(i)))
+                                         masks[i].tobytes(), int(i)))
             log_terms.append(float(lw[a]))
             picked.append(int(a))
-            uncovered &= ~masks[a]
+            newly = masks[a] & uncovered
+            uncovered &= ~newly
+            gains -= masks[:, newly].sum(axis=1)
         if not log_terms:
             return -math.inf, []
         return log_sum_exp(log_terms), picked
@@ -344,87 +350,95 @@ class _GridEngine:
                 return i
         raise ValueError("rule word not enumerable at this depth")
 
-    def _cover_rows(self, phi, kind, rule):
-        """(masks, lw, atom descriptors) for the cover greedy."""
+    @staticmethod
+    def _centres(sw, ball):
+        """Admissible atom centres: a live weight and a nonempty ball."""
+        return np.flatnonzero(~np.isnan(sw) & ball.any(axis=1))
+
+    def _cover_rows(self, phi, kind):
+        """(masks, lw, atom word indices, atom centres) for the cover
+        greedy of every kind but free and trajectory; the word indices
+        are None for the kinds whose atoms carry no word."""
         eps = self.epsilon
         s = self.weights(phi)[:, self.region]
-        masks = []
-        lw = []
-        atoms = []
-        if kind in ("trajectory", "amalgamated"):
-            word_ids = [self._rule_index(rule)] if kind == "trajectory" \
-                else range(len(self.words))
-            for w in word_ids:
-                ball = self._reg_dist[w] < eps
-                sw = s[w]
-                for ci in range(len(self.region)):
-                    if not math.isnan(sw[ci]) and ball[ci].any():
-                        masks.append(ball[ci])
-                        lw.append(sw[ci])
-                        atoms.append((w, ci))
+        if kind == "amalgamated":
+            balls = [d < eps for d in self._reg_dist]
+            per_word = [self._centres(sw, b) for sw, b in zip(s, balls)]
+            masks = np.concatenate([b[c] for b, c in zip(balls, per_word)])
+            lw = np.concatenate([sw[c] for sw, c in zip(s, per_word)])
+            words = np.concatenate([np.full(len(c), w)
+                                    for w, c in enumerate(per_word)])
+            centres = np.concatenate(per_word)
         else:
             stack = np.stack([(d < eps) for d in self._reg_dist])
             ball = stack.all(axis=0) if kind.startswith("condensed") \
                 else stack.any(axis=0)
             agg = np.nanmin(s, axis=0) if kind.endswith("lower") \
                 else np.nanmax(s, axis=0)
-            for ci in range(len(self.region)):
-                if not math.isnan(agg[ci]) and ball[ci].any():
-                    masks.append(ball[ci])
-                    lw.append(agg[ci])
-                    atoms.append((None, ci))
-        if not masks:
+            centres = self._centres(agg, ball)
+            masks, lw, words = ball[centres], agg[centres], None
+        if len(centres) == 0:
             return None
-        return np.stack(masks), np.array(lw), atoms
+        return masks, lw, words, centres
+
+    def word_cover(self, phi, w):
+        """Greedy cover of the region by the balls of word index w under
+        phi, memoized per potential and word: the trajectory cover, each
+        term of the free cover and each single-word amalgamated
+        candidate all read it."""
+        key = (phi.components, w)
+        sol = self._word_covers.get(key)
+        if sol is None:
+            sw = self.weights(phi)[w, self.region]
+            ball = self._reg_dist[w] < self.epsilon
+            centres = self._centres(sw, ball)
+            if len(centres) == 0:
+                sol = CoverSolution(-math.inf, 0, METHOD_GRID,
+                                    "no admissible atoms")
+            else:
+                # a point with a nan weight lies in no ball, so it is left
+                # out of the points to cover
+                log_cost, picked = self._greedy_cover_matrix(
+                    ball[centres], sw[centres], ~np.isnan(sw))
+                atoms = tuple((self.words[w], self._atom_point(centres[i]))
+                              for i in picked)
+                sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
+                                    "grid-certified greedy cover", atoms)
+            self._word_covers[key] = sol
+        return sol
 
     def cover(self, phi, kind, rule=None):
         if len(self.region) == 0:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         if kind == "free":
             return self._free_cover(phi)
-        rows = self._cover_rows(phi, kind, rule)
+        if kind == "trajectory":
+            return self.word_cover(phi, self._rule_index(rule))
+        rows = self._cover_rows(phi, kind)
         if rows is None:
             return CoverSolution(-math.inf, 0, METHOD_GRID,
                                  "no admissible atoms")
-        masks, lw, atoms = rows
+        masks, lw, words, centres = rows
         need = np.ones(len(self.region), dtype=bool)
         log_cost, picked = self._greedy_cover_matrix(masks, lw, need)
-        chosen = tuple((self._atom_word(atoms[i][0]),
-                        self._atom_point(atoms[i][1])) for i in picked)
+        chosen = tuple((None if words is None else self.words[words[i]],
+                        self._atom_point(centres[i])) for i in picked)
         return CoverSolution(log_cost, len(picked), METHOD_GRID,
                              "grid-certified greedy cover", chosen)
 
     def _free_cover(self, phi):
-        s = self.weights(phi)[:, self.region]
         terms = []
         sizes = []
         for w in range(len(self.words)):
-            ball = self._reg_dist[w] < self.epsilon
-            sw = s[w]
-            alive = ~np.isnan(sw)
-            if not alive.any():
-                continue
-            masks = []
-            lw = []
-            for ci in np.where(alive)[0]:
-                if ball[ci].any():
-                    masks.append(ball[ci])
-                    lw.append(sw[ci])
-            if not masks:
-                continue
-            log_cost, picked = self._greedy_cover_matrix(
-                np.stack(masks), np.array(lw), alive.copy())
-            if math.isfinite(log_cost):
-                terms.append(log_cost)
-                sizes.append(len(picked))
+            sol = self.word_cover(phi, w)
+            if math.isfinite(sol.log_cost):
+                terms.append(sol.log_cost)
+                sizes.append(sol.size)
         if not terms:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "no live words")
         log_mean = log_sum_exp(terms) - math.log(len(self.words))
         return CoverSolution(log_mean, max(sizes), METHOD_GRID,
                              "word-averaged greedy covers")
-
-    def _atom_word(self, w):
-        return self.words[w] if w is not None else None
 
     def _atom_point(self, ci):
         pt = self.points[self.region[ci]]
@@ -531,7 +545,7 @@ _ENGINE_CACHE = {}
 
 def _grid_engine(system, n, epsilon, words=None):
     words_key = None if words is None else tuple(w.symbols for w in words)
-    key = (system.canonical, n, float(epsilon), words_key)
+    key = (system.domain, system.generators, n, float(epsilon), words_key)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
         if len(_ENGINE_CACHE) > 6:
@@ -633,27 +647,19 @@ def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,
 
 
 def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
-                    rule=None, seed=0, engine="auto", threads=1):
+                    rule=None, seed=0, engine="auto"):
     """Estimates over a (depth, radius) grid, radius-monotone by
     construction: a cover certified at a smaller radius stays valid at a
     larger one, and a separated set at a larger radius stays separated
     at a smaller one, so brackets are carried across the radius axis."""
     eps_sorted = sorted(set(float(e) for e in epsilons))
     depth_sorted = sorted(set(depths))
-    jobs = [(n, eps) for eps in eps_sorted for n in depth_sorted]
-
-    def run(job):
-        n, eps = job
-        return estimate_pressure(system, phi, kind, n, eps, pool=pool,
-                                 rule=rule, seed=seed, engine=engine)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    fixed = {(est.n, est.epsilon): est for est in results}
+    fixed = {}
+    for eps in eps_sorted:
+        for n in depth_sorted:
+            fixed[(n, eps)] = estimate_pressure(
+                system, phi, kind, n, eps, pool=pool, rule=rule, seed=seed,
+                engine=engine)
     # ascending pass: a cover of eps-balls sits inside the same centers'
     # larger balls, so its cost stays an upper bound as the radius grows
     best_upper = {}
@@ -729,18 +735,17 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     genuine defect rather than greedy noise."""
     pool = WordPool(system.m, seed=seed)
     kinds = [k for k in KINDS if k != "trajectory" or rule is not None]
-    engine = "analytic"
+
+    def estimate_all(engine):
+        return {kind: estimate_pressure(system, phi, kind, n, epsilon,
+                                        pool=pool, rule=rule, seed=seed,
+                                        engine=engine)
+                for kind in kinds}
+
     try:
-        for kind in kinds:
-            _analytic_cover(system, phi, kind, n, epsilon, pool, rule)
-            _analytic_packing(system, phi, kind, n, epsilon, pool, rule)
+        ests = estimate_all("analytic")
     except (AnalyticUnavailable, DepthTooLarge):
-        engine = "grid"
-    ests = {}
-    for kind in kinds:
-        ests[kind] = estimate_pressure(system, phi, kind, n, epsilon,
-                                       pool=pool, rule=rule, seed=seed,
-                                       engine=engine)
+        ests = estimate_all("grid")
 
     def clamp_upper(kind, bound, source):
         est = ests[kind]
@@ -926,16 +931,3 @@ def lipschitz_check(system, phi, psi, kind, n, epsilon, *, pool=None,
     diff = abs(cost_a - cost_b) / n
     return BoundCheck(diff, sup_diff + 1e-12, diff <= sup_diff + 1e-9,
                       "potential perturbation stability")
-
-
-def empirical_oscillation(system, phi, epsilon, *, seed=0, samples=400):
-    """Largest observed |phi_j(x) - phi_j(y)| over sampled pairs within
-    epsilon: the duality slack for non-constant potentials."""
-    pts = system.sample(_rng(seed, "osc"), samples)
-    worst = 0.0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if system.distance(x, y) < epsilon:
-                for j in range(1, system.m + 1):
-                    worst = max(worst, abs(phi.eval(j, x) - phi.eval(j, y)))
-    return worst

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import AnalyticUnavailable, ParseError
+from .errors import ParseError
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
@@ -480,72 +479,6 @@ def _commute(m1, m2):
     p1 = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
     p2 = ((e * a + f * c, e * b + f * d), (g * a + h * c, g * b + h * d))
     return p1 == p2
-
-
-def _eigenvector(matrix, lam):
-    (a, b), (c, d) = matrix
-    # rows of (M - lam I) are parallel; pick the better conditioned one
-    r1 = (a - lam, b)
-    r2 = (c, d - lam)
-    row = r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]) else r2
-    if abs(row[0]) < 1e-12 and abs(row[1]) < 1e-12:
-        return (1.0, 0.0)
-    v = (-row[1], row[0])
-    norm = math.hypot(v[0], v[1])
-    return (v[0] / norm, v[1] / norm)
-
-
-def simultaneous_eigenvalues(generators):
-    """For a commuting family with a common real eigenbasis, return a list
-    of per-axis tuples: axis -> (|lambda| of each generator)."""
-    mats = [g.matrix for g in generators]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not _commute(mats[i], mats[j]):
-                raise AnalyticUnavailable("generators do not commute")
-    if all(g.is_diagonal for g in generators):
-        axes = []
-        for axis in range(2):
-            axes.append(tuple(abs(g.matrix[axis][axis]) for g in generators))
-        return axes
-    # find a generator with distinct real eigenvalues to set the basis
-    basis = None
-    for g in generators:
-        lams = g.eigenvalues()
-        if isinstance(lams[0], complex):
-            continue
-        if abs(lams[0] - lams[1]) > 1e-9:
-            basis = [_eigenvector(g.matrix, lam) for lam in lams]
-            break
-    if basis is None:
-        raise AnalyticUnavailable("no generator with distinct real spectrum")
-    axes = []
-    for v in basis:
-        per_gen = []
-        for g in generators:
-            (a, b), (c, d) = g.matrix
-            w = (a * v[0] + b * v[1], c * v[0] + d * v[1])
-            # w must be parallel to v for a genuinely commuting family
-            cross = abs(w[0] * v[1] - w[1] * v[0])
-            if cross > 1e-7:
-                raise AnalyticUnavailable("no common eigenbasis")
-            scale = math.hypot(w[0], w[1])
-            per_gen.append(scale)
-        axes.append(tuple(per_gen))
-    return axes
-
-
-def eigen_h_plus(generators):
-    """Exhaustive entropy of a commuting family from its common eigenbasis:
-    per axis take the weakest expansion among generators, ignore the
-    contracting part."""
-    axes = simultaneous_eigenvalues(generators)
-    total = 0.0
-    for moduli in axes:
-        weakest = min(moduli)
-        if weakest > 1.0:
-            total += math.log(weakest)
-    return total
 
 
 def single_generator_entropy(gen):

@@ -121,6 +121,23 @@ threads = 1
     assert "distinguishable: yes" in capsys.readouterr().out
 
 
+def test_verify_unknown_check_reports_the_checks_line(tmp_path, capsys):
+    # the name is rejected before any check runs, at the line of `checks`
+    path = write_cfg(tmp_path, "bad.cfg", """system = diag:2,3|3,2
+checks = chain,bogus
+n = 3
+epsilon = 0.125
+""")
+    assert main(["verify", "--config", path]) == 4
+    assert capsys.readouterr().err == \
+        "parse error: line 2: unknown check 'bogus'\n"
+    path = write_cfg(tmp_path, "bad2.cfg", """system = diag:2,3|3,2
+checks = bogus
+""")
+    assert main(["verify", "--config", path]) == 4
+    assert "line 2: unknown check 'bogus'" in capsys.readouterr().err
+
+
 def test_dimension_json_document(tmp_path, capsys):
     path = write_cfg(tmp_path, "dim.cfg", """system = cantor:3,3
 n = 96

@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from presslab.analytic import log_sum_exp
 from presslab.errors import AnalyticUnavailable
 from presslab.potentials import (
     constant_potential,
@@ -13,6 +15,8 @@ from presslab.potentials import (
 )
 from presslab.pressure import (
     KINDS,
+    _grid_engine,
+    _GridEngine,
     estimate_pressure,
     extrapolate,
     lipschitz_check,
@@ -304,3 +308,55 @@ def test_degenerate_radius_is_returned_not_rejected():
                             pool=pool2(), seed=0)
     assert est.cover_size <= 1
     assert est.lower <= est.upper
+
+
+def test_grid_engine_cache_is_keyed_by_system_value():
+    # two parses of one spec are equal systems, so they share an engine
+    a = parse_system("toral:0,1,1,2;2,1,1,0")
+    b = parse_system("toral:0,1,1,2;2,1,1,0")
+    assert a is not b and a == b
+    assert _grid_engine(a, 2, 0.25) is _grid_engine(b, 2, 0.25)
+    assert _grid_engine(a, 2, 0.25) is not _grid_engine(a, 2, 0.125)
+
+
+def _reference_greedy_cover(masks, lw, need):
+    """The cover greedy as a plain loop: gains recounted every round, and
+    the one-point tail settled point by point."""
+    uncovered = need.copy()
+    log_terms, picked = [], []
+    while uncovered.any():
+        gains = (masks & uncovered).sum(axis=1)
+        live = gains > 0
+        if not live.any():
+            break
+        scores = np.where(live, lw - np.log(np.maximum(gains, 1)), np.inf)
+        smin = scores.min()
+        if gains[live].max() == 1:
+            for p in np.flatnonzero(uncovered):
+                costs = [(lw[a], a) for a in range(len(lw)) if masks[a, p]]
+                if costs:
+                    cost, a = min(costs)
+                    log_terms.append(float(cost))
+                    picked.append(a)
+            break
+        cand = np.flatnonzero(scores <= smin + 1e-12)
+        a = min(cand, key=lambda i: (round(float(lw[i]), 12),
+                                     masks[i].tobytes(), int(i)))
+        log_terms.append(float(lw[a]))
+        picked.append(int(a))
+        uncovered &= ~masks[a]
+    if not log_terms:
+        return -math.inf, []
+    return log_sum_exp(log_terms), picked
+
+
+def test_greedy_cover_matches_reference_loop():
+    # coarse weights force ties, sparse masks reach the one-point tail
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        atoms, points = rng.integers(1, 40), rng.integers(1, 30)
+        masks = rng.random((atoms, points)) < rng.choice([0.05, 0.2, 0.5])
+        lw = rng.integers(-3, 3, atoms) / 2.0
+        need = rng.random(points) < 0.9
+        got = _GridEngine._greedy_cover_matrix(None, masks, lw, need)
+        assert got == _reference_greedy_cover(masks, lw, need), trial
