@@ -12,6 +12,14 @@ Three engines, all exact up to integer rounding:
   invariant core is refined to explicit blocks, and cover/packing numbers
   at a relative scale come from 1-d greedy sweeps over those blocks.
 
+Each cover engine reduces a word to its (log cost, ball count) and hands
+that to one helper, `_word_kinds`, which turns it into the trajectory
+(the rule's word), amalgamated (the best pool word) and free (the mean
+over every word, under the enumeration cap) covers.  Only the kinds
+without a per-word form, and the diagonal free cover with its exact
+class sum, are written per engine.  A radius that covers the whole
+domain goes through the same helper with unit counts.
+
 Everything here requires potentials whose consecutive sums factor over
 symbols (constant components, or per-branch expansion components); the
 caller falls back to the grid engine otherwise.
@@ -27,12 +35,11 @@ contained in the true ball.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-from .errors import AnalyticUnavailable, DepthTooLarge
-from .words import ENUM_CAP, Word
+from .errors import AnalyticUnavailable
+from .words import all_words
 
 LN2 = math.log(2.0)
 
@@ -90,29 +97,53 @@ def _word_weight_log(constants, word):
     return sum(constants[j - 1] for j in word)
 
 
-def _degenerate_cover(kind, n, m, pool, rule, step_log_weight,
-                      lo_const=None, hi_const=None):
+def _constants(phi):
+    consts = phi.constant_values
+    if consts is None:
+        raise AnalyticUnavailable("need a constant-class potential")
+    return consts
+
+
+def _word_kinds(kind, n, m, pool, rule, word_cost, label):
+    """(log cost, count, note) of the trajectory, amalgamated or free
+    cover from a per-word (log cost, count).  Amalgamated takes the best
+    pool word and skips words with no closed form; free averages over
+    every word and reports no count."""
+    if kind == "trajectory":
+        cost, count = word_cost(rule.word_at(n))
+        return (cost, count, label)
+    if kind == "amalgamated":
+        best = None
+        for word in pool.words(n):
+            try:
+                cost, count = word_cost(word)
+            except AnalyticUnavailable:
+                continue
+            if best is None or cost < best[0]:
+                best = (cost, count)
+        if best is None:
+            raise AnalyticUnavailable("no pool word admits a " + label)
+        cost, count = best
+        return (cost, count, "best pool word " + label)
+    if kind == "free":
+        terms = [word_cost(word)[0] for word in all_words(m, n)]
+        return (log_sum_exp(terms) - n * math.log(m), None,
+                "averaged word %ss" % label)
+    raise AnalyticUnavailable("kind %r has no %s closed form" % (kind, label))
+
+
+def _degenerate_cover(kind, n, m, pool, rule, step_weights, lo, hi):
     """One ball covers the whole domain, so every count is 1 and the
     cost is the word weight alone."""
-    def word_cost(word):
-        return sum(step_log_weight(j) for j in word)
-
     note = "degenerate: radius covers the domain"
-    if kind == "trajectory":
-        return (word_cost(rule.word_at(n)), 1, note)
-    if kind == "amalgamated":
-        return (min(word_cost(w) for w in pool.words(n)), 1, note)
     if kind in ("condensed-lower", "exhaustive-lower"):
-        return (n * lo_const, 1, note)
+        return (n * lo, 1, note)
     if kind in ("condensed-upper", "exhaustive-upper"):
-        return (n * hi_const, 1, note)
-    if kind == "free":
-        if m ** n > ENUM_CAP:
-            raise DepthTooLarge("free average needs full word enumeration")
-        terms = [word_cost(Word(tup))
-                 for tup in itertools.product(range(1, m + 1), repeat=n)]
-        return (log_sum_exp(terms) - n * math.log(m), 1, note)
-    raise AnalyticUnavailable("kind %r has no degenerate form" % kind)
+        return (n * hi, 1, note)
+    cost, _, _ = _word_kinds(
+        kind, n, m, pool, rule,
+        lambda word: (_word_weight_log(step_weights, word), 1), note)
+    return (cost, 1, note)
 
 
 def _box_tiling_count(px, py, inv2eps):
@@ -190,31 +221,11 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     """(log cost, ball count, note) for one kind on a diagonal family
     with a constant-class potential."""
     entries = _diag_entries(system)
-    consts = phi.constant_values
-    if consts is None:
-        raise AnalyticUnavailable("need a constant-class potential")
+    consts = _constants(phi)
     if 2 * Fraction(epsilon) >= 1:
-        return _degenerate_cover(kind, n, system.m, pool, rule,
-                                 lambda j: consts[j - 1], min(consts),
-                                 max(consts))
+        return _degenerate_cover(kind, n, system.m, pool, rule, consts,
+                                 min(consts), max(consts))
     inv2eps = 1 / (2 * Fraction(epsilon))
-    if kind == "trajectory":
-        word = rule.word_at(n)
-        px, py = _axis_products(entries, word)
-        count = _box_tiling_count(px, py, inv2eps)
-        return (log_big(count) + _word_weight_log(consts, word), count,
-                "word-box tiling")
-    if kind == "amalgamated":
-        best = None
-        best_count = None
-        for word in pool.words(n):
-            px, py = _axis_products(entries, word)
-            count = _box_tiling_count(px, py, inv2eps)
-            cost = log_big(count) + _word_weight_log(consts, word)
-            if best is None or cost < best:
-                best = cost
-                best_count = count
-        return (best, best_count, "best pool word box tiling")
     if kind in ("condensed-lower", "condensed-upper"):
         lx = max(e[0] for e in entries)
         ly = max(e[1] for e in entries)
@@ -233,7 +244,13 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         log_sum = log_sum_exp(terms)
         return (log_sum - n * math.log(system.m), None,
                 "class-averaged word costs")
-    raise AnalyticUnavailable("kind %r has no diagonal closed form" % kind)
+
+    def word_cost(word):
+        count = _box_tiling_count(*_axis_products(entries, word), inv2eps)
+        return log_big(count) + _word_weight_log(consts, word), count
+
+    return _word_kinds(kind, n, system.m, pool, rule, word_cost,
+                       "box tiling")
 
 
 def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
@@ -243,9 +260,7 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     except for the exhaustive family where the outer model boxes admit
     an explicit touching grid."""
     entries = _diag_entries(system)
-    consts = phi.constant_values
-    if consts is None:
-        raise AnalyticUnavailable("need a constant-class potential")
+    consts = _constants(phi)
     rho = 2 * Fraction(epsilon)
     if rho > Fraction(1, 2):
         return (n * min(consts), 1, "degenerate: 2eps exceeds the diameter")
@@ -434,50 +449,21 @@ def polygon_packing_count(system, word, epsilon, lipschitz):
 def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     """Polygon-engine covers for non-diagonal toral systems: trajectory
     and amalgamated kinds, plus free under the enumeration cap."""
-    consts = phi.constant_values
-    if consts is None:
-        raise AnalyticUnavailable("need a constant-class potential")
+    consts = _constants(phi)
     if 2 * Fraction(epsilon) >= 1:
-        return _degenerate_cover(kind, n, system.m, pool, rule,
-                                 lambda j: consts[j - 1], min(consts),
-                                 max(consts))
-    if kind == "trajectory":
-        word = rule.word_at(n)
+        return _degenerate_cover(kind, n, system.m, pool, rule, consts,
+                                 min(consts), max(consts))
+
+    def word_cost(word):
         count = polygon_cover_count(system, word, epsilon)
-        return (log_big(count) + _word_weight_log(consts, word), count,
-                "diamond tiling of the word ball")
-    if kind == "amalgamated":
-        best = None
-        best_count = None
-        for word in pool.words(n):
-            try:
-                count = polygon_cover_count(system, word, epsilon)
-            except AnalyticUnavailable:
-                continue
-            cost = log_big(count) + _word_weight_log(consts, word)
-            if best is None or cost < best:
-                best = cost
-                best_count = count
-        if best is None:
-            raise AnalyticUnavailable("no pool word admits a tiling")
-        return (best, best_count, "best pool word diamond tiling")
-    if kind == "free":
-        if system.m ** n > ENUM_CAP:
-            raise DepthTooLarge("free average needs full word enumeration")
-        terms = []
-        for tup in itertools.product(range(1, system.m + 1), repeat=n):
-            word = Word(tup)
-            count = polygon_cover_count(system, word, epsilon)
-            terms.append(log_big(count) + _word_weight_log(consts, word))
-        return (log_sum_exp(terms) - n * math.log(system.m), None,
-                "averaged word tilings")
-    raise AnalyticUnavailable("kind %r has no polygon closed form" % kind)
+        return log_big(count) + _word_weight_log(consts, word), count
+
+    return _word_kinds(kind, n, system.m, pool, rule, word_cost,
+                       "diamond tiling")
 
 
 def toral_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
-    consts = phi.constant_values
-    if consts is None:
-        raise AnalyticUnavailable("need a constant-class potential")
+    consts = _constants(phi)
     if kind == "trajectory":
         word = rule.word_at(n)
         count = polygon_packing_count(system, word, epsilon, system.L_max)
@@ -647,8 +633,8 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     if Fraction(epsilon) >= diameter:
         lo = [math.log(min(t)) for t in table]
         hi = [math.log(max(t)) for t in table]
-        return _degenerate_cover(kind, n, system.m, pool, rule,
-                                 lambda j: hi[j - 1], min(lo), max(hi))
+        return _degenerate_cover(kind, n, system.m, pool, rule, hi,
+                                 min(lo), max(hi))
     if system.wrap:
         slopes = _uniform_circle_slopes(system)
         inv2eps = 1 / (2 * Fraction(epsilon))
@@ -672,28 +658,8 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
                 count *= system.generators[j - 1].branch_count
             return log_cost, count
 
-    if kind == "trajectory":
-        cost, count = word_cost(rule.word_at(n))
-        return (cost, count, "cylinder cover")
-    if kind == "amalgamated":
-        best = None
-        best_count = None
-        for word in pool.words(n):
-            cost, count = word_cost(word)
-            if best is None or cost < best:
-                best = cost
-                best_count = count
-        return (best, best_count, "best pool word cylinder cover")
-    if kind == "free":
-        if system.m ** n > ENUM_CAP:
-            raise DepthTooLarge("free average needs full word enumeration")
-        terms = []
-        for tup in itertools.product(range(1, system.m + 1), repeat=n):
-            cost, _ = word_cost(Word(tup))
-            terms.append(cost)
-        return (log_sum_exp(terms) - n * math.log(system.m), None,
-                "averaged word cylinder covers")
-    raise AnalyticUnavailable("kind %r has no interval closed form" % kind)
+    return _word_kinds(kind, n, system.m, pool, rule, word_cost,
+                       "cylinder cover")
 
 
 def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):

@@ -23,7 +23,8 @@ from .pressure import KINDS, estimate_pressure, extrapolate, \
     lipschitz_check, sweep_estimates, trajectory_shift_check, \
     verify_inequality_chain
 from .systems import parse_system
-from .words import WordPool, constant_rule, explicit_rule, periodic_rule
+from .words import Word, WordPool, constant_rule, explicit_rule, \
+    periodic_rule
 
 CSV_HEADER = "kind,n,epsilon,lower,upper,cover_size,method,seed"
 SCHEMA_VERSION = 1
@@ -113,19 +114,25 @@ def _parse_kinds(value, line):
     return kinds
 
 
-def _parse_rule(value, line):
+def _parse_rule(value, line, m):
     value = value.strip()
     if value.startswith("constant:"):
-        return constant_rule(_parse_int(value[len("constant:"):], line,
+        rule = constant_rule(_parse_int(value[len("constant:"):], line,
                                         "rule"))
-    if value.startswith("periodic:"):
-        return periodic_rule(tuple(_parse_list(value[len("periodic:"):],
+    elif value.startswith("periodic:"):
+        rule = periodic_rule(tuple(_parse_list(value[len("periodic:"):],
                                                line, "rule", int)))
-    if value.startswith("explicit:"):
-        return explicit_rule(tuple(_parse_list(value[len("explicit:"):],
+    elif value.startswith("explicit:"):
+        rule = explicit_rule(tuple(_parse_list(value[len("explicit:"):],
                                                line, "rule", int)))
-    raise ParseError("rules are constant:j | periodic:... | explicit:...",
-                     line)
+    else:
+        raise ParseError("rules are constant:j | periodic:... | "
+                         "explicit:...", line)
+    try:
+        Word(rule.data).validate(m)
+    except ValueError:
+        raise ParseError("rule symbols must lie in 1..%d" % m, line)
+    return rule
 
 
 def _parse_n_range(value, line):
@@ -141,6 +148,8 @@ def _parse_n_range(value, line):
 
 
 def _parse_points(value, line, system):
+    if system.is_shift:
+        raise ParseError("shift systems take no explicit points", line)
     groups = [g.strip() for g in value.split(";") if g.strip() != ""]
     if not groups:
         raise ParseError("empty point list", line)
@@ -185,7 +194,7 @@ class RunSetup:
         self.rule = None
         if "rule" in entries:
             value, line = entries["rule"]
-            self.rule = _parse_rule(value, line)
+            self.rule = _parse_rule(value, line, self.system.m)
         if args.tolerance is not None:
             self.tolerance = args.tolerance
         else:

@@ -130,6 +130,8 @@ def parse_measure(spec, system, line=None, resolution=64):
     if spec == "lebesgue":
         return lebesgue_measure(system, resolution)
     if spec.startswith("dirac:"):
+        if system.is_shift:
+            raise ParseError("shift systems take no dirac point", line)
         try:
             coords = [float(v) for v in spec[len("dirac:"):].split(",")]
         except ValueError:

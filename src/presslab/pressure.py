@@ -33,8 +33,7 @@ import numpy as np
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
-from .words import WordPool, all_words, consecutive_sum, explicit_rule, \
-    word_count
+from .words import WordPool, all_words, consecutive_sum
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -49,13 +48,6 @@ GRID_BUDGET = 300_000_000
 
 
 @dataclass(frozen=True)
-class Region:
-    """What point set an estimate was computed over."""
-    label: str
-    size: int
-
-
-@dataclass(frozen=True)
 class CoverSolution:
     """One side of an estimate: a weighted cover cost or packing sum."""
     log_cost: float
@@ -63,9 +55,6 @@ class CoverSolution:
     method: str
     note: str = ""
     atoms: tuple = None
-
-    def cost(self):
-        return math.exp(self.log_cost)
 
 
 @dataclass(frozen=True)
@@ -114,6 +103,12 @@ def _require_depth(n):
         raise ValueError("depth must be a positive integer, got %r" % (n,))
 
 
+def _require_radius(epsilon):
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("radius must be positive and finite, got %r"
+                         % (epsilon,))
+
+
 # ---------------------------------------------------------------------------
 # generic grid engine
 
@@ -126,29 +121,20 @@ class _GridEngine:
     queries per kind.  All quantities are certified on the grid."""
 
     def __init__(self, system, n, epsilon, words=None):
-        if words is None:
-            nwords = word_count(system.m, n)
-            if nwords > 4096:
-                raise DepthTooLarge(
-                    "word enumeration cap exceeded at depth %d" % n)
-        else:
-            # restricted universe: certificates for these words only
-            words = list(words)
-            nwords = len(words)
+        # given words restrict the universe: certificates for them only
+        self.words = list(all_words(system.m, n) if words is None else words)
         self.system = system
         self.n = n
         self.epsilon = float(epsilon)
         self.points = self._build_universe()
         npts = len(self.points)
-        if nwords * npts * npts > GRID_BUDGET:
+        if len(self.words) * npts * npts > GRID_BUDGET:
             raise DepthTooLarge(
                 "grid certificates need %d x %d^2 pair entries; reduce the "
-                "depth or use a closed-form system" % (nwords, npts))
-        self.words = list(all_words(system.m, n)) if words is None else words
+                "depth or use a closed-form system" % (len(self.words), npts))
         self._phi_cache = {}
         self._word_covers = {}
         self._build_metrics()
-        self._build_region()
 
     # -- construction
 
@@ -228,16 +214,27 @@ class _GridEngine:
         return np.power(2.0, -first.astype(float))
 
     def _build_metrics(self):
-        self.word_dist = []
-        self.word_orbits = []
-        for word in self.words:
-            orbits = self._orbit_arrays(word)
+        """The region (every grid point, or on an interval the points
+        whose orbit along every word is defined) and one pairwise word
+        metric over it per word."""
+        orbits = [self._orbit_arrays(word) for word in self.words]
+        self.word_orbits = [o[:-1] for o in orbits]
+        if self.system.is_interval:
+            alive = ~np.isnan(np.stack([a for o in orbits for a in o])) \
+                .any(axis=0)
+            if not alive.any():
+                alive[0] = True
+            self.region = np.flatnonzero(alive)
+            orbits = [[a[self.region] for a in o] for o in orbits]
+        else:
+            self.region = np.arange(len(self.points))
+        self.dist = []
+        for word_orbit in orbits:
             d = None
-            for arr in orbits:
+            for arr in word_orbit:
                 dk = self._pair_dist(arr)
                 d = dk if d is None else np.maximum(d, dk)
-            self.word_dist.append(d.astype(np.float32))
-            self.word_orbits.append(orbits[:-1])
+            self.dist.append(d.astype(np.float32))
 
     def weights(self, phi):
         """S[word][point]: consecutive sums on the grid (nan if dead)."""
@@ -256,30 +253,20 @@ class _GridEngine:
         return self._phi_cache[key]
 
     def _eval_phi(self, phi, j, pt):
-        if self.system.is_toral:
-            return phi.eval(j, (float(pt[0]), float(pt[1])))
-        if self.system.is_interval:
-            if np.isnan(pt):
-                return np.nan
-            return phi.eval(j, float(pt))
-        return phi.eval(j, tuple(int(v) for v in pt))
+        if self.system.is_interval and np.isnan(pt):
+            return np.nan
+        return phi.eval(j, self._point(pt))
 
-    def _build_region(self):
+    def _point(self, pt):
+        """A universe point as the system's own point type."""
+        if self.system.is_toral:
+            return (float(pt[0]), float(pt[1]))
         if self.system.is_interval:
-            alive = None
-            for d in self.word_dist:
-                ok = np.isfinite(np.diag(d))
-                alive = ok if alive is None else (alive & ok)
-            if not alive.any():
-                alive = np.zeros(len(self.points), dtype=bool)
-                alive[0] = True
-            idx = np.where(alive)[0]
-            self.region_info = Region("joint-survivors", len(idx))
-        else:
-            idx = np.arange(len(self.points))
-            self.region_info = Region("full-grid", len(idx))
-        self.region = idx
-        self._reg_dist = [d[np.ix_(idx, idx)] for d in self.word_dist]
+            return float(pt)
+        return tuple(int(v) for v in pt)
+
+    def _atom_point(self, ci):
+        return self._point(self.points[self.region[ci]])
 
     # -- greedy primitives
 
@@ -343,13 +330,6 @@ class _GridEngine:
 
     # -- kind plumbing
 
-    def _rule_index(self, rule):
-        word = rule.word_at(self.n)
-        for i, w in enumerate(self.words):
-            if w == word:
-                return i
-        raise ValueError("rule word not enumerable at this depth")
-
     @staticmethod
     def _centres(sw, ball):
         """Admissible atom centres: a live weight and a nonempty ball."""
@@ -362,7 +342,7 @@ class _GridEngine:
         eps = self.epsilon
         s = self.weights(phi)[:, self.region]
         if kind == "amalgamated":
-            balls = [d < eps for d in self._reg_dist]
+            balls = [d < eps for d in self.dist]
             per_word = [self._centres(sw, b) for sw, b in zip(s, balls)]
             masks = np.concatenate([b[c] for b, c in zip(balls, per_word)])
             lw = np.concatenate([sw[c] for sw, c in zip(s, per_word)])
@@ -370,7 +350,7 @@ class _GridEngine:
                                     for w, c in enumerate(per_word)])
             centres = np.concatenate(per_word)
         else:
-            stack = np.stack([(d < eps) for d in self._reg_dist])
+            stack = np.stack([(d < eps) for d in self.dist])
             ball = stack.all(axis=0) if kind.startswith("condensed") \
                 else stack.any(axis=0)
             agg = np.nanmin(s, axis=0) if kind.endswith("lower") \
@@ -390,7 +370,7 @@ class _GridEngine:
         sol = self._word_covers.get(key)
         if sol is None:
             sw = self.weights(phi)[w, self.region]
-            ball = self._reg_dist[w] < self.epsilon
+            ball = self.dist[w] < self.epsilon
             centres = self._centres(sw, ball)
             if len(centres) == 0:
                 sol = CoverSolution(-math.inf, 0, METHOD_GRID,
@@ -407,13 +387,13 @@ class _GridEngine:
             self._word_covers[key] = sol
         return sol
 
-    def cover(self, phi, kind, rule=None):
+    def cover(self, phi, kind, rule, pool):
         if len(self.region) == 0:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         if kind == "free":
             return self._free_cover(phi)
         if kind == "trajectory":
-            return self.word_cover(phi, self._rule_index(rule))
+            return self.word_cover(phi, self.words.index(rule.word_at(self.n)))
         rows = self._cover_rows(phi, kind)
         if rows is None:
             return CoverSolution(-math.inf, 0, METHOD_GRID,
@@ -423,8 +403,19 @@ class _GridEngine:
         log_cost, picked = self._greedy_cover_matrix(masks, lw, need)
         chosen = tuple((None if words is None else self.words[words[i]],
                         self._atom_point(centres[i])) for i in picked)
-        return CoverSolution(log_cost, len(picked), METHOD_GRID,
-                             "grid-certified greedy cover", chosen)
+        sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
+                            "grid-certified greedy cover", chosen)
+        if kind == "amalgamated":
+            # any one-word cover is an admissible amalgamated cover, so the
+            # greedy over mixed atoms must never report worse than the best
+            # pool word; this keeps the induced-cover comparison exact
+            for word in pool.words(self.n):
+                cand = self.word_cover(phi, self.words.index(word))
+                if cand.log_cost < sol.log_cost:
+                    sol = CoverSolution(cand.log_cost, cand.size, cand.method,
+                                        "single-word cover beat the joint "
+                                        "greedy", cand.atoms)
+        return sol
 
     def _free_cover(self, phi):
         terms = []
@@ -440,37 +431,29 @@ class _GridEngine:
         return CoverSolution(log_mean, max(sizes), METHOD_GRID,
                              "word-averaged greedy covers")
 
-    def _atom_point(self, ci):
-        pt = self.points[self.region[ci]]
-        if self.system.is_toral:
-            return (float(pt[0]), float(pt[1]))
-        if self.system.is_interval:
-            return float(pt)
-        return tuple(int(v) for v in pt)
-
     def packing(self, phi, kind, rule=None):
         if len(self.region) == 0:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         eps2 = 2.0 * self.epsilon
         s = self.weights(phi)[:, self.region]
         if kind == "trajectory":
-            w = self._rule_index(rule)
-            log_sum, count = self._greedy_packing(self._reg_dist[w], s[w],
+            w = self.words.index(rule.word_at(self.n))
+            log_sum, count = self._greedy_packing(self.dist[w], s[w],
                                                   eps2)
         elif kind in ("amalgamated", "free"):
-            sep = np.minimum.reduce(self._reg_dist)
+            sep = np.minimum.reduce(self.dist)
             if kind == "free":
                 w_log = _nan_log_mean_exp(s)
             else:
                 w_log = np.nanmin(s, axis=0)
             log_sum, count = self._greedy_packing(sep, w_log, eps2)
         elif kind.startswith("condensed"):
-            sep = np.maximum.reduce(self._reg_dist)
+            sep = np.maximum.reduce(self.dist)
             w_log = np.nanmin(s, axis=0) if kind.endswith("lower") \
                 else np.nanmax(s, axis=0)
             log_sum, count = self._greedy_packing(sep, w_log, eps2)
         else:
-            union = np.stack([(d < self.epsilon) for d in self._reg_dist])
+            union = np.stack([(d < self.epsilon) for d in self.dist])
             union = union.any(axis=0)
             w_log = np.nanmin(s, axis=0) if kind.endswith("lower") \
                 else np.nanmax(s, axis=0)
@@ -516,28 +499,18 @@ def _nan_log_mean_exp(s):
 # routing
 
 
-def _analytic_cover(system, phi, kind, n, epsilon, pool, rule):
+def _closed_form(system, side):
+    """The closed-form engine for this system's family, side "cover" or
+    "packing"."""
     if system.is_toral and system.all_diagonal:
-        return analytic.diag_cover(system, phi, kind, n, epsilon, pool, rule)
-    if system.is_toral:
-        return analytic.toral_cover(system, phi, kind, n, epsilon, pool, rule)
-    if system.is_interval:
-        return analytic.interval_cover(system, phi, kind, n, epsilon,
-                                       pool, rule)
-    raise AnalyticUnavailable("no closed form for this domain")
-
-
-def _analytic_packing(system, phi, kind, n, epsilon, pool, rule):
-    if system.is_toral and system.all_diagonal:
-        return analytic.diag_packing(system, phi, kind, n, epsilon, pool,
-                                     rule)
-    if system.is_toral:
-        return analytic.toral_packing(system, phi, kind, n, epsilon, pool,
-                                      rule)
-    if system.is_interval:
-        return analytic.interval_packing(system, phi, kind, n, epsilon,
-                                         pool, rule)
-    raise AnalyticUnavailable("no closed form for this domain")
+        engines = (analytic.diag_cover, analytic.diag_packing)
+    elif system.is_toral:
+        engines = (analytic.toral_cover, analytic.toral_packing)
+    elif system.is_interval:
+        engines = (analytic.interval_cover, analytic.interval_packing)
+    else:
+        raise AnalyticUnavailable("no closed form for this domain")
+    return engines[0] if side == "cover" else engines[1]
 
 
 _ENGINE_CACHE = {}
@@ -566,63 +539,47 @@ def _grid_engine_for(system, kind, n, epsilon, rule):
         return _grid_engine(system, n, epsilon, words=[rule.word_at(n)])
 
 
+def _solve(side, system, phi, kind, n, epsilon, pool, rule, seed, engine):
+    """One side ("cover" or "packing") of one kind: the closed form when
+    engine allows and one exists, otherwise the grid engine."""
+    _require_kind(kind)
+    _require_depth(n)
+    _require_radius(epsilon)
+    if kind == "trajectory" and rule is None:
+        raise ValueError("trajectory estimates need a word rule")
+    if pool is None:
+        pool = WordPool(system.m, seed=seed)
+    if engine != "grid":
+        try:
+            log_value, count, note = _closed_form(system, side)(
+                system, phi, kind, n, epsilon, pool, rule)
+            return CoverSolution(log_value, count if count else 0,
+                                 METHOD_ANALYTIC, note)
+        except AnalyticUnavailable:
+            if engine == "analytic":
+                raise
+    eng = _grid_engine_for(system, kind, n, epsilon, rule)
+    if side == "cover":
+        return eng.cover(phi, kind, rule, pool)
+    return eng.packing(phi, kind, rule)
+
+
 def min_cover_cost(system, phi, kind, n, epsilon, *, pool=None, rule=None,
                    seed=0, engine="auto"):
     """Cheapest certified weighted ball cover for one kind.
 
     engine: "auto" prefers closed forms, "analytic" requires them,
     "grid" forces the finite-universe path."""
-    _require_kind(kind)
-    _require_depth(n)
-    if kind == "trajectory" and rule is None:
-        raise ValueError("trajectory estimates need a word rule")
-    if pool is None:
-        pool = WordPool(system.m, seed=seed)
-    if engine != "grid":
-        try:
-            log_cost, count, note = _analytic_cover(system, phi, kind, n,
-                                                    epsilon, pool, rule)
-            return CoverSolution(log_cost, count if count else 0,
-                                 METHOD_ANALYTIC, note)
-        except AnalyticUnavailable:
-            if engine == "analytic":
-                raise
-    eng = _grid_engine_for(system, kind, n, epsilon, rule)
-    sol = eng.cover(phi, kind, rule)
-    if kind == "amalgamated":
-        # any one-word cover is an admissible amalgamated cover, so the
-        # greedy over mixed atoms must never report worse than the best
-        # pool word; this keeps the induced-cover comparison exact
-        for word in pool.words(n):
-            cand = eng.cover(phi, "trajectory", explicit_rule(word.symbols))
-            if cand.log_cost < sol.log_cost:
-                sol = CoverSolution(cand.log_cost, cand.size, cand.method,
-                                    "single-word cover beat the joint "
-                                    "greedy", cand.atoms)
-    return sol
+    return _solve("cover", system, phi, kind, n, epsilon, pool, rule, seed,
+                  engine)
 
 
 def packing_bound(system, phi, kind, n, epsilon, *, pool=None, rule=None,
                   seed=0, engine="auto"):
     """Weighted packing sum certified at separation 2 eps, the lower
     counterpart of min_cover_cost."""
-    _require_kind(kind)
-    _require_depth(n)
-    if kind == "trajectory" and rule is None:
-        raise ValueError("trajectory estimates need a word rule")
-    if pool is None:
-        pool = WordPool(system.m, seed=seed)
-    if engine != "grid":
-        try:
-            log_sum, count, note = _analytic_packing(system, phi, kind, n,
-                                                     epsilon, pool, rule)
-            return CoverSolution(log_sum, count if count else 0,
-                                 METHOD_ANALYTIC, note)
-        except AnalyticUnavailable:
-            if engine == "analytic":
-                raise
-    eng = _grid_engine_for(system, kind, n, epsilon, rule)
-    return eng.packing(phi, kind, rule)
+    return _solve("packing", system, phi, kind, n, epsilon, pool, rule, seed,
+                  engine)
 
 
 def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,

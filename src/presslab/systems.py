@@ -309,11 +309,6 @@ class SemigroupSystem:
                                  for _ in range(SHIFT_POINT_LENGTH)))
         return out
 
-    def canonical(self, point):
-        if self.is_toral:
-            return (point[0] % 1.0, point[1] % 1.0)
-        return point
-
 
 def toral_system(matrices, name=""):
     return SemigroupSystem(TORUS, tuple(ToralGenerator(m) for m in matrices),

@@ -40,12 +40,6 @@ class Word:
         if any(s > m for s in self.symbols):
             raise ValueError("word symbol exceeds generator count")
 
-    def prefix(self, k):
-        return Word(self.symbols[:k])
-
-    def concat(self, other):
-        return Word(self.symbols + other.symbols)
-
 
 def orbit(system, point, word):
     """Forward orbit of `point` along `word`; None when a step lands

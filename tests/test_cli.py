@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from presslab.cli import load_config, main
+from presslab.cli import _parse_points, load_config, main
 from presslab.errors import ParseError
+from presslab.systems import parse_system
 
 
 def write_cfg(tmp_path, name, text):
@@ -92,6 +93,54 @@ depths = 3
 epsilons = 0.125
 """)
     assert main(["estimate", "--config", path]) == 4
+
+
+@pytest.mark.parametrize("rule", ["periodic:1,3", "periodic:0,1",
+                                  "constant:3", "explicit:1,2,-1"])
+def test_rule_symbols_outside_the_alphabet_are_parse_errors(
+        tmp_path, capsys, rule):
+    path = write_cfg(tmp_path, "bad.cfg", """system = diag:2,3|3,2
+kinds = trajectory
+rule = %s
+depths = 3
+epsilons = 0.125
+""" % rule)
+    assert main(["estimate", "--config", path]) == 4
+    assert capsys.readouterr().err == \
+        "parse error: line 3: rule symbols must lie in 1..2\n"
+
+
+@pytest.mark.parametrize("system,potential,epsilon", [
+    ("diag:2,3|3,2", "zero", "0"),
+    ("diag:2,3|3,2", "zero", "-0.1"),
+    ("diag:2,3|3,2", "zero", "nan"),
+    ("diag:2,3|3,2", "zero", "inf"),
+    ("toral:0,1,1,2;2,1,1,0", "random:1", "-0.1"),
+])
+def test_invalid_radius_is_invalid_input(tmp_path, capsys, system,
+                                         potential, epsilon):
+    path = write_cfg(tmp_path, "bad.cfg", """system = %s
+potential = %s
+kinds = amalgamated
+depths = 2
+epsilons = %s
+""" % (system, potential, epsilon))
+    assert main(["estimate", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: radius must be")
+
+
+def test_shift_systems_take_no_float_points(tmp_path, capsys):
+    path = write_cfg(tmp_path, "loc.cfg", """system = shift:2
+measure = dirac:0.5
+points = 0.5
+""")
+    assert main(["localent", "--config", path]) == 4
+    assert "line 2: shift systems take no dirac point" in \
+        capsys.readouterr().err
+    with pytest.raises(ParseError, match="line 7: shift systems"):
+        _parse_points("0.5", 7, parse_system("shift:2"))
 
 
 def test_verify_standard_checks_pass(tmp_path, capsys):

@@ -56,6 +56,13 @@ def test_unknown_kind_rejected():
         estimate_pressure(DIAG, ZERO2, "amalgamated", 0, 0.125)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_radius_must_be_positive_and_finite(epsilon):
+    for solve in (min_cover_cost, packing_bound):
+        with pytest.raises(ValueError, match="radius"):
+            solve(DIAG, ZERO2, "amalgamated", 3, epsilon, pool=pool2())
+
+
 def test_trajectory_requires_rule():
     with pytest.raises(ValueError):
         estimate_pressure(DIAG, ZERO2, "trajectory", 3, 0.125)
@@ -317,6 +324,17 @@ def test_grid_engine_cache_is_keyed_by_system_value():
     assert a is not b and a == b
     assert _grid_engine(a, 2, 0.25) is _grid_engine(b, 2, 0.25)
     assert _grid_engine(a, 2, 0.25) is not _grid_engine(a, 2, 0.125)
+
+
+def test_toral_engine_holds_one_metric_matrix_per_word():
+    # toral regions are the whole grid, so the engine keeps no second,
+    # region-restricted copy of the P x P word metrics
+    eng = _GridEngine(SHEAR, 2, 0.25)
+    held = [a for v in vars(eng).values()
+            for a in (v if isinstance(v, list) else [v])
+            if isinstance(a, np.ndarray) and a.dtype == np.float32]
+    npts = len(eng.points)
+    assert sum(a.nbytes for a in held) == len(eng.words) * npts * npts * 4
 
 
 def _reference_greedy_cover(masks, lw, need):
