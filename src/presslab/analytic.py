@@ -140,6 +140,12 @@ def _degenerate_cover(kind, n, m, pool, rule, step_weights, lo, hi):
         return (n * lo, 1, note)
     if kind in ("condensed-upper", "exhaustive-upper"):
         return (n * hi, 1, note)
+    if kind == "free":
+        # the mean over all m**n words of a product of step weights is
+        # the n-th power of the mean step weight
+        peak = max(step_weights)
+        mean = sum(math.exp(c - peak) for c in step_weights) / m
+        return (n * (peak + math.log(mean)), 1, note)
     cost, _, _ = _word_kinds(
         kind, n, m, pool, rule,
         lambda word: (_word_weight_log(step_weights, word), 1), note)

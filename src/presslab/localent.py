@@ -127,11 +127,13 @@ def parse_measure(spec, system, line=None, resolution=64):
     """Measure config values: lebesgue | dirac:x[,y]
     | bernoulli:p1,...,pm x lebesgue"""
     spec = spec.strip()
+    if system.is_shift:
+        # shift points have no grid density and no coordinates to read
+        raise ParseError("shift systems take no dirac point, lebesgue or "
+                         "product measure", line)
     if spec == "lebesgue":
         return lebesgue_measure(system, resolution)
     if spec.startswith("dirac:"):
-        if system.is_shift:
-            raise ParseError("shift systems take no dirac point", line)
         try:
             coords = [float(v) for v in spec[len("dirac:"):].split(",")]
         except ValueError:

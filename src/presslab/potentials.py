@@ -186,6 +186,8 @@ def parse_potential(spec, m, line=None):
         if len(vals) != m:
             raise ParseError("need %d constants, got %d" % (m, len(vals)),
                              line)
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError("constants must be finite: %r" % body, line)
         return constant_potential(vals)
     if spec.startswith("random:"):
         body = spec[len("random:"):]
@@ -195,5 +197,8 @@ def parse_potential(spec, m, line=None):
             amp = float(parts[1]) if len(parts) > 1 else 0.25
         except (ValueError, IndexError):
             raise ParseError("random potential needs seed[,amplitude]", line)
+        if not math.isfinite(amp):
+            raise ParseError("random amplitude must be finite: %r" % body,
+                             line)
         return random_potential(m, seed=seed, amplitude=amp)
     raise ParseError("unknown potential spec %r" % spec, line)

@@ -15,15 +15,17 @@ kinds
 
 Closed-form counts from the analytic module are used whenever the
 system and potential admit them (method "AnalyticBox"); otherwise the
-quantities are certified on an explicit finite grid ("GenericGrid").
-Grid estimates bound grid-restricted quantities only; their value is
-that every comparison theorem is enforced structurally, by reusing and
-re-weighting the competitor's cover, so inequality reports hold at any
-resolution.
+quantities are certified on an explicit finite grid ("GenericGrid"),
+which runs on the system's own `apply` / `distance` pair like every
+other layer.  Grid estimates bound grid-restricted quantities only;
+their value is that every comparison theorem is enforced structurally,
+by reusing and re-weighting the competitor's cover, so inequality
+reports hold at any resolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ import numpy as np
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
-from .words import WordPool, all_words, consecutive_sum
+from .words import WordPool, all_words, consecutive_sum, orbit
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -41,9 +43,6 @@ KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
 METHOD_ANALYTIC = "AnalyticBox"
 METHOD_GRID = "GenericGrid"
 
-GRID_MAX_TORUS = 40
-GRID_MAX_LINE = 1024
-GRID_MAX_SHIFT_LENGTH = 10
 GRID_BUDGET = 300_000_000
 
 
@@ -114,11 +113,11 @@ def _require_radius(epsilon):
 
 
 class _GridEngine:
-    """Finite-universe certificates for one (system, n, epsilon).
-
-    Precomputes, for every length-n word, the orbit of every universe
-    point and the pairwise word metric, then answers cover and packing
-    queries per kind.  All quantities are certified on the grid."""
+    """Finite-universe certificates for one (system, n, epsilon), on the
+    system's own maps: its `grid_points`, `words.orbit`, its
+    `pair_distances` and `consecutive_sum`.  Precomputes the pairwise
+    metric of every length-n word, then answers cover and packing queries
+    per kind.  All quantities are certified on the grid."""
 
     def __init__(self, system, n, epsilon, words=None):
         # given words restrict the universe: certificates for them only
@@ -126,7 +125,7 @@ class _GridEngine:
         self.system = system
         self.n = n
         self.epsilon = float(epsilon)
-        self.points = self._build_universe()
+        self.points = system.grid_points(self.epsilon, n)
         npts = len(self.points)
         if len(self.words) * npts * npts > GRID_BUDGET:
             raise DepthTooLarge(
@@ -138,135 +137,34 @@ class _GridEngine:
 
     # -- construction
 
-    def _build_universe(self):
-        system = self.system
-        if system.is_toral:
-            g = max(8, min(GRID_MAX_TORUS, int(math.ceil(4.0 / self.epsilon))))
-            xs = np.arange(g) / g
-            return np.array([(x, y) for x in xs for y in xs])
-        if system.is_interval:
-            g = max(32, min(GRID_MAX_LINE,
-                            int(math.ceil(8.0 / self.epsilon))))
-            return np.arange(g + 1) / g
-        step = max(gen.step for gen in system.generators)
-        tail = max(1, int(math.ceil(math.log2(1.0 / self.epsilon))))
-        length = min(self.n * step + tail + 1, GRID_MAX_SHIFT_LENGTH)
-        size = system.generators[0].alphabet
-        pts = np.indices((size,) * length).reshape(length, -1).T
-        self.shift_length = length
-        return pts
-
-    def _orbit_arrays(self, word):
-        """Orbit of the whole universe along one word: n + 1 arrays,
-        nan where the orbit is undefined."""
-        system = self.system
-        if system.is_toral:
-            cur = self.points
-            out = [cur]
-            for j in word:
-                mat = np.array(system.generators[j - 1].matrix, dtype=float)
-                cur = (cur @ mat.T) % 1.0
-                out.append(cur)
-            return out
-        if system.is_interval:
-            cur = self.points.astype(float).copy()
-            out = [cur]
-            for j in word:
-                gen = system.generators[j - 1]
-                nxt = np.full_like(cur, np.nan)
-                for left, slope in gen.branches:
-                    width = 1.0 / slope
-                    sel = (cur >= left - 1e-12) & (cur <= left + width + 1e-12)
-                    val = (cur - left) * slope
-                    if system.wrap:
-                        val = val % 1.0
-                    else:
-                        val = np.clip(val, 0.0, 1.0)
-                    nxt = np.where(sel & np.isnan(nxt), val, nxt)
-                cur = nxt
-                out.append(cur)
-            return out
-        cur = self.points
-        out = [cur]
-        for j in word:
-            gen = system.generators[j - 1]
-            pad = np.zeros((cur.shape[0], gen.step), dtype=cur.dtype)
-            cur = np.concatenate([cur[:, gen.step:], pad], axis=1)
-            out.append(cur)
-        return out
-
-    def _pair_dist(self, a):
-        system = self.system
-        if system.is_toral:
-            d = np.abs(a[:, None, :] - a[None, :, :])
-            d = np.minimum(d, 1.0 - d)
-            return d.max(axis=2)
-        if system.is_interval:
-            d = np.abs(a[:, None] - a[None, :])
-            if system.wrap:
-                d = np.minimum(d, 1.0 - d)
-            d[np.isnan(d)] = np.inf
-            return d
-        neq = a[:, None, :] != a[None, :, :]
-        first = np.full(neq.shape[:2], a.shape[1], dtype=np.int64)
-        for k in range(a.shape[1] - 1, -1, -1):
-            first[neq[:, :, k]] = k
-        return np.power(2.0, -first.astype(float))
-
     def _build_metrics(self):
-        """The region (every grid point, or on an interval the points
-        whose orbit along every word is defined) and one pairwise word
-        metric over it per word."""
-        orbits = [self._orbit_arrays(word) for word in self.words]
-        self.word_orbits = [o[:-1] for o in orbits]
-        if self.system.is_interval:
-            alive = ~np.isnan(np.stack([a for o in orbits for a in o])) \
-                .any(axis=0)
-            if not alive.any():
-                alive[0] = True
-            self.region = np.flatnonzero(alive)
-            orbits = [[a[self.region] for a in o] for o in orbits]
-        else:
-            self.region = np.arange(len(self.points))
+        """The region (the grid points whose orbit is defined along every
+        word) and one pairwise word metric over it per word: the largest
+        distance over the orbit steps."""
+        orbits = [[orbit(self.system, x, word) for x in self.points]
+                  for word in self.words]
+        alive = [i for i in range(len(self.points))
+                 if all(o[i] is not None for o in orbits)]
+        self.region = [self.points[i] for i in alive]
         self.dist = []
-        for word_orbit in orbits:
-            d = None
-            for arr in word_orbit:
-                dk = self._pair_dist(arr)
-                d = dk if d is None else np.maximum(d, dk)
+        for paths in orbits:
+            d = np.zeros((len(alive), len(alive)))
+            for step in zip(*(paths[i] for i in alive)):
+                np.maximum(d, self.system.pair_distances(step), out=d)
             self.dist.append(d.astype(np.float32))
 
     def weights(self, phi):
-        """S[word][point]: consecutive sums on the grid (nan if dead)."""
+        """S[word][region point]: consecutive sums along every word."""
         # engines outlive potential objects, so id() keys would collide
         # once the allocator reuses an address
         key = phi.components
         if key not in self._phi_cache:
-            rows = []
-            for word, orbits in zip(self.words, self.word_orbits):
-                s = np.zeros(len(self.points))
-                for k, j in enumerate(word):
-                    s = s + np.array([self._eval_phi(phi, j, pt)
-                                      for pt in orbits[k]])
-                rows.append(s)
-            self._phi_cache[key] = np.array(rows)
+            # built per point and transposed: each point's words are
+            # contiguous, which fixes the summation order of the word mean
+            self._phi_cache[key] = np.array(
+                [[consecutive_sum(self.system, phi, x, word)
+                  for word in self.words] for x in self.region]).T
         return self._phi_cache[key]
-
-    def _eval_phi(self, phi, j, pt):
-        if self.system.is_interval and np.isnan(pt):
-            return np.nan
-        return phi.eval(j, self._point(pt))
-
-    def _point(self, pt):
-        """A universe point as the system's own point type."""
-        if self.system.is_toral:
-            return (float(pt[0]), float(pt[1]))
-        if self.system.is_interval:
-            return float(pt)
-        return tuple(int(v) for v in pt)
-
-    def _atom_point(self, ci):
-        return self._point(self.points[self.region[ci]])
 
     # -- greedy primitives
 
@@ -335,12 +233,18 @@ class _GridEngine:
         """Admissible atom centres: a live weight and a nonempty ball."""
         return np.flatnonzero(~np.isnan(sw) & ball.any(axis=1))
 
+    def _joint_metric(self, kind):
+        """Largest word distance for condensed kinds (every-word balls),
+        smallest for the others (some-word balls or separation)."""
+        op = np.maximum if kind.startswith("condensed") else np.minimum
+        return functools.reduce(op, self.dist)
+
     def _cover_rows(self, phi, kind):
         """(masks, lw, atom word indices, atom centres) for the cover
         greedy of every kind but free and trajectory; the word indices
         are None for the kinds whose atoms carry no word."""
         eps = self.epsilon
-        s = self.weights(phi)[:, self.region]
+        s = self.weights(phi)
         if kind == "amalgamated":
             balls = [d < eps for d in self.dist]
             per_word = [self._centres(sw, b) for sw, b in zip(s, balls)]
@@ -350,11 +254,8 @@ class _GridEngine:
                                     for w, c in enumerate(per_word)])
             centres = np.concatenate(per_word)
         else:
-            stack = np.stack([(d < eps) for d in self.dist])
-            ball = stack.all(axis=0) if kind.startswith("condensed") \
-                else stack.any(axis=0)
-            agg = np.nanmin(s, axis=0) if kind.endswith("lower") \
-                else np.nanmax(s, axis=0)
+            ball = self._joint_metric(kind) < eps
+            agg = _side_weight(s, kind)
             centres = self._centres(agg, ball)
             masks, lw, words = ball[centres], agg[centres], None
         if len(centres) == 0:
@@ -369,7 +270,7 @@ class _GridEngine:
         key = (phi.components, w)
         sol = self._word_covers.get(key)
         if sol is None:
-            sw = self.weights(phi)[w, self.region]
+            sw = self.weights(phi)[w]
             ball = self.dist[w] < self.epsilon
             centres = self._centres(sw, ball)
             if len(centres) == 0:
@@ -380,7 +281,7 @@ class _GridEngine:
                 # out of the points to cover
                 log_cost, picked = self._greedy_cover_matrix(
                     ball[centres], sw[centres], ~np.isnan(sw))
-                atoms = tuple((self.words[w], self._atom_point(centres[i]))
+                atoms = tuple((self.words[w], self.region[centres[i]])
                               for i in picked)
                 sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
                                     "grid-certified greedy cover", atoms)
@@ -402,7 +303,7 @@ class _GridEngine:
         need = np.ones(len(self.region), dtype=bool)
         log_cost, picked = self._greedy_cover_matrix(masks, lw, need)
         chosen = tuple((None if words is None else self.words[words[i]],
-                        self._atom_point(centres[i])) for i in picked)
+                        self.region[centres[i]]) for i in picked)
         sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
                             "grid-certified greedy cover", chosen)
         if kind == "amalgamated":
@@ -435,29 +336,22 @@ class _GridEngine:
         if len(self.region) == 0:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         eps2 = 2.0 * self.epsilon
-        s = self.weights(phi)[:, self.region]
+        s = self.weights(phi)
         if kind == "trajectory":
             w = self.words.index(rule.word_at(self.n))
-            log_sum, count = self._greedy_packing(self.dist[w], s[w],
-                                                  eps2)
-        elif kind in ("amalgamated", "free"):
-            sep = np.minimum.reduce(self.dist)
+            log_sum, count = self._greedy_packing(self.dist[w], s[w], eps2)
+        elif kind.startswith("exhaustive"):
+            log_sum, count = self._mask_packing(
+                self._joint_metric(kind) < self.epsilon, _side_weight(s, kind))
+        else:
             if kind == "free":
                 w_log = _nan_log_mean_exp(s)
-            else:
+            elif kind == "amalgamated":
                 w_log = np.nanmin(s, axis=0)
-            log_sum, count = self._greedy_packing(sep, w_log, eps2)
-        elif kind.startswith("condensed"):
-            sep = np.maximum.reduce(self.dist)
-            w_log = np.nanmin(s, axis=0) if kind.endswith("lower") \
-                else np.nanmax(s, axis=0)
-            log_sum, count = self._greedy_packing(sep, w_log, eps2)
-        else:
-            union = np.stack([(d < self.epsilon) for d in self.dist])
-            union = union.any(axis=0)
-            w_log = np.nanmin(s, axis=0) if kind.endswith("lower") \
-                else np.nanmax(s, axis=0)
-            log_sum, count = self._mask_packing(union, w_log)
+            else:
+                w_log = _side_weight(s, kind)
+            log_sum, count = self._greedy_packing(self._joint_metric(kind),
+                                                  w_log, eps2)
         if count == 0:
             return CoverSolution(-math.inf, 0, METHOD_GRID, "empty packing")
         return CoverSolution(log_sum, count, METHOD_GRID,
@@ -483,6 +377,12 @@ class _GridEngine:
 
 def _nan_neg_inf(x):
     return -math.inf if math.isnan(x) else float(x)
+
+
+def _side_weight(s, kind):
+    """Per-point smallest sum over words for lower kinds, else largest."""
+    return np.nanmin(s, axis=0) if kind.endswith("lower") \
+        else np.nanmax(s, axis=0)
 
 
 def _nan_log_mean_exp(s):

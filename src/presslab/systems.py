@@ -5,13 +5,18 @@ Three domain families are supported: integer-matrix endomorphisms of the
 [0,1], and full shifts acted on by powers of the shift map.  A system is
 a tuple of generator maps plus the metric of its domain; everything else
 in the package (ball geometry, cover costs, pressure estimates) is built
-on top of the `apply` / `distance` pair defined here.
+on top of the `apply` / `distance` pair defined here.  The grid engine
+uses that pair too: `grid_points` is its finite universe and
+`pair_distances` is `distance` over every pair of an array of points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -23,6 +28,11 @@ SHIFT = "full-shift"
 # Membership in any ball of depth n only looks at finitely many symbols,
 # so a long enough padded tuple stands in for the genuine infinite sequence.
 SHIFT_POINT_LENGTH = 24
+
+# caps of grid_points: torus lattice side, interval cells, shift length
+GRID_MAX_TORUS = 40
+GRID_MAX_LINE = 1024
+GRID_MAX_SHIFT_LENGTH = 10
 
 
 def circle_dist(a, b):
@@ -283,6 +293,43 @@ class SemigroupSystem:
             if a != b:
                 return 2.0 ** (-i)
         return 2.0 ** (-min(len(p), len(q)))
+
+    def pair_distances(self, a):
+        """`distance` between every pair of an array of points: (P, 2) on
+        the torus, (P,) on intervals, (P, L) symbols on the shift, one
+        coordinate at a time so that every temporary is P x P.  On the
+        shift it is 2**-k at the first differing symbol k, and 2**-L, the
+        diameter of a length-L cylinder, where all L symbols agree."""
+        a = np.asarray(a)
+        if self.is_shift:
+            out = np.full((len(a), len(a)), 2.0 ** -a.shape[1])
+            for k in range(a.shape[1] - 1, -1, -1):
+                np.putmask(out, a[:, None, k] != a[None, :, k], 2.0 ** -k)
+            return out
+        out = np.zeros((len(a), len(a)))
+        for col in (a.T if self.is_toral else [a]):
+            d = np.abs(col[:, None] - col[None, :])
+            if self.is_toral or self.wrap:
+                d = np.minimum(d, 1.0 - d)
+            np.maximum(out, d, out=out)
+        return out
+
+    def grid_points(self, epsilon, n):
+        """Universe of the depth-n grid engine at radius epsilon: a g x g
+        torus lattice, g + 1 evenly spaced points of [0, 1] on intervals,
+        every symbol tuple of one length on the shift."""
+        if self.is_toral:
+            g = max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon)))
+            xs = [i / g for i in range(g)]
+            return list(itertools.product(xs, xs))
+        if self.is_interval:
+            g = max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon)))
+            return [i / g for i in range(g + 1)]
+        step = max(gen.step for gen in self.generators)
+        tail = max(1, math.ceil(math.log2(1.0 / epsilon)))
+        length = min(n * step + tail + 1, GRID_MAX_SHIFT_LENGTH)
+        return list(itertools.product(range(self.generators[0].alphabet),
+                                      repeat=length))
 
     def sample(self, rng, count):
         """Deterministic point sample from the domain (interval systems

@@ -131,6 +131,38 @@ epsilons = %s
     assert captured.err.startswith("invalid input: radius must be")
 
 
+@pytest.mark.parametrize("system,potential", [
+    ("diag:2,3|3,2", "constants:nan"),
+    ("diag:2,3|3,2", "constants:inf,0"),
+    ("toral:0,1,1,2;2,1,1,0", "random:3,nan"),
+    ("toral:0,1,1,2;2,1,1,0", "random:3,inf"),
+])
+def test_non_finite_potentials_are_parse_errors(tmp_path, capsys, system,
+                                                potential):
+    path = write_cfg(tmp_path, "bad.cfg", """system = %s
+potential = %s
+kinds = amalgamated
+depths = 2
+epsilons = 0.25
+""" % (system, potential))
+    assert main(["estimate", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 2: ")
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("measure", ["lebesgue",
+                                     "bernoulli:0.5,0.5 x lebesgue"])
+def test_shift_systems_take_no_measure(tmp_path, capsys, measure):
+    path = write_cfg(tmp_path, "loc.cfg", """system = shift:2
+measure = %s
+points = sample:5
+""" % measure)
+    assert main(["localent", "--config", path]) == 4
+    assert "line 2: shift systems take no" in capsys.readouterr().err
+
+
 def test_shift_systems_take_no_float_points(tmp_path, capsys):
     path = write_cfg(tmp_path, "loc.cfg", """system = shift:2
 measure = dirac:0.5

@@ -10,6 +10,7 @@ from presslab.analytic import log_sum_exp
 from presslab.errors import AnalyticUnavailable
 from presslab.potentials import (
     constant_potential,
+    coordinate_potential,
     random_potential,
     zero_potential,
 )
@@ -27,7 +28,13 @@ from presslab.pressure import (
     verify_inequality_chain,
 )
 from presslab.systems import parse_system
-from presslab.words import WordPool, constant_rule, explicit_rule, periodic_rule
+from presslab.words import (
+    WordPool,
+    consecutive_sum,
+    constant_rule,
+    explicit_rule,
+    periodic_rule,
+)
 
 LOG = math.log
 
@@ -315,6 +322,28 @@ def test_degenerate_radius_is_returned_not_rejected():
                             pool=pool2(), seed=0)
     assert est.cover_size <= 1
     assert est.lower <= est.upper
+
+
+def test_degenerate_free_cover_needs_no_word_enumeration():
+    # 2**13 words exceed the enumeration cap; the word mean of a product
+    # of step weights is the n-th power of the mean step weight
+    phi = constant_potential([0.25, -0.5])
+    est = estimate_pressure(DIAG, phi, "free", 13, 0.7, pool=pool2(), seed=0)
+    assert est.upper == pytest.approx(
+        math.log((math.exp(0.25) + math.exp(-0.5)) / 2), abs=1e-12)
+
+
+def test_grid_weights_are_consecutive_sums_at_region_points():
+    # the grid orbits follow the generators' own apply, so on a
+    # non-dyadic grid every weight is the library's consecutive sum
+    system = parse_system("toral:2,1,1,1;5,3,3,2")
+    phi = coordinate_potential(2)
+    eng = _GridEngine(system, 3, 0.2)
+    s = eng.weights(phi)
+    assert s.shape == (len(eng.words), len(eng.region)) == (8, 400)
+    for w, word in enumerate(eng.words):
+        for i, x in enumerate(eng.region):
+            assert s[w, i] == consecutive_sum(system, phi, x, word)
 
 
 def test_grid_engine_cache_is_keyed_by_system_value():

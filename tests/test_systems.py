@@ -1,6 +1,7 @@
 """System parsing, the zoo, closed forms, and the screening reports."""
 
 import math
+import random
 
 import pytest
 
@@ -176,3 +177,19 @@ def test_apply_wraps_to_unit_square():
     assert x == pytest.approx(0.8, abs=1e-12)
     assert y == pytest.approx(0.7, abs=1e-12)
     assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0
+
+
+@pytest.mark.parametrize("spec", ["toral:2,1,1,1;5,3,3,2", "cantor:2,2",
+                                  "cantor:3,3", "shift:2"])
+def test_pair_distances_match_distance(spec):
+    system = parse_system(spec)
+    pts = system.sample(random.Random(spec), 40)
+    assert len(set(pts)) == 40
+    d = system.pair_distances(pts)
+    assert d.shape == (40, 40)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            # a shift point is 2**-L from itself: it stands for its
+            # length-L cylinder, where distance() sees one sequence
+            if i != j or not system.is_shift:
+                assert d[i, j] == system.distance(p, q), (i, j)
