@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import log_sum_exp
-from .errors import AnalyticUnavailable, DepthTooLarge
+from .errors import AnalyticUnavailable, DepthTooLarge, UnderResolved
 from .words import WordPool, all_words, consecutive_sum, orbit
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
@@ -117,7 +117,16 @@ class _GridEngine:
     system's own maps: its `grid_points`, `words.orbit`, its
     `pair_distances` and `consecutive_sum`.  Precomputes the pairwise
     metric of every length-n word, then answers cover and packing queries
-    per kind.  All quantities are certified on the grid."""
+    per kind.  All quantities are certified on the grid.
+
+    Invariant: every region point lies in its own ball along every word,
+    and has a finite weight.  The greedies rely on it: each point is the
+    centre of an atom that covers it, so every cover is complete and
+    every packing keeps at least one point.  A radius at or below a grid
+    point's distance to itself (2**-L on length-L shift cylinders) breaks
+    it, so `__init__` refuses such a radius as `UnderResolved`; finite
+    step values whose sums overflow break it too, so `weights` refuses
+    them with a `ValueError`."""
 
     def __init__(self, system, n, epsilon, words=None):
         # given words restrict the universe: certificates for them only
@@ -134,6 +143,10 @@ class _GridEngine:
         self._phi_cache = {}
         self._word_covers = {}
         self._build_metrics()
+        if any((d.diagonal() >= self.epsilon).any() for d in self.dist):
+            raise UnderResolved(
+                "the grid cannot resolve radius %r: no grid point lies in "
+                "its own ball" % self.epsilon)
 
     # -- construction
 
@@ -161,30 +174,33 @@ class _GridEngine:
         if key not in self._phi_cache:
             # built per point and transposed: each point's words are
             # contiguous, which fixes the summation order of the word mean
-            self._phi_cache[key] = np.array(
+            arr = np.array(
                 [[consecutive_sum(self.system, phi, x, word)
                   for word in self.words] for x in self.region]).T
+            # finite step values can still sum past the float range
+            if not np.isfinite(arr).all():
+                raise ValueError(
+                    "the potential's consecutive sums overflow at depth %d"
+                    % self.n)
+            self._phi_cache[key] = arr
         return self._phi_cache[key]
 
     # -- greedy primitives
 
-    def _greedy_cover_matrix(self, masks, lw, need):
-        """Weighted greedy set cover.  masks: (A, R) bool, lw: (A,),
-        need: (R,) bool.  Returns (log cost, picked indices)."""
-        uncovered = need.copy()
+    def _greedy_cover_matrix(self, masks, lw):
+        """Weighted greedy set cover of every point.  masks: (A, R) bool,
+        lw: (A,); every point lies in some atom.  Returns (log cost,
+        picked indices)."""
+        uncovered = np.ones(masks.shape[1], dtype=bool)
         # uncovered points per atom, kept up to date as points get covered
-        gains = (masks & uncovered).sum(axis=1)
+        gains = masks.sum(axis=1)
         log_terms = []
         picked = []
         while uncovered.any():
             live = gains > 0
-            if not live.any():
-                break
             scores = np.where(live, lw - np.log(np.maximum(gains, 1)),
                               np.inf)
             smin = scores.min()
-            if not math.isfinite(smin):
-                break
             if gains[live].max() == 1:
                 # tail: every live atom holds one uncovered point, and each
                 # point takes its cheapest atom (the first one on ties, as
@@ -206,61 +222,26 @@ class _GridEngine:
             newly = masks[a] & uncovered
             uncovered &= ~newly
             gains -= masks[:, newly].sum(axis=1)
-        if not log_terms:
-            return -math.inf, []
         return log_sum_exp(log_terms), picked
 
     def _greedy_packing(self, sep, w_log, eps2):
         """Greedy separated set maximizing weights; sep is the pairwise
         metric over the region."""
-        order = sorted(range(len(w_log)),
-                       key=lambda i: (-_nan_neg_inf(w_log[i]), i))
         far = np.ones(len(w_log), dtype=bool)
         kept = []
-        for i in order:
-            if math.isnan(w_log[i]) or not far[i]:
-                continue
-            kept.append(i)
-            far &= sep[i] >= eps2
-        if not kept:
-            return -math.inf, 0
-        return log_sum_exp([float(w_log[i]) for i in kept]), len(kept)
+        for i in np.argsort(-w_log, kind="stable"):
+            if far[i]:
+                kept.append(i)
+                far &= sep[i] >= eps2
+        return log_sum_exp(w_log[kept].tolist()), len(kept)
 
     # -- kind plumbing
-
-    @staticmethod
-    def _centres(sw, ball):
-        """Admissible atom centres: a live weight and a nonempty ball."""
-        return np.flatnonzero(~np.isnan(sw) & ball.any(axis=1))
 
     def _joint_metric(self, kind):
         """Largest word distance for condensed kinds (every-word balls),
         smallest for the others (some-word balls or separation)."""
         op = np.maximum if kind.startswith("condensed") else np.minimum
         return functools.reduce(op, self.dist)
-
-    def _cover_rows(self, phi, kind):
-        """(masks, lw, atom word indices, atom centres) for the cover
-        greedy of every kind but free and trajectory; the word indices
-        are None for the kinds whose atoms carry no word."""
-        eps = self.epsilon
-        s = self.weights(phi)
-        if kind == "amalgamated":
-            balls = [d < eps for d in self.dist]
-            per_word = [self._centres(sw, b) for sw, b in zip(s, balls)]
-            masks = np.concatenate([b[c] for b, c in zip(balls, per_word)])
-            lw = np.concatenate([sw[c] for sw, c in zip(s, per_word)])
-            words = np.concatenate([np.full(len(c), w)
-                                    for w, c in enumerate(per_word)])
-            centres = np.concatenate(per_word)
-        else:
-            ball = self._joint_metric(kind) < eps
-            agg = _side_weight(s, kind)
-            centres = self._centres(agg, ball)
-            masks, lw, words = ball[centres], agg[centres], None
-        if len(centres) == 0:
-            return None
-        return masks, lw, words, centres
 
     def word_cover(self, phi, w):
         """Greedy cover of the region by the balls of word index w under
@@ -270,21 +251,11 @@ class _GridEngine:
         key = (phi.components, w)
         sol = self._word_covers.get(key)
         if sol is None:
-            sw = self.weights(phi)[w]
-            ball = self.dist[w] < self.epsilon
-            centres = self._centres(sw, ball)
-            if len(centres) == 0:
-                sol = CoverSolution(-math.inf, 0, METHOD_GRID,
-                                    "no admissible atoms")
-            else:
-                # a point with a nan weight lies in no ball, so it is left
-                # out of the points to cover
-                log_cost, picked = self._greedy_cover_matrix(
-                    ball[centres], sw[centres], ~np.isnan(sw))
-                atoms = tuple((self.words[w], self.region[centres[i]])
-                              for i in picked)
-                sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
-                                    "grid-certified greedy cover", atoms)
+            log_cost, picked = self._greedy_cover_matrix(
+                self.dist[w] < self.epsilon, self.weights(phi)[w])
+            atoms = tuple((self.words[w], self.region[i]) for i in picked)
+            sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
+                                "grid-certified greedy cover", atoms)
             self._word_covers[key] = sol
         return sol
 
@@ -295,42 +266,38 @@ class _GridEngine:
             return self._free_cover(phi)
         if kind == "trajectory":
             return self.word_cover(phi, self.words.index(rule.word_at(self.n)))
-        rows = self._cover_rows(phi, kind)
-        if rows is None:
-            return CoverSolution(-math.inf, 0, METHOD_GRID,
-                                 "no admissible atoms")
-        masks, lw, words, centres = rows
-        need = np.ones(len(self.region), dtype=bool)
-        log_cost, picked = self._greedy_cover_matrix(masks, lw, need)
-        chosen = tuple((None if words is None else self.words[words[i]],
-                        self.region[centres[i]]) for i in picked)
+        s = self.weights(phi)
+        if kind != "amalgamated":
+            log_cost, picked = self._greedy_cover_matrix(
+                self._joint_metric(kind) < self.epsilon, _side_weight(s, kind))
+            return CoverSolution(log_cost, len(picked), METHOD_GRID,
+                                 "grid-certified greedy cover",
+                                 tuple((None, self.region[i]) for i in picked))
+        # one atom per (word, centre), word-major
+        masks = np.concatenate([d < self.epsilon for d in self.dist])
+        log_cost, picked = self._greedy_cover_matrix(masks, s.reshape(-1))
+        npts = len(self.region)
+        atoms = tuple((self.words[i // npts], self.region[i % npts])
+                      for i in picked)
         sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
-                            "grid-certified greedy cover", chosen)
-        if kind == "amalgamated":
-            # any one-word cover is an admissible amalgamated cover, so the
-            # greedy over mixed atoms must never report worse than the best
-            # pool word; this keeps the induced-cover comparison exact
-            for word in pool.words(self.n):
-                cand = self.word_cover(phi, self.words.index(word))
-                if cand.log_cost < sol.log_cost:
-                    sol = CoverSolution(cand.log_cost, cand.size, cand.method,
-                                        "single-word cover beat the joint "
-                                        "greedy", cand.atoms)
+                            "grid-certified greedy cover", atoms)
+        # any one-word cover is an admissible amalgamated cover, so the
+        # greedy over mixed atoms must never report worse than the best
+        # pool word; this keeps the induced-cover comparison exact
+        for word in pool.words(self.n):
+            cand = self.word_cover(phi, self.words.index(word))
+            if cand.log_cost < sol.log_cost:
+                sol = CoverSolution(cand.log_cost, cand.size, cand.method,
+                                    "single-word cover beat the joint "
+                                    "greedy", cand.atoms)
         return sol
 
     def _free_cover(self, phi):
-        terms = []
-        sizes = []
-        for w in range(len(self.words)):
-            sol = self.word_cover(phi, w)
-            if math.isfinite(sol.log_cost):
-                terms.append(sol.log_cost)
-                sizes.append(sol.size)
-        if not terms:
-            return CoverSolution(-math.inf, 0, METHOD_GRID, "no live words")
-        log_mean = log_sum_exp(terms) - math.log(len(self.words))
-        return CoverSolution(log_mean, max(sizes), METHOD_GRID,
-                             "word-averaged greedy covers")
+        sols = [self.word_cover(phi, w) for w in range(len(self.words))]
+        log_mean = log_sum_exp([sol.log_cost for sol in sols]) \
+            - math.log(len(self.words))
+        return CoverSolution(log_mean, max(sol.size for sol in sols),
+                             METHOD_GRID, "word-averaged greedy covers")
 
     def packing(self, phi, kind, rule=None):
         if len(self.region) == 0:
@@ -345,54 +312,37 @@ class _GridEngine:
                 self._joint_metric(kind) < self.epsilon, _side_weight(s, kind))
         else:
             if kind == "free":
-                w_log = _nan_log_mean_exp(s)
+                w_log = _log_mean_exp(s)
             elif kind == "amalgamated":
-                w_log = np.nanmin(s, axis=0)
+                w_log = s.min(axis=0)
             else:
                 w_log = _side_weight(s, kind)
             log_sum, count = self._greedy_packing(self._joint_metric(kind),
                                                   w_log, eps2)
-        if count == 0:
-            return CoverSolution(-math.inf, 0, METHOD_GRID, "empty packing")
         return CoverSolution(log_sum, count, METHOD_GRID,
                              "grid-certified greedy packing")
 
     def _mask_packing(self, union, w_log):
         """Exhaustive separation: keep points whose some-word grid balls
         are pairwise disjoint."""
-        order = sorted(range(union.shape[0]),
-                       key=lambda i: (-_nan_neg_inf(w_log[i]), i))
         taken = np.zeros(union.shape[1], dtype=bool)
         kept = []
-        for i in order:
-            if math.isnan(w_log[i]):
-                continue
+        for i in np.argsort(-w_log, kind="stable"):
             if not (union[i] & taken).any():
                 kept.append(i)
                 taken |= union[i]
-        if not kept:
-            return -math.inf, 0
-        return log_sum_exp([float(w_log[i]) for i in kept]), len(kept)
-
-
-def _nan_neg_inf(x):
-    return -math.inf if math.isnan(x) else float(x)
+        return log_sum_exp(w_log[kept].tolist()), len(kept)
 
 
 def _side_weight(s, kind):
     """Per-point smallest sum over words for lower kinds, else largest."""
-    return np.nanmin(s, axis=0) if kind.endswith("lower") \
-        else np.nanmax(s, axis=0)
+    return s.min(axis=0) if kind.endswith("lower") else s.max(axis=0)
 
 
-def _nan_log_mean_exp(s):
-    """Per-point log of the mean over words of exp(S), ignoring nan."""
-    peak = np.nanmax(s, axis=0)
-    safe = np.where(np.isnan(s), -np.inf, s - peak)
-    mean = np.exp(safe).mean(axis=0)
-    out = peak + np.log(np.maximum(mean, 1e-300))
-    out[~np.isfinite(peak)] = np.nan
-    return out
+def _log_mean_exp(s):
+    """Per-point log of the mean over words of exp(S)."""
+    peak = s.max(axis=0)
+    return peak + np.log(np.exp(s - peak).mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +702,7 @@ def cover_cost_for(system, phi, solution):
     for word, center in solution.atoms:
         if word is None:
             continue
-        s = consecutive_sum(system, phi, center, word)
-        if s is not None:
-            terms.append(s)
+        terms.append(consecutive_sum(system, phi, center, word))
     if not terms:
         return None
     return log_sum_exp(terms)

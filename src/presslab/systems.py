@@ -261,14 +261,6 @@ class SemigroupSystem:
         return max(g.lipschitz for g in self.generators)
 
     @property
-    def diameter(self):
-        if self.is_toral:
-            return 0.5
-        if self.is_interval:
-            return 0.5 if self.wrap else 1.0
-        return 1.0
-
-    @property
     def max_preimage_count(self):
         if self.is_toral:
             return max(abs(g.det) for g in self.generators)

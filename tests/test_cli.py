@@ -131,6 +131,37 @@ epsilons = %s
     assert captured.err.startswith("invalid input: radius must be")
 
 
+def test_radius_below_the_shift_grid_is_infeasible(tmp_path, capsys):
+    # 2**-10 is the smallest shift cylinder the grid holds; below it no
+    # grid point lies in its own ball
+    path = write_cfg(tmp_path, "fine.cfg", """system = shift:2
+potential = zero
+rule = periodic:1,2
+kinds = all
+depths = 1
+epsilons = 0.0009
+""")
+    assert main(["estimate", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible: ")
+
+
+def test_overflowing_potential_sums_are_invalid(tmp_path, capsys):
+    # each step value is finite, but two of them sum past the float range
+    path = write_cfg(tmp_path, "huge.cfg", """system = shift:2
+potential = constants:1e308
+rule = periodic:1,2
+kinds = all
+depths = 2
+epsilons = 0.125
+""")
+    assert main(["estimate", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
 @pytest.mark.parametrize("system,potential", [
     ("diag:2,3|3,2", "constants:nan"),
     ("diag:2,3|3,2", "constants:inf,0"),

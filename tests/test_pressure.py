@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from presslab.analytic import log_sum_exp
-from presslab.errors import AnalyticUnavailable
+from presslab.errors import AnalyticUnavailable, UnderResolved
 from presslab.potentials import (
     constant_potential,
     coordinate_potential,
@@ -27,7 +27,7 @@ from presslab.pressure import (
     trajectory_shift_check,
     verify_inequality_chain,
 )
-from presslab.systems import parse_system
+from presslab.systems import parse_system, shift_system
 from presslab.words import (
     WordPool,
     consecutive_sum,
@@ -404,6 +404,19 @@ def test_greedy_cover_matches_reference_loop():
         atoms, points = rng.integers(1, 40), rng.integers(1, 30)
         masks = rng.random((atoms, points)) < rng.choice([0.05, 0.2, 0.5])
         lw = rng.integers(-3, 3, atoms) / 2.0
-        need = rng.random(points) < 0.9
-        got = _GridEngine._greedy_cover_matrix(None, masks, lw, need)
+        # one singleton atom per point, as every grid point is the centre
+        # of a ball holding it, so every point can be covered
+        masks = np.concatenate([masks, np.eye(points, dtype=bool)])
+        lw = np.concatenate([lw, rng.integers(-3, 3, points) / 2.0])
+        need = np.ones(points, dtype=bool)
+        got = _GridEngine._greedy_cover_matrix(None, masks, lw)
         assert got == _reference_greedy_cover(masks, lw, need), trial
+
+
+def test_grid_engine_refuses_a_radius_its_points_cannot_resolve():
+    # shift grid points are cylinders of length at most 10, each 2**-10
+    # from itself, so a radius of 2**-10 leaves every ball empty
+    with pytest.raises(UnderResolved):
+        _GridEngine(shift_system(2), 1, 2.0 ** -10)
+    eng = _GridEngine(shift_system(2), 1, 1.5 * 2.0 ** -10)
+    assert len(eng.region) == 1024
