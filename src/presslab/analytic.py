@@ -28,7 +28,8 @@ Wrap exactness guard: on the torus (and on circle interval maps) a
 strict ball of radius rho equals its no-wrap model only when one applied
 generator cannot stretch a displacement past the opposite side of the
 fundamental domain, i.e. when rho <= 1/(L+1) for L the largest one-step
-Lipschitz constant.  Packing counts insist on that guard at rho = 2*eps;
+Lipschitz constant.  Packing counts insist on that guard at rho = 2*eps
+(`_packing_guard` decides the torus cases it settles by radius alone);
 cover counts never need it because the no-wrap region is always
 contained in the true ball.
 """
@@ -45,9 +46,7 @@ LN2 = math.log(2.0)
 
 
 def log_big(x):
-    """Natural log of a positive int or Fraction without float overflow."""
-    if isinstance(x, Fraction):
-        return (math.log2(x.numerator) - math.log2(x.denominator)) * LN2
+    """Natural log of a positive int without float overflow."""
     return math.log2(x) * LN2
 
 
@@ -63,6 +62,21 @@ def wrap_guard_ok(rho, lipschitz):
     """Strict balls at radius rho have no wrap component when
     (L + 1) * rho <= 1."""
     return (lipschitz + 1.0) * rho <= 1.0 + 1e-12
+
+
+def _packing_guard(rho, lipschitz):
+    """Torus packing count at separation rho when the radius alone sets
+    it (past the diameter 1/2, or failing the wrap guard), else None."""
+    if rho > 0.5:
+        return 1
+    if not wrap_guard_ok(rho, lipschitz):
+        return max(int(1.0 // rho) ** 2, 1)
+    return None
+
+
+def _side(consts, kind, n):
+    """Weight of a condensed or exhaustive kind's lower or upper side."""
+    return n * (min(consts) if kind.endswith("-lower") else max(consts))
 
 
 def log_sum_exp(terms):
@@ -232,19 +246,15 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         return _degenerate_cover(kind, n, system.m, pool, rule, consts,
                                  min(consts), max(consts))
     inv2eps = 1 / (2 * Fraction(epsilon))
-    if kind in ("condensed-lower", "condensed-upper"):
-        lx = max(e[0] for e in entries)
-        ly = max(e[1] for e in entries)
+    family = kind.split("-")[0]
+    if family in ("condensed", "exhaustive"):
+        # the condensed ball is the fastest box, the exhaustive the slowest
+        pick = max if family == "condensed" else min
+        lx = pick(e[0] for e in entries)
+        ly = pick(e[1] for e in entries)
         count = _box_tiling_count(lx ** n, ly ** n, inv2eps)
-        w = n * (min(consts) if kind == "condensed-lower" else max(consts))
-        return (log_big(count) + w, count, "condensed box tiling")
-    if kind in ("exhaustive-lower", "exhaustive-upper"):
-        lx = min(e[0] for e in entries)
-        ly = min(e[1] for e in entries)
-        count = _box_tiling_count(lx ** n, ly ** n, inv2eps)
-        w = n * (min(consts) if kind == "exhaustive-lower" else max(consts))
-        return (log_big(count) + w, count,
-                "exhaustive box tiling, unit sandwich constants")
+        return (log_big(count) + _side(consts, kind, n), count,
+                family + " box tiling")
     if kind == "free":
         terms = _diag_weight_terms(system, entries, consts, n, True, inv2eps)
         log_sum = log_sum_exp(terms)
@@ -267,13 +277,11 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     an explicit touching grid."""
     entries = _diag_entries(system)
     consts = _constants(phi)
-    rho = 2 * Fraction(epsilon)
-    if rho > Fraction(1, 2):
-        return (n * min(consts), 1, "degenerate: 2eps exceeds the diameter")
-    if not wrap_guard_ok(2.0 * epsilon, system.L_max):
-        count = max(frac_floor(1 / rho) ** 2, 1)
+    count = _packing_guard(2.0 * epsilon, system.L_max)
+    if count is not None:
         return (log_big(count) + n * min(consts), count,
-                "coarse base-metric grid (wrap guard failed)")
+                "radius-only count (2eps past the diameter or wrap guard)")
+    rho = 2 * Fraction(epsilon)
     inv2eps = 1 / rho
     if kind == "trajectory":
         word = rule.word_at(n)
@@ -292,25 +300,22 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         area = 4 * min(rho / lx ** n, Fraction(1, 2)) \
             * min(rho / ly ** n, Fraction(1, 2))
         count = frac_ceil(1 / area)
-        w = n * (min(consts) if kind == "condensed-lower" else max(consts))
-        return (log_big(count) + w, count, "volume bound, condensed box")
+        return (log_big(count) + _side(consts, kind, n), count,
+                "volume bound, condensed box")
     if kind in ("exhaustive-lower", "exhaustive-upper"):
         lx = min(e[0] for e in entries)
         ly = min(e[1] for e in entries)
         count = max(frac_floor(lx ** n * inv2eps)
                     * frac_floor(ly ** n * inv2eps), 1)
-        w = n * (min(consts) if kind == "exhaustive-lower" else max(consts))
-        return (log_big(count) + w, count,
+        return (log_big(count) + _side(consts, kind, n), count,
                 "touching grid of outer exhaustive boxes")
-    if kind == "free":
-        # one set separated in the min-over-words metric works for every
-        # word at once, so the star count carries the averaged weights
-        count = frac_ceil(1 / _star_area(entries, n, rho))
-        terms = _diag_weight_terms(system, entries, consts, n, False, None)
-        log_mean = log_sum_exp(terms) - n * math.log(system.m)
-        return (log_big(count) + log_mean, count,
-                "star-grid packing, averaged weights")
-    raise AnalyticUnavailable("kind %r has no diagonal packing form" % kind)
+    # free: one set separated in the min-over-words metric works for
+    # every word at once, so the star count carries the averaged weights
+    count = frac_ceil(1 / _star_area(entries, n, rho))
+    terms = _diag_weight_terms(system, entries, consts, n, False, None)
+    log_mean = log_sum_exp(terms) - n * math.log(system.m)
+    return (log_big(count) + log_mean, count,
+            "star-grid packing, averaged weights")
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +377,12 @@ def ball_polygon(system, word, epsilon):
     return poly, abs(area) / 2
 
 
-def _point_in_ball_polygon(system, word, epsilon, pt):
-    """Exact membership of a rational displacement in the no-wrap ball."""
-    e = Fraction(epsilon)
+def _in_polygon(poly, pt):
+    """Exact membership of a rational point in a convex polygon listed
+    counter-clockwise, as `ball_polygon` returns it."""
     x, y = pt
-    if abs(x) > e or abs(y) > e:
-        return False
-    for mat in prefix_matrices(system, word):
-        for a, b in mat:
-            if abs(a * x + b * y) > e:
-                return False
-    return True
+    return all((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0
+               for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
 def _round_frac(f):
@@ -433,23 +433,23 @@ def polygon_cover_count(system, word, epsilon):
                    ((cu[0] - cv[0]) / 2, (cu[1] - cv[1]) / 2))
         # corners span the centered fundamental cell; the other two are
         # their mirror images and the polygon is symmetric
-        if all(_point_in_ball_polygon(system, word, epsilon, c)
-               for c in corners):
+        if all(_in_polygon(poly, c) for c in corners):
             return abs(dw)
     raise AnalyticUnavailable("could not certify a lattice tiling")
 
 
-def polygon_packing_count(system, word, epsilon, lipschitz):
-    """Volume-bound packing count at separation 2 eps along one word."""
+def polygon_packing_count(system, words, epsilon, lipschitz):
+    """Volume-bound packing count at separation 2 eps: a maximal packing
+    separated along every word covers the torus with unions of the
+    words' 2 eps balls, whose area is at most the summed areas."""
     rho = 2.0 * epsilon
-    if rho > 0.5:
-        return 1
-    if not wrap_guard_ok(rho, lipschitz):
-        return max(int(1.0 // rho) ** 2, 1)
-    _, area = ball_polygon(system, word, rho)
-    if area <= 0:
-        raise AnalyticUnavailable("packing polygon degenerate")
-    return max(frac_ceil(1 / area), 1)
+    count = _packing_guard(rho, lipschitz)
+    if count is not None:
+        return count
+    total = sum(ball_polygon(system, word, rho)[1] for word in words)
+    if total <= 0:
+        raise AnalyticUnavailable("packing polygons degenerate")
+    return max(frac_ceil(1 / total), 1)
 
 
 def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
@@ -471,32 +471,16 @@ def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
 def toral_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     consts = _constants(phi)
     if kind == "trajectory":
-        word = rule.word_at(n)
-        count = polygon_packing_count(system, word, epsilon, system.L_max)
-        return (log_big(count) + _word_weight_log(consts, word), count,
-                "volume bound, word polygon at 2eps")
-    if kind == "amalgamated":
-        rho = 2.0 * epsilon
-        if rho > 0.5:
-            return (n * min(consts), 1, "degenerate: 2eps exceeds diameter")
-        if not wrap_guard_ok(rho, system.L_max):
-            count = max(int(1.0 // rho) ** 2, 1)
-            return (math.log(count) + n * min(consts), count,
-                    "coarse base-metric grid (wrap guard failed)")
-        # points separated in the min-over-words metric carry 2eps balls
-        # that are disjoint along each word, so a maximal packing covers
-        # the torus with unions of the pool word balls; bound the union
-        # area by the sum of the word areas
-        total = Fraction(0)
-        for word in pool.words(n):
-            _, area = ball_polygon(system, word, rho)
-            total += area
-        if total <= 0:
-            raise AnalyticUnavailable("all pool polygons degenerate")
-        count = max(frac_ceil(1 / total), 1)
-        return (log_big(count) + n * min(consts), count,
-                "volume bound via summed word-ball areas")
-    raise AnalyticUnavailable("kind %r has no polygon packing" % kind)
+        words = [rule.word_at(n)]
+        weight = _word_weight_log(consts, words[0])
+    elif kind == "amalgamated":
+        words = pool.words(n)
+        weight = n * min(consts)
+    else:
+        raise AnalyticUnavailable("kind %r has no polygon packing" % kind)
+    count = polygon_packing_count(system, words, epsilon, system.L_max)
+    return (log_big(count) + weight, count,
+            "volume bound via summed word polygons at 2eps")
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +608,10 @@ def _relative_cover_number(system, epsilon):
 
 def _uniform_circle_slopes(system):
     slopes = []
-    for gen in system.generators:
+    for j, gen in enumerate(system.generators, start=1):
         if len(set(gen.slopes)) > 1:
-            raise AnalyticUnavailable("mixed-slope circle maps not closed")
+            raise AnalyticUnavailable(
+                "generator %d mixes slopes on the circle: no closed form" % j)
         slopes.append(gen.slopes[0])
     return slopes
 
@@ -683,21 +668,19 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             return (n * math.log(min(min(t) for t in table)), 1,
                     "wrap guard failed, trivial packing")
         if kind == "trajectory":
-            word = rule.word_at(n)
             prod = Fraction(1)
             weight = 0.0
-            for j in word:
+            for j in rule.word_at(n):
                 prod *= Fraction(slopes[j - 1])
                 weight += math.log(min(table[j - 1]))
-            count = max(frac_floor(prod / (4 * Fraction(epsilon))), 1)
-            return (log_big(count) + weight, count, "circle grid packing")
-        if kind == "amalgamated":
+        elif kind == "amalgamated":
+            # every word expands at least at the weakest rate
             prod = min(Fraction(s) for s in slopes) ** n
-            count = max(frac_floor(prod / (4 * Fraction(epsilon))), 1)
-            w = n * math.log(min(min(t) for t in table))
-            return (log_big(count) + w, count,
-                    "circle grid at the weakest expansion rate")
-        raise AnalyticUnavailable("kind %r has no circle packing" % kind)
+            weight = n * math.log(min(min(t) for t in table))
+        else:
+            raise AnalyticUnavailable("kind %r has no circle packing" % kind)
+        count = max(frac_floor(prod / (4 * Fraction(epsilon))), 1)
+        return (log_big(count) + weight, count, "circle grid packing")
     if system.min_gap < 2.0 * epsilon - 1e-12:
         raise AnalyticUnavailable("2eps exceeds the branch gap")
     if kind == "trajectory":

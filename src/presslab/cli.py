@@ -374,9 +374,10 @@ def _verify_rows(entries, setup):
                 list(range(lo_depth, 2 * lo_depth + 3)), pool=setup.pool,
                 seed=setup.seed)
             for c in report.checks:
-                add("marginal", c.ok, "h_plus=%s h_lower=%s bound=%s"
+                add("marginal", c.ok,
+                    "h_plus=%s h_lower=%s bound=%s tolerance=%s"
                     % (_fmt(c.h_plus), _fmt(c.h_lower),
-                       _fmt(report.bound)))
+                       _fmt(report.bound), _fmt(c.tolerance)))
         elif name == "separation":
             spec, sline = _require(entries, "system_b")
             other = parse_system(spec, line=sline)

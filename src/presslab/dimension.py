@@ -129,18 +129,19 @@ def _bisect_root(pressure_at, bracket):
 
 
 def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, pool=None,
-               seed=0, engine="auto"):
+               seed=0):
     """Dimension-style root of the family plus per-generator roots.
 
     The family root drives the amalgamated pressure of t times the
     unstable multi-potential to zero; each per-generator root repeats
-    the bisection for the one-generator subfamily."""
+    the bisection for the one-generator subfamily.  Every pressure is a
+    closed form; where one declines this raises AnalyticUnavailable."""
     phi_u = unstable_multipotential(system)
 
     def family_pressure(t):
         est = estimate_pressure(system, phi_u.scale(t), "amalgamated", n,
                                 epsilon, pool=pool, seed=seed,
-                                engine=engine)
+                                engine="analytic")
         return est.midpoint
 
     t_ua, final_bracket, iterations = _bisect_root(family_pressure,
@@ -155,7 +156,7 @@ def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, pool=None,
         def single_pressure(t):
             est = estimate_pressure(sub, phi_j.scale(t), "trajectory", n,
                                     epsilon, rule=rule, seed=seed,
-                                    engine=engine)
+                                    engine="analytic")
             return est.midpoint
 
         root, _, _ = _bisect_root(single_pressure, t_bracket)

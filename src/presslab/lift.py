@@ -9,16 +9,12 @@ costs, and the cylinder count enters the rate as exactly log(m).
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 from .analytic import log_sum_exp
-from .errors import DepthTooLarge
 from .pressure import PressureEstimate, estimate_pressure, min_cover_cost, \
     packing_bound
-from .words import Word, all_words, explicit_rule, word_count
-
-MC_WORD_SAMPLE = 128
+from .words import all_words, word_count
 
 __all__ = [
     "LiftPoint", "skew_apply", "lifted_potential", "lift_birkhoff_sum",
@@ -103,53 +99,26 @@ def cylinder_cover_log(system, phi, n, epsilon, *, pool=None, seed=0,
             "per-cylinder base covers")
 
 
-def _sampled_words(m, n, seed, count):
-    rng = random.Random("lift:%d:%d" % (seed, n))
-    return [Word(tuple(rng.randint(1, m) for _ in range(n)))
-            for _ in range(count)]
-
-
 def lift_pressure_estimate(system, phi, n, epsilon, *, pool=None, seed=0,
                            engine="auto"):
     """Bracket the lift pressure at one depth and radius.
 
-    Both bounds are the base free-pressure bounds shifted by log m.
-    When full word enumeration is out of reach the word average falls
-    back to a seeded Monte Carlo sample of cylinders and the result is
-    flagged as sampled rather than certified."""
+    Both bounds are the base free-pressure bounds shifted by log m.  The
+    free kind averages over every length-n word, so past the word
+    enumeration cap this raises DepthTooLarge."""
     logm = math.log(system.m)
     note = "product of symbol cylinders and base balls"
-    try:
-        cover = min_cover_cost(system, phi, "free", n, epsilon, pool=pool,
-                               seed=seed, engine=engine)
-        pack = packing_bound(system, phi, "free", n, epsilon, pool=pool,
-                             seed=seed, engine=engine)
-        upper = logm + cover.log_cost / n
-        lower = logm + pack.log_cost / n
-        size = cover.size
-        method = cover.method
-    except DepthTooLarge:
-        words = _sampled_words(system.m, n, seed, MC_WORD_SAMPLE)
-        ups = []
-        los = []
-        for w in words:
-            rule = explicit_rule(w.symbols)
-            est = estimate_pressure(system, phi, "trajectory", n, epsilon,
-                                    pool=pool, rule=rule, seed=seed,
-                                    engine=engine)
-            ups.append(n * est.upper)
-            los.append(n * est.lower)
-        upper = logm + (log_sum_exp(ups) - math.log(len(words))) / n
-        lower = logm + (log_sum_exp(los) - math.log(len(words))) / n
-        size = 0
-        method = est.method
-        note = ("monte carlo cylinder sample of %d words, uncertified"
-                % len(words))
+    cover = min_cover_cost(system, phi, "free", n, epsilon, pool=pool,
+                           seed=seed, engine=engine)
+    pack = packing_bound(system, phi, "free", n, epsilon, pool=pool,
+                         seed=seed, engine=engine)
+    upper = logm + cover.log_cost / n
+    lower = logm + pack.log_cost / n
     if lower > upper:
         lower = upper
         note += "; lower clamped to upper"
-    return PressureEstimate("lift", n, float(epsilon), lower, upper, size,
-                            method, seed, note)
+    return PressureEstimate("lift", n, float(epsilon), lower, upper,
+                            cover.size, cover.method, seed, note)
 
 
 @dataclass(frozen=True)

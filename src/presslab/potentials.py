@@ -6,6 +6,7 @@ Every component is scale * base(point) + offset with base one of
   zero      constant zero
   coord     first coordinate of the point (a proxy coordinate on shifts)
   fourier   low-frequency trigonometric polynomial, coefficients frozen
+  expansion -log branch slope (closed forms only, no pointwise value)
 Constant-class potentials (all bases zero) are what the closed-form
 estimator paths accept; everything else goes through the grid engine.
 """
@@ -35,21 +36,7 @@ def _eval_base(kind, params, point):
     if kind == "zero":
         return 0.0
     if kind == "expansion":
-        # params: branch table ((left, slope), ...); value is -log of the
-        # slope of the branch holding x, extended to gaps by the nearest
-        # branch so gap-grid probes stay bounded
-        x = float(point[0]) if isinstance(point, tuple) else float(point)
-        best = None
-        best_gap = None
-        for left, slope in params:
-            right = left + 1.0 / slope
-            gap = max(left - x, x - right, 0.0)
-            if best_gap is None or gap < best_gap:
-                best_gap = gap
-                best = slope
-            if gap == 0.0:
-                break
-        return -math.log(best)
+        raise ValueError("expansion components are closed-form only")
     x, y = _unit_coords(point)
     if kind == "coord":
         return x

@@ -4,11 +4,13 @@ The polygon engine works in rational arithmetic end to end, so these
 tests can assert exact areas and counts rather than tolerances."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from presslab.analytic import (
+    _in_polygon,
     ball_polygon,
     polygon_cover_count,
     polygon_packing_count,
@@ -71,9 +73,27 @@ def test_polygon_cover_near_volume_optimal():
         assert count <= 2.0 / float(area)
 
 
+def test_polygon_membership_matches_the_strip_inequalities():
+    """A point is in the clipped ball polygon exactly when it meets the
+    box and every prefix strip |a x + b y| <= eps."""
+    eps = Fraction(1, 8)
+    rng = random.Random(3)
+    for system, word in ((SINGLE, Word((1, 1, 1))), (SHEAR, Word((1, 2, 1)))):
+        poly, _ = ball_polygon(system, word, eps)
+        rows = [r for mat in prefix_matrices(system, word) for r in mat]
+        for _ in range(400):
+            pt = tuple(Fraction(rng.randint(-64, 64), 512) for _ in range(2))
+            inside = max(abs(pt[0]), abs(pt[1])) <= eps and all(
+                abs(a * pt[0] + b * pt[1]) <= eps for a, b in rows)
+            assert _in_polygon(poly, pt) == inside
+        # the vertices themselves lie on the boundary
+        assert all(_in_polygon(poly, v) for v in poly)
+
+
 def test_polygon_packing_counts():
-    assert polygon_packing_count(SINGLE, Word((1,)), 0.125, SINGLE.L_max) == 8
-    assert polygon_packing_count(SINGLE, Word((1, 1)), 0.125,
+    assert polygon_packing_count(SINGLE, [Word((1,))], 0.125,
+                                 SINGLE.L_max) == 8
+    assert polygon_packing_count(SINGLE, [Word((1, 1))], 0.125,
                                  SINGLE.L_max) == 20
 
 
@@ -81,7 +101,7 @@ def test_packing_count_below_cover_count():
     for n in range(1, 14):
         w = Word((1,) * n)
         cov = polygon_cover_count(SINGLE, w, 0.125)
-        pack = polygon_packing_count(SINGLE, w, 0.125, SINGLE.L_max)
+        pack = polygon_packing_count(SINGLE, [w], 0.125, SINGLE.L_max)
         assert pack <= cov
 
 

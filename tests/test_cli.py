@@ -265,6 +265,59 @@ seed = 0
     assert doc["per_map_roots"] == [doc["t_uA"]]
 
 
+@pytest.mark.parametrize("system, n, message", [
+    ("cantor:2,4,4", 96, "generator 1 mixes slopes on the circle"),
+    ("cantor:2,3", 48, "2eps exceeds the branch gap"),
+])
+def test_dimension_without_a_closed_form_is_infeasible(tmp_path, capsys,
+                                                       system, n, message):
+    # a grid at this depth holds one point per ball, so its root would
+    # be noise; the command names what has no closed form instead
+    path = write_cfg(tmp_path, "dim.cfg", """system = %s
+n = %d
+epsilon = 0.125
+""" % (system, n))
+    assert main(["dimension", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_verify_marginal_rows_show_their_tolerance(tmp_path, capsys):
+    path = write_cfg(tmp_path, "marg.cfg", """system = cantor:2,2|2,2
+checks = marginal
+n = 4
+epsilon = 0.125
+""")
+    assert main(["verify", "--config", path, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 10
+    for row in rows:
+        assert row["check"] == "marginal" and row["ok"] == "yes"
+        fields = dict(kv.split("=") for kv in row["detail"].split())
+        assert set(fields) == {"h_plus", "h_lower", "bound", "tolerance"}
+        assert float(fields["h_lower"]) <= \
+            float(fields["bound"]) + float(fields["tolerance"])
+
+
+def test_single_word_trajectory_runs_on_its_own_grid(tmp_path, capsys):
+    # every word of length 9 on the 40x40 grid would need 512 x 1600**2
+    # pair entries, over the grid budget; the trajectory kind needs one
+    path = write_cfg(tmp_path, "traj.cfg", """system = toral:0,1,1,2;2,1,1,0
+potential = random:3,0.25
+kinds = trajectory
+rule = periodic:1,2
+depths = 9
+epsilons = 0.0625
+""")
+    assert main(["estimate", "--config", path, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 1
+    assert rows[0]["method"] == "GenericGrid"
+    assert rows[0]["cover_size"] == 320
+    assert rows[0]["lower"] <= rows[0]["upper"]
+
+
 def test_localent_lebesgue_table(tmp_path, capsys):
     path = write_cfg(tmp_path, "loc.cfg", """system = diag:2,3|3,2
 measure = lebesgue

@@ -36,6 +36,13 @@ def test_unstable_multipotential_constant_for_uniform_slopes():
         (-math.log(3), -math.log(5)), abs=1e-12)
 
 
+def test_mixed_slope_component_has_no_pointwise_value():
+    phi = unstable_multipotential(parse_system("cantor:2,4"))
+    assert not phi.is_constant_class
+    with pytest.raises(ValueError, match="closed-form only"):
+        phi.eval(1, 0.1)
+
+
 def test_conformality_rejection_on_anisotropic_torus():
     diag = parse_system("diag:2,3|3,2")
     with pytest.raises(AnalyticUnavailable, match="conformality fails"):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from presslab.errors import DepthTooLarge
 from presslab.lift import (
     LiftPoint,
     check_lift_inequalities,
@@ -111,13 +112,13 @@ def test_sandwich_checks_on_diag():
     assert rep.failed() == []
 
 
-def test_monte_carlo_fallback_is_flagged():
-    """Past the enumeration cap the word average is sampled, and the
-    note says so instead of pretending the bound is certified."""
+def test_lift_past_the_enumeration_cap_needs_a_closed_form_average():
+    """Past the word enumeration cap the lift keeps only exact word
+    averages: the diagonal class sum answers, the shear pair's free
+    average does not exist and the estimate refuses instead of sampling."""
     est = lift_pressure_estimate(DIAG, ZERO2, 13, 0.125,
                                  pool=WordPool(2, seed=0), seed=0)
-    if "monte carlo" in est.note:
-        assert "uncertified" in est.note
-    else:
-        # constant classes keep the exact average available past the cap
-        assert est.lower <= est.upper
+    assert est.lower <= est.upper
+    with pytest.raises(DepthTooLarge):
+        lift_pressure_estimate(parse_system("toral:0,1,1,2;2,1,1,0"), ZERO2,
+                               13, 0.125, pool=WordPool(2, seed=0), seed=0)

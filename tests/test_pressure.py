@@ -308,6 +308,23 @@ def test_sweep_and_extrapolate_bracket_closed_form():
     assert tail.converged
 
 
+def test_sweep_carries_a_smaller_radius_cover_upward():
+    # the eps=0.1 grid cover of shift:2 is cheaper than the one the
+    # eps=0.125 grid finds, and its balls sit inside the larger ones
+    system = parse_system("shift:2")
+    phi = random_potential(2, seed=1, amplitude=0.25)
+    rows = sweep_estimates(system, phi, "amalgamated", [2],
+                           [0.1, 0.125, 0.2, 0.25, 0.3])
+    by_eps = {row.epsilon: row for row in rows}
+    carried = by_eps[0.125]
+    assert carried.upper == by_eps[0.1].upper
+    assert abs(carried.upper - 2.0810999274) <= 1e-9
+    assert carried.note.endswith("carried cover")
+    fixed = estimate_pressure(system, phi, "amalgamated", 2, 0.125)
+    assert fixed.upper > carried.upper
+    assert abs(fixed.upper - 2.0817084370) <= 1e-9
+
+
 def test_sweep_multiple_epsilons_orders_covers():
     pool = pool2()
     ests = sweep_estimates(DIAG, ZERO2, "amalgamated", [3, 4],
