@@ -278,11 +278,15 @@ def _estimate_jobs(entries, setup):
 
 def cmd_estimate(entries, setup):
     kinds, depths, epsilons = _estimate_jobs(entries, setup)
-    ests = [estimate_pressure(setup.system, setup.phi, kind, n, eps,
-                              pool=setup.pool, rule=setup.rule,
-                              seed=setup.seed)
-            for kind in kinds for eps in epsilons for n in depths]
-    _emit_rows(setup, [e.as_row() for e in ests], "estimate")
+    jobs = [(kind, n, eps) for kind in kinds for eps in epsilons
+            for n in depths]
+    # deepest and finest first, so a depth past the grid budget is
+    # refused before any other work; rows keep the config order
+    ests = {job: estimate_pressure(setup.system, setup.phi, *job,
+                                   pool=setup.pool, rule=setup.rule,
+                                   seed=setup.seed)
+            for job in sorted(jobs, key=lambda job: (-job[1], job[2]))}
+    _emit_rows(setup, [ests[job].as_row() for job in jobs], "estimate")
     return 0
 
 
@@ -337,21 +341,21 @@ def _verify_rows(entries, setup):
                 setup.system, setup.phi, _default_rule(setup), n, epsilon,
                 seed=setup.seed)
             add("shift", check.ok, "difference=%s bound=%s"
-                % (_fmt(check.difference), _fmt(check.bound)))
+                % (_fmt(check.lhs), _fmt(check.rhs)))
         elif name == "lipschitz":
             psi = random_potential(setup.system.m, seed=setup.seed + 1)
             check = lipschitz_check(setup.system, setup.phi, psi,
                                     "amalgamated", n, epsilon,
                                     pool=setup.pool, seed=setup.seed)
             add("lipschitz", check.ok, "difference=%s bound=%s"
-                % (_fmt(check.difference), _fmt(check.bound)))
+                % (_fmt(check.lhs), _fmt(check.rhs)))
         elif name == "lift":
             report = check_lift_inequalities(setup.system, setup.phi, n,
                                              epsilon, pool=setup.pool,
                                              seed=setup.seed,
                                              tolerance=setup.tolerance)
             for c in report.checks:
-                add("lift:" + c.label, c.ok,
+                add("lift:" + c.name, c.ok,
                     "lhs=%s rhs=%s" % (_fmt(c.lhs), _fmt(c.rhs)))
         elif name == "marginal":
             value, mline = _get(entries, "measure", "")

@@ -11,15 +11,11 @@ costs, and the cylinder count enters the rate as exactly log(m).
 import math
 from dataclasses import dataclass
 
-from .analytic import log_sum_exp
-from .pressure import PressureEstimate, estimate_pressure, min_cover_cost, \
-    packing_bound
-from .words import all_words, word_count
+from .pressure import Check, Report, estimate_pressure
 
 __all__ = [
     "LiftPoint", "skew_apply", "lifted_potential", "lift_birkhoff_sum",
-    "cylinder_cover_log", "lift_pressure_estimate", "LiftCheck",
-    "LiftReport", "check_lift_inequalities",
+    "lift_pressure_estimate", "check_lift_inequalities",
 ]
 
 
@@ -79,73 +75,21 @@ def lift_birkhoff_sum(system, phi, point, n):
     return total
 
 
-def cylinder_cover_log(system, phi, n, epsilon, *, pool=None, seed=0,
-                       engine="auto", word_cost_fn=None):
-    """Log cost of the product cover: sum over all length-n words of the
-    per-word base cover cost, one symbol cylinder each.
-
-    word_cost_fn, when given, supplies the per-word log cost directly;
-    the zero function collapses the sum to the cylinder count m^n.
-    Returns (log_cost, size, method, note)."""
-    if word_cost_fn is not None:
-        words = all_words(system.m, n)
-        return (log_sum_exp([word_cost_fn(w) for w in words]),
-                word_count(system.m, n), "Enumerated", "explicit word costs")
-    free = min_cover_cost(system, phi, "free", n, epsilon, pool=pool,
-                          seed=seed, engine=engine)
-    # the free kind reports the word-averaged cost, so the full sum over
-    # cylinders is that average plus n log m
-    return (free.log_cost + n * math.log(system.m), free.size, free.method,
-            "per-cylinder base covers")
-
-
-def lift_pressure_estimate(system, phi, n, epsilon, *, pool=None, seed=0,
-                           engine="auto"):
+def lift_pressure_estimate(system, phi, n, epsilon, *, pool=None, seed=0):
     """Bracket the lift pressure at one depth and radius.
 
     Both bounds are the base free-pressure bounds shifted by log m.  The
     free kind averages over every length-n word, so past the word
     enumeration cap this raises DepthTooLarge."""
     logm = math.log(system.m)
-    note = "product of symbol cylinders and base balls"
-    cover = min_cover_cost(system, phi, "free", n, epsilon, pool=pool,
-                           seed=seed, engine=engine)
-    pack = packing_bound(system, phi, "free", n, epsilon, pool=pool,
-                         seed=seed, engine=engine)
-    upper = logm + cover.log_cost / n
-    lower = logm + pack.log_cost / n
-    if lower > upper:
-        lower = upper
-        note += "; lower clamped to upper"
-    return PressureEstimate("lift", n, float(epsilon), lower, upper,
-                            cover.size, cover.method, seed, note)
-
-
-@dataclass(frozen=True)
-class LiftCheck:
-    label: str
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LiftReport:
-    lift: PressureEstimate
-    amalgamated: PressureEstimate
-    condensed: PressureEstimate
-    checks: tuple
-
-    @property
-    def all_ok(self):
-        return all(c.ok for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.ok]
+    est = estimate_pressure(system, phi, "free", n, epsilon, pool=pool,
+                            seed=seed)
+    return est.replaced(kind="lift", lower=logm + est.lower,
+                        upper=logm + est.upper)
 
 
 def check_lift_inequalities(system, phi, n, epsilon, *, pool=None, seed=0,
-                            engine="auto", tolerance=1e-9):
+                            tolerance=1e-9):
     """Sandwich of the lift pressure between the amalgamated and upper
     condensed base pressures, each raised by the symbol term log m.
 
@@ -154,18 +98,19 @@ def check_lift_inequalities(system, phi, n, epsilon, *, pool=None, seed=0,
     the shifted condensed one, so estimate widths absorb finite-depth
     slack without weakening the inequality itself."""
     lift = lift_pressure_estimate(system, phi, n, epsilon, pool=pool,
-                                  seed=seed, engine=engine)
+                                  seed=seed)
     amalg = estimate_pressure(system, phi, "amalgamated", n, epsilon,
-                              pool=pool, seed=seed, engine=engine)
+                              pool=pool, seed=seed)
     cond = estimate_pressure(system, phi, "condensed-upper", n, epsilon,
-                             pool=pool, seed=seed, engine=engine)
+                             pool=pool, seed=seed)
     logm = math.log(system.m)
     checks = (
-        LiftCheck("amalgamated lower + log m <= lift upper",
-                  amalg.lower + logm, lift.upper,
-                  amalg.lower + logm <= lift.upper + tolerance),
-        LiftCheck("lift lower <= condensed upper + log m",
-                  lift.lower, cond.upper + logm,
-                  lift.lower <= cond.upper + logm + tolerance),
+        Check("amalgamated lower + log m <= lift upper",
+              amalg.lower + logm, lift.upper,
+              amalg.lower + logm <= lift.upper + tolerance),
+        Check("lift lower <= condensed upper + log m",
+              lift.lower, cond.upper + logm,
+              lift.lower <= cond.upper + logm + tolerance),
     )
-    return LiftReport(lift, amalg, cond, checks)
+    return Report({"lift": lift, "amalgamated": amalg,
+                   "condensed-upper": cond}, checks)

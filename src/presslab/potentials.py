@@ -49,6 +49,20 @@ def _eval_base(kind, params, point):
     raise ValueError("unknown potential base %r" % kind)
 
 
+def _base_bound(kind, params):
+    """sup |base| over the domain: coordinates (and the shift's dyadic
+    proxy) lie in [0, 1]."""
+    if kind == "zero":
+        return 0.0
+    if kind == "coord":
+        return 1.0
+    if kind == "fourier":
+        return sum(abs(a) + abs(b) for _, _, a, b in params)
+    if kind == "expansion":
+        return max(abs(math.log(s)) for _, s in params)
+    raise ValueError("unknown potential base %r" % kind)
+
+
 @dataclass(frozen=True)
 class MultiPotential:
     components: tuple  # of (kind, params, scale, offset)
@@ -95,27 +109,26 @@ class MultiPotential:
                              % (self.m, perm))
         return MultiPotential(tuple(self.components[p - 1] for p in perm))
 
-    def sup_bound(self, points):
-        """max_j max over the sample of |phi_j|; exact for constants."""
-        if self.is_constant_class:
-            return max(abs(v) for v in self.constant_values)
-        best = 0.0
-        for j in range(1, self.m + 1):
-            for p in points:
-                best = max(best, abs(self.eval(j, p)))
-        return best
+    def sup_bound(self):
+        """max_j sup |phi_j|, from each component's base bound."""
+        return max(abs(scale) * _base_bound(kind, params) + abs(offset)
+                   for kind, params, scale, offset in self.components)
 
-    def sup_distance(self, other, points):
-        """max_j sup over the sample of |phi_j - psi_j|."""
+    def sup_distance(self, other):
+        """max_j sup |phi_j - psi_j|, bounded per component: a shared
+        base contributes |scale - scale'| times its bound, different
+        bases contribute both bounds."""
         if self.m != other.m:
             raise ValueError("component counts differ")
-        if self.is_constant_class and other.is_constant_class:
-            return max(abs(a - b) for a, b in
-                       zip(self.constant_values, other.constant_values))
         best = 0.0
-        for j in range(1, self.m + 1):
-            for p in points:
-                best = max(best, abs(self.eval(j, p) - other.eval(j, p)))
+        for (kind, params, s, o), (kind2, params2, s2, o2) in zip(
+                self.components, other.components):
+            if (kind, params) == (kind2, params2):
+                base = abs(s - s2) * _base_bound(kind, params)
+            else:
+                base = abs(s) * _base_bound(kind, params) \
+                    + abs(s2) * _base_bound(kind2, params2)
+            best = max(best, base + abs(o - o2))
         return best
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,8 +270,7 @@ class _GridEngine:
             log_cost, picked = self._greedy_cover_matrix(
                 self._joint_metric(kind) < self.epsilon, _side_weight(s, kind))
             return CoverSolution(log_cost, len(picked), METHOD_GRID,
-                                 "grid-certified greedy cover",
-                                 tuple((None, self.region[i]) for i in picked))
+                                 "grid-certified greedy cover")
         # one atom per (word, centre), word-major
         masks = np.concatenate([d < self.epsilon for d in self.dist])
         log_cost, picked = self._greedy_cover_matrix(masks, s.reshape(-1))
@@ -454,7 +452,7 @@ def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,
 
 
 def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
-                    rule=None, seed=0, engine="auto"):
+                    rule=None, seed=0):
     """Estimates over a (depth, radius) grid, radius-monotone by
     construction: a cover certified at a smaller radius stays valid at a
     larger one, and a separated set at a larger radius stays separated
@@ -462,11 +460,11 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
     eps_sorted = sorted(set(float(e) for e in epsilons))
     depth_sorted = sorted(set(depths))
     fixed = {}
+    # deepest first: a depth past the grid budget fails before any work
     for eps in eps_sorted:
-        for n in depth_sorted:
+        for n in reversed(depth_sorted):
             fixed[(n, eps)] = estimate_pressure(
-                system, phi, kind, n, eps, pool=pool, rule=rule, seed=seed,
-                engine=engine)
+                system, phi, kind, n, eps, pool=pool, rule=rule, seed=seed)
     # ascending pass: a cover of eps-balls sits inside the same centers'
     # larger balls, so its cost stays an upper bound as the radius grows
     best_upper = {}
@@ -505,7 +503,8 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
 
 
 @dataclass(frozen=True)
-class ChainCheck:
+class Check:
+    """One inequality lhs <= rhs (up to a tolerance) and its verdict."""
     name: str
     lhs: float
     rhs: float
@@ -513,7 +512,7 @@ class ChainCheck:
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class Report:
     estimates: dict
     checks: tuple
 
@@ -576,7 +575,7 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     checks = []
 
     def check(name, lhs, rhs):
-        checks.append(ChainCheck(name, lhs, rhs, lhs <= rhs + tolerance))
+        checks.append(Check(name, lhs, rhs, lhs <= rhs + tolerance))
 
     for kind in kinds:
         check("lower<=upper:" + kind, ests[kind].lower, ests[kind].upper)
@@ -594,7 +593,7 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     if rule is not None:
         check("amalgamated<=trajectory",
               ests["amalgamated"].upper, ests["trajectory"].upper)
-    return ChainReport(ests, tuple(checks))
+    return Report(ests, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -660,64 +659,44 @@ def extrapolate(estimates):
 # robustness checks
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    difference: float
-    bound: float
-    ok: bool
-    detail: str = ""
-
-
-def _rng(seed, tag):
-    return random.Random("pressure:%s:%d" % (tag, seed))
-
-
-def trajectory_shift_check(system, phi, rule, n, epsilon, *, seed=0,
-                           engine="auto", samples=200):
+def trajectory_shift_check(system, phi, rule, n, epsilon, *, seed=0):
     """Dropping the first word letter moves the trajectory estimate by at
     most (sup |Phi| + log(m * M)) / n plus both bracket widths, where M
-    is the largest one-step preimage count."""
+    is the largest one-step preimage count and sup |Phi| comes from the
+    potential's component data."""
     est = estimate_pressure(system, phi, "trajectory", n, epsilon,
-                            rule=rule, seed=seed, engine=engine)
+                            rule=rule, seed=seed)
     shifted = estimate_pressure(system, phi, "trajectory", n, epsilon,
-                                rule=rule.shifted(), seed=seed,
-                                engine=engine)
-    pts = system.sample(_rng(seed, "shift"), samples)
-    sup_phi = phi.sup_bound(pts)
+                                rule=rule.shifted(), seed=seed)
     m_pre = max(system.max_preimage_count, 1)
-    bound = (sup_phi + math.log(system.m * m_pre)) / n \
+    bound = (phi.sup_bound() + math.log(system.m * m_pre)) / n \
         + est.width + shifted.width
     diff = abs(est.midpoint - shifted.midpoint)
-    return BoundCheck(diff, bound, diff <= bound + 1e-9,
-                      "trajectory shift stability")
+    return Check("trajectory shift stability", diff, bound,
+                 diff <= bound + 1e-9)
 
 
 def cover_cost_for(system, phi, solution):
     """Re-weight a frozen grid cover under another potential: the log
     cost of the same atoms, or None when the solution carries no atoms
-    (closed-form covers are formula-based)."""
+    (closed-form covers are formula-based, and a condensed or exhaustive
+    ball belongs to no single word)."""
     if not solution.atoms:
         return None
-    terms = []
-    for word, center in solution.atoms:
-        if word is None:
-            continue
-        terms.append(consecutive_sum(system, phi, center, word))
-    if not terms:
-        return None
-    return log_sum_exp(terms)
+    return log_sum_exp([consecutive_sum(system, phi, center, word)
+                        for word, center in solution.atoms])
 
 
 def lipschitz_check(system, phi, psi, kind, n, epsilon, *, pool=None,
-                    rule=None, seed=0, engine="auto", samples=200):
+                    rule=None, seed=0):
     """|estimate(phi) - estimate(psi)| <= sup_j sup |phi_j - psi_j| on
     the cover side.  Grid covers are cross-costed (each potential may
     reuse the other's atoms) so the bound is structural; closed forms
     satisfy it identically.  Both estimates use one engine."""
     a = min_cover_cost(system, phi, kind, n, epsilon, pool=pool, rule=rule,
-                       seed=seed, engine=engine)
+                       seed=seed)
     b = min_cover_cost(system, psi, kind, n, epsilon, pool=pool, rule=rule,
-                       seed=seed, engine=engine)
+                       seed=seed)
     if a.method != b.method:
         a = min_cover_cost(system, phi, kind, n, epsilon, pool=pool,
                            rule=rule, seed=seed, engine="grid")
@@ -731,8 +710,7 @@ def lipschitz_check(system, phi, psi, kind, n, epsilon, *, pool=None,
     cross = cover_cost_for(system, phi, b)
     if cross is not None:
         cost_a = min(cost_a, cross)
-    pts = system.sample(_rng(seed, "lipschitz"), samples)
-    sup_diff = phi.sup_distance(psi, pts)
+    sup_diff = phi.sup_distance(psi)
     diff = abs(cost_a - cost_b) / n
-    return BoundCheck(diff, sup_diff + 1e-12, diff <= sup_diff + 1e-9,
-                      "potential perturbation stability")
+    return Check("potential perturbation stability", diff, sup_diff + 1e-12,
+                 diff <= sup_diff + 1e-9)

@@ -24,11 +24,6 @@ TORUS = "torus-2d"
 INTERVAL = "interval-union"
 SHIFT = "full-shift"
 
-# Shift points are fixed-length symbol tuples padded with trailing zeros.
-# Membership in any ball of depth n only looks at finitely many symbols,
-# so a long enough padded tuple stands in for the genuine infinite sequence.
-SHIFT_POINT_LENGTH = 24
-
 # caps of grid_points: torus lattice side, interval cells, shift length
 GRID_MAX_TORUS = 40
 GRID_MAX_LINE = 1024
@@ -322,31 +317,6 @@ class SemigroupSystem:
         length = min(n * step + tail + 1, GRID_MAX_SHIFT_LENGTH)
         return list(itertools.product(range(self.generators[0].alphabet),
                                       repeat=length))
-
-    def sample(self, rng, count):
-        """Deterministic point sample from the domain (interval systems
-        sample only branch-domain points so one step is always defined)."""
-        out = []
-        if self.is_toral:
-            for _ in range(count):
-                out.append((rng.random(), rng.random()))
-        elif self.is_interval:
-            branches = self.generators[0].branches
-            widths = [1.0 / s for _, s in branches]
-            total = sum(widths)
-            for _ in range(count):
-                u = rng.random() * total
-                for (left, _), w in zip(branches, widths):
-                    if u <= w:
-                        out.append(left + u)
-                        break
-                    u -= w
-        else:
-            k = self.generators[0].alphabet
-            for _ in range(count):
-                out.append(tuple(rng.randrange(k)
-                                 for _ in range(SHIFT_POINT_LENGTH)))
-        return out
 
 
 def toral_system(matrices, name=""):

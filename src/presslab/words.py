@@ -87,10 +87,6 @@ def all_words(m, n):
         yield Word(tup)
 
 
-def word_count(m, n):
-    return m ** n
-
-
 # ---------------------------------------------------------------------------
 # word selection rules for trajectory pressure
 

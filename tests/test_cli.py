@@ -420,3 +420,47 @@ def test_console_entry_point_runs(tmp_path):
         env=dict(os.environ, PYTHONHASHSEED="0"))
     assert proc.returncode == 0
     assert proc.stdout.startswith("kind,n,epsilon,")
+
+
+BUDGET_CFG = """system = toral:0,1,1,2;2,1,1,0
+potential = zero
+kinds = all
+rule = periodic:1,2
+depths = 2,5,9
+epsilons = 0.0625
+seed = 0
+"""
+
+
+def test_estimate_refuses_past_the_grid_budget_before_any_grid(
+        tmp_path, monkeypatch, capsys):
+    """The n=9 grid needs 512 x 1600^2 pair entries: the request exits 3
+    before the n=2 and n=5 grids are built."""
+    import presslab.pressure as pressure
+
+    def no_metrics(self):
+        raise AssertionError("a grid was built before the budget check")
+
+    monkeypatch.setattr(pressure._GridEngine, "_build_metrics", no_metrics)
+    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    path = write_cfg(tmp_path, "budget.cfg", BUDGET_CFG)
+    assert main(["estimate", "--config", path]) == 3
+    assert "512 x 1600^2 pair entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lipschitz_bound_is_the_sup_distance(tmp_path, capsys, seed):
+    """random:seed,0.25 against random:seed+1,0.25 on the shear pair (a
+    grid case): the bound is the exact sup 0.25 + 0.25, not a sampled
+    one."""
+    path = write_cfg(tmp_path, "lip.cfg", """system = toral:0,1,1,2;2,1,1,0
+potential = random:%d,0.25
+checks = lipschitz
+n = 2
+epsilon = 0.25
+seed = %d
+""" % (seed, seed))
+    assert main(["verify", "--config", path]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("lipschitz,yes,")
+    assert row.endswith("bound=0.500000000001")

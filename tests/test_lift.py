@@ -8,13 +8,14 @@ from presslab.errors import DepthTooLarge
 from presslab.lift import (
     LiftPoint,
     check_lift_inequalities,
-    cylinder_cover_log,
     lift_birkhoff_sum,
     lift_pressure_estimate,
     lifted_potential,
     skew_apply,
 )
-from presslab.potentials import constant_potential, zero_potential
+from presslab.potentials import constant_potential, random_potential, \
+    zero_potential
+from presslab.pressure import estimate_pressure
 from presslab.systems import parse_system
 from presslab.words import Word, WordPool, consecutive_sum, orbit
 
@@ -60,18 +61,6 @@ def test_birkhoff_sum_matches_path_sum():
         lift_birkhoff_sum(DIAG, phi, pt, 3)
 
 
-def test_cylinder_identity_with_explicit_costs():
-    """Zero per-word cost collapses the product cover to the cylinder
-    count m^n exactly."""
-    for n in (3, 6, 9):
-        log_cost, size, method, _ = cylinder_cover_log(
-            DIAG, ZERO2, n, 0.125, pool=WordPool(2, seed=0),
-            word_cost_fn=lambda w: 0.0)
-        assert log_cost == pytest.approx(n * math.log(2), abs=1e-12)
-        assert size == 2 ** n
-        assert method == "Enumerated"
-
-
 def test_lift_estimate_diag_golden():
     est = lift_pressure_estimate(DIAG, ZERO2, 9, 0.125,
                                  pool=WordPool(2, seed=0), seed=0)
@@ -106,10 +95,12 @@ def test_sandwich_checks_on_diag():
                                   pool=WordPool(2, seed=0), seed=0)
     assert rep.all_ok
     assert len(rep.checks) == 2
-    labels = [c.label for c in rep.checks]
+    labels = [c.name for c in rep.checks]
     assert "amalgamated lower + log m <= lift upper" in labels
     assert "lift lower <= condensed upper + log m" in labels
     assert rep.failed() == []
+    assert sorted(rep.estimates) == ["amalgamated", "condensed-upper",
+                                     "lift"]
 
 
 def test_lift_past_the_enumeration_cap_needs_a_closed_form_average():
@@ -122,3 +113,21 @@ def test_lift_past_the_enumeration_cap_needs_a_closed_form_average():
     with pytest.raises(DepthTooLarge):
         lift_pressure_estimate(parse_system("toral:0,1,1,2;2,1,1,0"), ZERO2,
                                13, 0.125, pool=WordPool(2, seed=0), seed=0)
+
+
+@pytest.mark.parametrize("spec,phi,n,epsilon", [
+    ("diag:2,3|3,2", ZERO2, 9, 0.125),
+    ("cantor:2,2|2,2", ZERO2, 8, 0.125),
+    # a grid case: the shear pair has no closed form for this potential
+    ("toral:0,1,1,2;2,1,1,0", random_potential(2, seed=2), 2, 0.25),
+])
+def test_lift_is_the_free_bracket_plus_log_m(spec, phi, n, epsilon):
+    system = parse_system(spec)
+    lift = lift_pressure_estimate(system, phi, n, epsilon,
+                                  pool=WordPool(2, seed=0), seed=0)
+    free = estimate_pressure(system, phi, "free", n, epsilon,
+                             pool=WordPool(2, seed=0), seed=0)
+    assert lift.kind == "lift"
+    assert lift.lower == math.log(2) + free.lower
+    assert lift.upper == math.log(2) + free.upper
+    assert lift.cover_size == free.cover_size

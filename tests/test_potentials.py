@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from presslab.dimension import unstable_multipotential
 from presslab.errors import ParseError
 from presslab.potentials import (
     MultiPotential,
@@ -13,6 +14,7 @@ from presslab.potentials import (
     random_potential,
     zero_potential,
 )
+from presslab.systems import parse_system
 
 
 def test_zero_potential():
@@ -85,10 +87,62 @@ def test_permuted_rejects_non_permutations():
 def test_sup_bound_and_distance():
     phi = constant_potential([0.5, -0.25])
     psi = zero_potential(2)
-    pts = [0.3, 0.7]
-    assert phi.sup_bound(pts) == pytest.approx(0.5)
-    assert phi.sup_distance(psi, pts) == pytest.approx(0.5)
-    assert psi.sup_distance(psi, pts) == 0.0
+    assert phi.sup_bound() == pytest.approx(0.5)
+    assert phi.sup_distance(psi) == pytest.approx(0.5)
+    assert psi.sup_distance(psi) == 0.0
+
+
+def _grid(system):
+    """A fine grid of domain points: 41 x 41 on the torus, 501 on the
+    interval."""
+    if system.is_toral:
+        xs = [i / 41 for i in range(41)]
+        return [(x, y) for x in xs for y in xs]
+    return [i / 500 for i in range(501)]
+
+
+SUP_POTENTIALS = [
+    zero_potential(2),
+    coordinate_potential(2, scale=-2.0).shifted(0.5),
+    constant_potential([0.5, -0.25]),
+] + [random_potential(2, seed=k, amplitude=0.3) for k in range(5)]
+
+
+@pytest.mark.parametrize("spec", ["diag:2,3|3,2", "cantor:2,2|2,2"])
+def test_sup_bound_dominates_every_value(spec):
+    system = parse_system(spec)
+    pts = _grid(system)
+    for phi in SUP_POTENTIALS:
+        bound = phi.sup_bound()
+        for j in (1, 2):
+            assert max(abs(phi.eval(j, x)) for x in pts) <= bound
+
+
+@pytest.mark.parametrize("spec", ["diag:2,3|3,2", "cantor:2,2|2,2"])
+def test_sup_distance_dominates_every_difference(spec):
+    system = parse_system(spec)
+    pts = _grid(system)
+    for phi in SUP_POTENTIALS:
+        for psi in SUP_POTENTIALS:
+            bound = phi.sup_distance(psi)
+            for j in (1, 2):
+                assert max(abs(phi.eval(j, x) - psi.eval(j, x))
+                           for x in pts) <= bound
+
+
+def test_sup_bounds_are_exact_on_component_data():
+    for k in range(4):
+        phi = random_potential(2, seed=k, amplitude=0.3)
+        assert phi.sup_bound() == pytest.approx(0.3)
+        assert phi.sup_distance(phi) == 0.0
+        # a rescaled copy shares every base: only the scales differ
+        assert phi.sup_distance(phi.scale(2.0)) == pytest.approx(0.3)
+    coord = coordinate_potential(2, scale=-2.0).shifted(0.5)
+    assert coord.sup_bound() == 2.5
+    assert coord.sup_distance(zero_potential(2)) == 2.5
+    # an expansion component is bounded by its largest |log slope|
+    expand = unstable_multipotential(parse_system("cantor:2,4"))
+    assert expand.sup_bound() == math.log(4.0)
 
 
 def test_parse_forms():

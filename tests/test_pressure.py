@@ -279,7 +279,7 @@ def test_trajectory_shift_check():
     check = trajectory_shift_check(DIAG, ZERO2, periodic_rule((1, 2)), 3,
                                    0.125, seed=0)
     assert check.ok
-    assert check.difference <= check.bound + 1e-12
+    assert check.lhs <= check.rhs + 1e-12
 
 
 def test_lipschitz_check_property():
@@ -293,7 +293,7 @@ def test_lipschitz_check_property():
         check = lipschitz_check(DIAG, phi, psi, "amalgamated", 3, 0.125,
                                 pool=pool, seed=0)
         assert check.ok
-        assert abs(check.difference) <= check.bound + 1e-9
+        assert abs(check.lhs) <= check.rhs + 1e-9
 
 
 def test_sweep_and_extrapolate_bracket_closed_form():

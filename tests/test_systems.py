@@ -183,8 +183,17 @@ def test_apply_wraps_to_unit_square():
                                   "cantor:3,3", "shift:2"])
 def test_pair_distances_match_distance(spec):
     system = parse_system(spec)
-    pts = system.sample(random.Random(spec), 40)
-    assert len(set(pts)) == 40
+    rng = random.Random(spec)
+    pts = set()
+    while len(pts) < 40:
+        if system.is_toral:
+            pts.add((rng.random(), rng.random()))
+        elif system.is_interval:
+            pts.add(rng.random())
+        else:
+            k = system.generators[0].alphabet
+            pts.add(tuple(rng.randrange(k) for _ in range(24)))
+    pts = sorted(pts)
     d = system.pair_distances(pts)
     assert d.shape == (40, 40)
     for i, p in enumerate(pts):

@@ -16,7 +16,6 @@ from presslab.words import (
     explicit_rule,
     orbit,
     periodic_rule,
-    word_count,
 )
 from presslab.potentials import constant_potential, random_potential
 
@@ -56,8 +55,6 @@ def test_dn_distance_circle_wraps():
 
 
 def test_word_count_and_enumeration():
-    assert word_count(2, 5) == 32
-    assert word_count(3, 3) == 27
     ws = list(all_words(2, 3))
     assert len(ws) == 8
     assert len({w.symbols for w in ws}) == 8
