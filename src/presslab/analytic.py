@@ -6,8 +6,10 @@ Three engines, all exact up to integer rounding:
   and packing counts come from the maximal-packing volume argument with
   the exact area of the union of the per-word boxes.
 * general toral: the no-wrap ball is a centrally symmetric polygon cut
-  out by the prefix matrices; covers tile the torus with an inscribed
-  diamond lattice, packings use the polygon area at doubled radius.
+  out by the prefix matrices, clipped exactly on homogeneous integer
+  vertices (X, Y, W) and handed out as Fraction points; covers tile the
+  torus with an inscribed diamond lattice, packings use the polygon area
+  at doubled radius.
 * interval branch maps: cylinders of a word carry exact counts, the
   invariant core is refined to explicit blocks, and cover/packing numbers
   at a relative scale come from 1-d greedy sweeps over those blocks.
@@ -334,40 +336,55 @@ def prefix_matrices(system, word):
     return mats
 
 
-def _clip_halfplane(poly, nx, ny, c):
-    """Keep the part of poly with nx*x + ny*y <= c.  Exact: vertices are
-    Fraction pairs and the normals are integers, so clipping at depths
-    where the matrix entries dwarf float precision stays sound."""
+def _clip_halfplane(poly, a, b, p, q):
+    """Keep the part of poly with a*x + b*y <= p/q (one Sutherland-Hodgman
+    pass).  Vertices are reduced homogeneous integer triples (X, Y, W)
+    with W > 0 for the point (X/W, Y/W), so the side test is the integer
+    v = q*(a*X + b*Y) - p*W and a crossing is v1*P2 - v2*P1 divided by
+    its gcd: exact at depths where the matrix entries dwarf float
+    precision, with no rational arithmetic in the loop."""
+    side = [q * (a * x + b * y) - p * w for x, y, w in poly]
     out = []
     k = len(poly)
     for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        v1 = nx * x1 + ny * y1 - c
-        v2 = nx * x2 + ny * y2 - c
+        j = (i + 1) % k
+        v1 = side[i]
+        v2 = side[j]
         if v1 <= 0:
-            out.append((x1, y1))
+            out.append(poly[i])
         if (v1 < 0 < v2) or (v2 < 0 < v1):
-            t = v1 / (v1 - v2)
-            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+            x1, y1, w1 = poly[i]
+            x2, y2, w2 = poly[j]
+            x = v1 * x2 - v2 * x1
+            y = v1 * y2 - v2 * y1
+            w = v1 * w2 - v2 * w1
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
     return out
 
 
 def ball_polygon(system, word, epsilon):
     """No-wrap trajectory ball: displacements whose whole prefix orbit
-    stays within epsilon in the sup metric.  Returns (vertices, area)
-    as exact Fractions; the polygon always contains the origin."""
+    stays within epsilon in the sup metric.  Clips the square of half
+    side epsilon = p/q by the strips |r.x| <= p/q of every prefix row r
+    on homogeneous integer vertices, then returns (vertices, area) as
+    exact Fractions, vertices counter-clockwise; the polygon always
+    contains the origin."""
     e = Fraction(epsilon)
-    poly = [(e, e), (-e, e), (-e, -e), (e, -e)]
+    p, q = e.numerator, e.denominator
+    poly = [(p, p, q), (-p, p, q), (-p, -p, q), (p, -p, q)]
     for mat in prefix_matrices(system, word):
         for a, b in mat:
             if a == 0 and b == 0:
                 continue
-            poly = _clip_halfplane(poly, a, b, e)
+            poly = _clip_halfplane(poly, a, b, p, q)
             if poly:
-                poly = _clip_halfplane(poly, -a, -b, e)
+                poly = _clip_halfplane(poly, -a, -b, p, q)
             if not poly:
                 return [], Fraction(0)
+    poly = [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
     area = Fraction(0)
     k = len(poly)
     for i in range(k):
@@ -386,7 +403,7 @@ def _in_polygon(poly, pt):
 
 
 def _round_frac(f):
-    """Nearest integer to a Fraction, half away from the origin is fine."""
+    """Nearest integer to a Fraction, floor(f + 1/2): halves round up."""
     return (2 * f.numerator + f.denominator) // (2 * f.denominator)
 
 

@@ -1,7 +1,8 @@
 """Exact geometry behind the closed-form estimators.
 
-The polygon engine works in rational arithmetic end to end, so these
-tests can assert exact areas and counts rather than tolerances."""
+The polygon engine works in exact integer and rational arithmetic end
+to end, so these tests can assert exact areas and counts rather than
+tolerances."""
 
 import math
 import random
@@ -18,7 +19,7 @@ from presslab.analytic import (
 )
 from presslab.errors import AnalyticUnavailable
 from presslab.systems import parse_system
-from presslab.words import Word
+from presslab.words import Word, WordPool
 
 
 SINGLE = parse_system("toral:0,1,1,2")
@@ -55,6 +56,58 @@ def test_ball_polygon_area_shrinks_with_depth():
         if prev is not None:
             assert area < prev
         prev = area
+
+
+def _reference_clip_halfplane(poly, nx, ny, c):
+    """Keep the part of poly with nx*x + ny*y <= c.  Exact: vertices are
+    Fraction pairs and the normals are integers, so clipping at depths
+    where the matrix entries dwarf float precision stays sound."""
+    out = []
+    k = len(poly)
+    for i in range(k):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % k]
+        v1 = nx * x1 + ny * y1 - c
+        v2 = nx * x2 + ny * y2 - c
+        if v1 <= 0:
+            out.append((x1, y1))
+        if (v1 < 0 < v2) or (v2 < 0 < v1):
+            t = v1 / (v1 - v2)
+            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return out
+
+
+def _reference_ball_polygon(system, word, epsilon):
+    """`ball_polygon` on Fraction vertex pairs, clip for clip."""
+    e = Fraction(epsilon)
+    poly = [(e, e), (-e, e), (-e, -e), (e, -e)]
+    for mat in prefix_matrices(system, word):
+        for a, b in mat:
+            if a == 0 and b == 0:
+                continue
+            poly = _reference_clip_halfplane(poly, a, b, e)
+            if poly:
+                poly = _reference_clip_halfplane(poly, -a, -b, e)
+            if not poly:
+                return [], Fraction(0)
+    area = sum((x1 * y2 - x2 * y1
+                for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1])),
+               Fraction(0))
+    return poly, abs(area) / 2
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 8), 0.1, 0.25, 0.26])
+def test_integer_clip_matches_fraction_clip(epsilon):
+    """The homogeneous integer clip returns the Fraction clip's vertex
+    list, in order, and its area; the float radii give p/q with
+    denominators near 2**54."""
+    pool = WordPool(2, seed=1)
+    cases = [(SHEAR, w) for n in list(range(1, 13)) + [16, 24]
+             for w in pool.words(n)]
+    cases += [(SINGLE, Word((1,) * n)) for n in range(1, 33)]
+    for system, word in cases:
+        assert ball_polygon(system, word, epsilon) == \
+            _reference_ball_polygon(system, word, epsilon), word
 
 
 def test_polygon_cover_counts():
