@@ -1,10 +1,15 @@
 """Pointwise entropies of measures from ball-mass decay rates.
 
-A measure is either a density on a regular grid or a weighted sample.
-Uniform grid densities additionally know the continuum measure they
-discretize, so ball masses of the box, arc and union families come out
-exactly; cell sums cannot follow balls that shrink geometrically in the
-depth, and without the exact path every deep rate would be grid noise.
+A measure is Lebesgue measure on the domain or a weighted point sample.
+Sample masses are sums over the sample points inside a ball.  Lebesgue
+masses are exact: boxes and their union on diagonal tori, arcs on
+circle maps whose generators each have one slope, under the wrap guard
+(L + 1) eps <= 1 that keeps every ball a single box or arc; a radius of
+1/2 or more gives mass 1.  Everywhere else `ball_measure` raises
+AnalyticUnavailable rather than answer from a discretisation, which
+cannot follow balls that shrink geometrically in the depth.  The
+resolution of a Lebesgue measure only sets the lattice of cell centres
+that `sample_points` draws from.
 Decay rates are taken as sup and inf over a word pool plus the
 exhaustive union ball, with the minimum over a depth range standing in
 for the liminf.
@@ -17,12 +22,12 @@ from fractions import Fraction
 
 from . import analytic
 from .balls import BallSpec, ball_contains
-from .errors import ParseError, UnderResolved
+from .errors import AnalyticUnavailable, ParseError
 from .words import WordPool
 
 __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
-    "lebesgue_measure", "grid_measure", "empirical_measure",
+    "lebesgue_measure", "empirical_measure",
     "dirac_measure", "parse_measure", "ball_measure",
     "local_amalgamated_entropy", "shannon_entropy",
     "lebesgue_entropy_rate", "MarginalPointCheck", "MarginalBoundReport",
@@ -35,45 +40,27 @@ EMPIRICAL = "empirical"
 
 @dataclass(frozen=True)
 class MeasureModel:
-    """Probability measure: per-cell masses on a regular grid, or a
-    weighted point sample.
-
-    Grid cells are indexed row-major with centers at (i + 1/2) * delta;
-    tori use a square grid, interval domains a one-dimensional one.
-    uniform marks grid densities that discretize the uniform measure,
-    unlocking exact ball masses for the analytic ball shapes."""
+    """Probability measure: Lebesgue measure on the domain (kind GRID,
+    whose resolution sets the cell-centre lattice that `sample_points`
+    draws from, square on tori), or a weighted point sample."""
 
     kind: str
     resolution: int
-    masses: tuple
     points: tuple
     weights: tuple
     dimensions: int
-    uniform: bool = False
 
     def __post_init__(self):
-        if self.kind not in (GRID, EMPIRICAL):
-            raise ValueError("unknown measure kind %r" % self.kind)
-        total = self.total_mass
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("measure mass %.12f is not 1" % total)
-        if self.kind == GRID and any(v < 0.0 for v in self.masses):
-            raise ValueError("negative cell mass")
-        if self.kind == EMPIRICAL and any(w < 0.0 for w in self.weights):
-            raise ValueError("negative sample weight")
-
-    @property
-    def total_mass(self):
         if self.kind == GRID:
-            return float(sum(self.masses))
-        return float(sum(self.weights))
-
-    def cell_centers(self):
-        g = self.resolution
-        if self.dimensions == 2:
-            return [((i + 0.5) / g, (j + 0.5) / g)
-                    for i in range(g) for j in range(g)]
-        return [(i + 0.5) / g for i in range(g)]
+            if self.resolution < 1:
+                raise ValueError("resolution must be positive")
+        elif self.kind != EMPIRICAL:
+            raise ValueError("unknown measure kind %r" % self.kind)
+        elif abs(sum(self.weights) - 1.0) > 1e-9:
+            raise ValueError("measure mass %.12f is not 1"
+                             % sum(self.weights))
+        elif any(w < 0.0 for w in self.weights):
+            raise ValueError("negative sample weight")
 
 
 @dataclass(frozen=True)
@@ -93,28 +80,17 @@ class ProductMeasureModel:
 
 
 def lebesgue_measure(system, resolution=64):
-    """Uniform grid density on the system's domain."""
+    """Lebesgue measure on the system's domain."""
     if system.is_shift:
         raise ValueError("no uniform grid density on shift space")
-    dims = 2 if system.is_toral else 1
-    cells = resolution ** dims
-    return MeasureModel(GRID, resolution, tuple([1.0 / cells] * cells),
-                        (), (), dims, uniform=True)
-
-
-def grid_measure(system, masses, resolution):
-    dims = 2 if system.is_toral else 1
-    masses = tuple(float(v) for v in masses)
-    if len(masses) != resolution ** dims:
-        raise ValueError("cell count does not match the resolution")
-    return MeasureModel(GRID, resolution, masses, (), (), dims)
+    return MeasureModel(GRID, resolution, (), (), 2 if system.is_toral else 1)
 
 
 def empirical_measure(points, weights=None):
     points = tuple(points)
     if weights is None:
         weights = tuple([1.0 / len(points)] * len(points))
-    return MeasureModel(EMPIRICAL, 0, (), points,
+    return MeasureModel(EMPIRICAL, 0, points,
                         tuple(float(w) for w in weights),
                         2 if isinstance(points[0], tuple) else 1)
 
@@ -165,78 +141,63 @@ def parse_measure(spec, system, line=None, resolution=64):
 # ball masses
 
 
-def _uniform_exact_mass(measure, system, spec):
-    """Exact mass of an analytic ball shape under the uniform measure,
-    or None when no closed shape applies."""
+def _uniform_exact_mass(system, spec):
+    """Exact Lebesgue mass of one ball; AnalyticUnavailable where no
+    closed shape is the whole ball."""
+    if spec.epsilon >= 0.5 and (system.is_toral or system.wrap):
+        # every distance is at most 1/2: the strict ball misses a null set
+        return 1.0
     if system.is_toral and system.all_diagonal:
         entries = [g.diagonal_entries for g in system.generators]
+        lipschitz = system.L_max
+    elif system.wrap:
+        slopes = analytic._uniform_circle_slopes(system)
+        lipschitz = max(slopes)  # L_max, read off without a second pass
+    else:
+        raise AnalyticUnavailable(
+            "no exact ball mass: Lebesgue local entropies need a diagonal "
+            "torus or a circle map with one slope per generator")
+    if not analytic.wrap_guard_ok(spec.epsilon, lipschitz):
+        raise AnalyticUnavailable(
+            "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
+            "ball mass" % spec.epsilon)
+    if system.is_toral:
         eps = Fraction(spec.epsilon).limit_denominator(10 ** 12)
-        if spec.kind == "trajectory":
-            px, py = 1, 1
-            for j in spec.word:
-                px *= entries[j - 1][0]
-                py *= entries[j - 1][1]
-            hx = min(eps / px, Fraction(1, 2))
-            hy = min(eps / py, Fraction(1, 2))
-            return float(4 * hx * hy)
-        if spec.kind == "condensed":
-            px = max(e[0] for e in entries) ** spec.depth
-            py = max(e[1] for e in entries) ** spec.depth
-            hx = min(eps / px, Fraction(1, 2))
-            hy = min(eps / py, Fraction(1, 2))
-            return float(4 * hx * hy)
         if spec.kind == "exhaustive":
             return float(analytic._star_area(entries, spec.depth, eps))
-        return None
-    if system.is_interval and system.wrap:
-        # uniform-slope circle maps: every ball is an arc around the
-        # center, words only set the contraction factor
-        slopes = []
-        for g in system.generators:
-            if len(set(g.slopes)) != 1:
-                return None
-            slopes.append(g.slopes[0])
         if spec.kind == "trajectory":
-            prod = 1.0
-            for j in spec.word:
-                prod *= slopes[j - 1]
-        elif spec.kind == "condensed":
-            prod = max(slopes) ** spec.depth
-        elif spec.kind == "exhaustive":
-            prod = min(slopes) ** spec.depth
+            px, py = analytic._axis_products(entries, spec.word)
         else:
-            return None
-        return min(2.0 * spec.epsilon / prod, 1.0)
-    return None
+            px = max(e[0] for e in entries) ** spec.depth
+            py = max(e[1] for e in entries) ** spec.depth
+        return float(4 * (eps / px) * (eps / py))
+    # every ball is an arc around the center, words only set the
+    # contraction factor
+    if spec.kind == "trajectory":
+        prod = 1.0
+        for j in spec.word:
+            prod *= slopes[j - 1]
+    elif spec.kind == "condensed":
+        prod = max(slopes) ** spec.depth
+    else:
+        prod = min(slopes) ** spec.depth
+    return 2.0 * spec.epsilon / prod
 
 
 def ball_measure(measure, system, spec):
-    """Mass of one ball.  Grid densities demand resolution at least
-    four cells per radius; empty balls return 0 and the caller maps
-    them to an infinite rate with a flag."""
-    if measure.kind == EMPIRICAL:
-        total = 0.0
-        for p, w in zip(measure.points, measure.weights):
-            # a sample at the center sits in every ball kind at any
-            # depth, no word enumeration needed
-            if system.distance(p, spec.center) == 0.0:
-                total += w
-            elif ball_contains(system, spec, p):
-                total += w
-        return total
-    delta = 1.0 / measure.resolution
-    if delta > spec.epsilon / 4.0 + 1e-12:
-        raise UnderResolved(
-            "grid step %.5f exceeds a quarter radius" % delta)
-    if measure.uniform:
-        exact = _uniform_exact_mass(measure, system, spec)
-        if exact is not None:
-            return exact
+    """Mass of one ball: exact under Lebesgue measure, the weight of the
+    sample points inside it otherwise.  Empty balls return 0 and the
+    caller maps them to an infinite rate with a flag."""
+    if measure.kind == GRID:
+        return _uniform_exact_mass(system, spec)
     total = 0.0
-    for idx, center in enumerate(measure.cell_centers()):
-        if measure.masses[idx] > 0.0 and ball_contains(system, spec,
-                                                       center):
-            total += measure.masses[idx]
+    for p, w in zip(measure.points, measure.weights):
+        # a sample at the center sits in every ball kind at any
+        # depth, no word enumeration needed
+        if system.distance(p, spec.center) == 0.0:
+            total += w
+        elif ball_contains(system, spec, p):
+            total += w
     return total
 
 
@@ -376,14 +337,21 @@ def _uniform_commuting(system, weights):
 
 
 def sample_points(measure, system, count, seed=0):
-    """Draw points from the measure itself: grid cells by mass, samples
-    by weight."""
+    """Draw points from the measure itself: Lebesgue measure by the
+    cell centres of its resolution lattice, samples by weight."""
     rng = random.Random("localent:%d" % seed)
     if measure.kind == EMPIRICAL:
         return [rng.choices(measure.points, measure.weights)[0]
                 for _ in range(count)]
-    centers = measure.cell_centers()
-    return [rng.choices(centers, measure.masses)[0] for _ in range(count)]
+    g = measure.resolution
+    if measure.dimensions == 2:
+        centers = [((i + 0.5) / g, (j + 0.5) / g)
+                   for i in range(g) for j in range(g)]
+    else:
+        centers = [(i + 0.5) / g for i in range(g)]
+    # rng.choices without weights draws other points than with equal ones
+    weights = [1.0 / len(centers)] * len(centers)
+    return [rng.choices(centers, weights)[0] for _ in range(count)]
 
 
 def marginal_bound_check(product, system, sample_points_list, epsilon,

@@ -430,6 +430,15 @@ def packing_bound(system, phi, kind, n, epsilon, *, pool=None, rule=None,
                   engine)
 
 
+def _one_engine(compute):
+    """compute(engine) with closed forms for every estimate it makes, or
+    else with the grid for every one of them."""
+    try:
+        return compute("analytic")
+    except (AnalyticUnavailable, DepthTooLarge):
+        return compute("grid")
+
+
 def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,
                       seed=0, engine="auto"):
     """Bracket one pressure kind at fixed depth and radius.
@@ -542,16 +551,10 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     pool = WordPool(system.m, seed=seed)
     kinds = [k for k in KINDS if k != "trajectory" or rule is not None]
 
-    def estimate_all(engine):
-        return {kind: estimate_pressure(system, phi, kind, n, epsilon,
-                                        pool=pool, rule=rule, seed=seed,
-                                        engine=engine)
-                for kind in kinds}
-
-    try:
-        ests = estimate_all("analytic")
-    except (AnalyticUnavailable, DepthTooLarge):
-        ests = estimate_all("grid")
+    ests = _one_engine(lambda engine: {
+        kind: estimate_pressure(system, phi, kind, n, epsilon, pool=pool,
+                                rule=rule, seed=seed, engine=engine)
+        for kind in kinds})
 
     def clamp_upper(kind, bound, source):
         est = ests[kind]
@@ -693,15 +696,9 @@ def lipschitz_check(system, phi, psi, kind, n, epsilon, *, pool=None,
     the cover side.  Grid covers are cross-costed (each potential may
     reuse the other's atoms) so the bound is structural; closed forms
     satisfy it identically.  Both estimates use one engine."""
-    a = min_cover_cost(system, phi, kind, n, epsilon, pool=pool, rule=rule,
-                       seed=seed)
-    b = min_cover_cost(system, psi, kind, n, epsilon, pool=pool, rule=rule,
-                       seed=seed)
-    if a.method != b.method:
-        a = min_cover_cost(system, phi, kind, n, epsilon, pool=pool,
-                           rule=rule, seed=seed, engine="grid")
-        b = min_cover_cost(system, psi, kind, n, epsilon, pool=pool,
-                           rule=rule, seed=seed, engine="grid")
+    a, b = _one_engine(lambda engine: [
+        min_cover_cost(system, f, kind, n, epsilon, pool=pool, rule=rule,
+                       seed=seed, engine=engine) for f in (phi, psi)])
     cost_a = a.log_cost
     cost_b = b.log_cost
     cross = cover_cost_for(system, psi, a)

@@ -18,8 +18,10 @@ from presslab.analytic import (
     prefix_matrices,
 )
 from presslab.errors import AnalyticUnavailable
+from presslab.potentials import constant_potential
+from presslab.pressure import KINDS, min_cover_cost
 from presslab.systems import parse_system
-from presslab.words import Word, WordPool
+from presslab.words import Word, WordPool, periodic_rule
 
 
 SINGLE = parse_system("toral:0,1,1,2")
@@ -184,3 +186,41 @@ def test_deep_prefixes_stay_exact():
 def test_constant_word_needs_valid_symbols():
     with pytest.raises((IndexError, ValueError)):
         prefix_matrices(SINGLE, Word((2,)))
+
+
+@pytest.mark.parametrize("spec, epsilon", [
+    ("diag:2,3|3,2", 0.6),
+    ("toral:0,1,1,2;2,1,1,0", 0.6),
+    ("cantor:2,2|2,2", 0.6),
+    ("cantor:3,3|3,3", 1.2),
+])
+def test_radius_past_the_diameter_is_one_ball(spec, epsilon):
+    # one ball covers the domain, so each kind costs its word weight:
+    # the smallest or largest step constant n times for the lower and
+    # upper sides, the rule word, the cheapest pool word, and the n-th
+    # power of the mean step weight for free
+    system = parse_system(spec)
+    consts = (0.3, -0.2)
+    n = 3
+    rule = periodic_rule((1, 2))
+    pool = WordPool(2, seed=0)
+
+    def weight(word):
+        return sum(consts[j - 1] for j in word)
+
+    expected = {
+        "condensed-lower": n * min(consts),
+        "exhaustive-lower": n * min(consts),
+        "condensed-upper": n * max(consts),
+        "exhaustive-upper": n * max(consts),
+        "free": n * math.log(sum(math.exp(c) for c in consts) / 2),
+        "trajectory": weight(rule.word_at(n)),
+        "amalgamated": min(weight(w) for w in pool.words(n)),
+    }
+    for kind in KINDS:
+        cover = min_cover_cost(system, constant_potential(consts), kind, n,
+                               epsilon, pool=pool, rule=rule,
+                               engine="analytic")
+        assert cover.size == 1, kind
+        assert cover.log_cost == pytest.approx(expected[kind], abs=1e-12)
+        assert cover.note == "degenerate: radius covers the domain"

@@ -334,16 +334,45 @@ seed = 0
     assert float(parts[2]) <= float(parts[3]) <= float(parts[4])
 
 
-def test_localent_under_resolved_is_infeasible(tmp_path, capsys):
-    path = write_cfg(tmp_path, "loc3.cfg", """system = diag:2,3|3,2
+@pytest.mark.parametrize("system, reason", [
+    ("toral:0,1,1,2;2,1,1,0", "need a diagonal torus"),
+    ("cantor:2,4,4", "generator 1 mixes slopes on the circle"),
+    ("cantor:3,3|3,3", "need a diagonal torus"),
+])
+def test_localent_lebesgue_without_exact_mass_is_infeasible(
+        tmp_path, capsys, system, reason):
+    path = write_cfg(tmp_path, "loc3.cfg", """system = %s
 measure = lebesgue
-resolution = 8
 epsilon = 0.125
 n_range = 2..4
-points = 0.5,0.5
+points = sample:2
 seed = 0
-""")
+""" % system)
     assert main(["localent", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible: ")
+    assert reason in captured.err
+
+
+def test_localent_rates_do_not_depend_on_resolution(tmp_path, capsys):
+    outputs = []
+    for resolution in (8, 64):
+        path = write_cfg(tmp_path, "loc%d.cfg" % resolution,
+                         """system = diag:2,3|3,2
+measure = lebesgue
+resolution = %d
+epsilon = 0.125
+n_range = 2..4
+points = 0.5,0.5;0.37,0.61
+seed = 0
+""" % resolution)
+        assert main(["localent", "--config", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].strip().splitlines()) == 3
+    # every depth-4 word box has area 4 eps**2 / 6**4 = 12**-4
+    assert "0.5,0.5,2.2730821846911993,2.4849066497880004," in outputs[0]
 
 
 def test_localent_product_measure_bound(tmp_path, capsys):

@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from presslab.balls import BallSpec
-from presslab.errors import ParseError, UnderResolved
+from presslab.balls import BallSpec, ball_contains
+from presslab.errors import AnalyticUnavailable, ParseError
 from presslab.localent import (
     LocalEntropyEstimate,
     ball_measure,
     dirac_measure,
     empirical_measure,
-    grid_measure,
     lebesgue_measure,
     lebesgue_entropy_rate,
     local_amalgamated_entropy,
@@ -27,23 +26,22 @@ PAIR = parse_system("cantor:2,2|2,2")
 
 def test_lebesgue_measure_is_uniform_unit_mass():
     leb = lebesgue_measure(DIAG, resolution=16)
-    assert leb.uniform
-    assert leb.total_mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_grid_measure_rejects_wrong_cell_count():
-    with pytest.raises(ValueError):
-        grid_measure(DIAG, [0.5, 0.5], resolution=2)
+    assert leb.kind == "grid"
+    assert leb.resolution == 16
+    whole = BallSpec("condensed", (0.5, 0.5), 1, 0.5)
+    assert ball_measure(leb, DIAG, whole) == 1.0
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        lebesgue_measure(DIAG, resolution=0)
 
 
 def test_parse_measure_forms():
     leb = parse_measure("lebesgue", DIAG)
-    assert leb.uniform
+    assert leb.kind == "grid"
     d = parse_measure("dirac:0.25,0.75", DIAG)
     assert d.points == ((0.25, 0.75),)
     prod = parse_measure("bernoulli:0.5,0.5 x lebesgue", PAIR, resolution=32)
     assert prod.symbol_weights == (0.5, 0.5)
-    assert prod.base.uniform
+    assert prod.base.kind == "grid"
 
 
 @pytest.mark.parametrize("bad", [
@@ -87,10 +85,40 @@ def test_condensed_intersection_mass():
 
 
 def test_condensed_depth_one_mass():
-    # both axes shrink by the larger entry 3: area 4*eps^2/9
     leb = lebesgue_measure(DIAG, resolution=64)
+    # every point of the torus is within 1/2 < eps of the center
     spec = BallSpec("condensed", (0.5, 0.5), 1, 0.75)
-    assert ball_measure(leb, DIAG, spec) == pytest.approx(0.25, abs=1e-12)
+    assert ball_measure(leb, DIAG, spec) == 1.0
+
+
+@pytest.mark.parametrize("kind, word", [
+    ("trajectory", Word((1, 2))),
+    ("condensed", None),
+    ("exhaustive", None),
+])
+def test_radius_past_the_wrap_guard_has_no_exact_mass(kind, word):
+    # (L + 1) eps = 1.2 > 1 on diag:2,3|3,2, but eps < 1/2: a ball may
+    # wrap into pieces that the box shapes miss
+    leb = lebesgue_measure(DIAG, resolution=64)
+    spec = BallSpec(kind, (0.5, 0.5), 2 if word else 1, 0.3, word=word)
+    with pytest.raises(AnalyticUnavailable, match="wrap guard"):
+        ball_measure(leb, DIAG, spec)
+
+
+@pytest.mark.parametrize("spec, area", [
+    (BallSpec("trajectory", (0.5, 0.5), 2, 0.25, Word((1, 2))), 1 / 144),
+    (BallSpec("condensed", (0.5, 0.5), 1, 0.25), 1 / 36),
+    (BallSpec("exhaustive", (0.5, 0.5), 1, 0.25), 1 / 18),
+])
+def test_exact_mass_counts_every_member(spec, area):
+    # the box edges fall between the centres of a 120 x 120 lattice, so
+    # strict membership of the centres counts the whole ball exactly
+    leb = lebesgue_measure(DIAG, resolution=64)
+    assert ball_measure(leb, DIAG, spec) == pytest.approx(area, abs=1e-15)
+    g = 120
+    inside = sum(ball_contains(DIAG, spec, ((i + 0.5) / g, (j + 0.5) / g))
+                 for i in range(g) for j in range(g))
+    assert inside == round(area * g * g)
 
 
 def test_huge_radius_covers_everything():
@@ -106,12 +134,6 @@ def test_empirical_and_dirac_masses():
     d = dirac_measure((0.3, 0.3))
     assert ball_measure(d, DIAG, BallSpec("condensed", (0.3, 0.3), 1, 0.01)) == 1.0
     assert ball_measure(d, DIAG, BallSpec("condensed", (0.8, 0.8), 1, 0.01)) == 0.0
-
-
-def test_coarse_grid_raises_under_resolved():
-    coarse = grid_measure(DIAG, [0.5, 0.2, 0.2, 0.1], resolution=2)
-    with pytest.raises(UnderResolved):
-        ball_measure(coarse, DIAG, BallSpec("condensed", (0.5, 0.5), 1, 0.125))
 
 
 def test_dirac_local_rates_vanish():
