@@ -24,23 +24,21 @@ from .pressure import KINDS, Extrapolation, PressureEstimate, \
     estimate_pressure, extrapolate, lipschitz_check, min_cover_cost, \
     packing_bound, sweep_estimates, trajectory_shift_check, \
     verify_inequality_chain
-from .systems import BerendVerdict, SemigroupSystem, berend_check, \
-    closed_form_entropies, conjugacy_example_report, parse_system, \
-    zoo_systems
+from .systems import SemigroupSystem, closed_form_entropies, \
+    parse_system, zoo_systems
 from .words import Word, WordPool, all_words, consecutive_sum, \
     constant_rule, dn_distance, explicit_rule, orbit, periodic_rule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticUnavailable", "BallSpec", "BerendVerdict", "DepthTooLarge",
+    "AnalyticUnavailable", "BallSpec", "DepthTooLarge",
     "DimensionResult", "Extrapolation", "KINDS",
     "LiftPoint", "LocalEntropyEstimate", "MeasureModel", "MultiPotential",
     "ParseError", "PresslabError", "PressureEstimate",
     "ProductMeasureModel", "SemigroupSystem", "UnderResolved", "Word",
     "WordPool", "all_words", "ball_contains", "ball_measure",
-    "berend_check", "bowen_root", "check_lift_inequalities",
-    "closed_form_entropies", "conjugacy_example_report",
+    "bowen_root", "check_lift_inequalities", "closed_form_entropies",
     "consecutive_sum", "constant_potential", "constant_rule",
     "coordinate_potential", "dirac_measure", "dn_distance",
     "empirical_measure", "estimate_pressure", "expansion_field",

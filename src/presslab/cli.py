@@ -2,10 +2,11 @@
 
 Commands: estimate, verify, dimension, localent, sweep.  Configs are
 flat key=value text with optional [section] headers kept purely for
-reading comfort; keys are global and duplicates are rejected with their
-line number.  Output is CSV or JSON, written byte-identically for a
-fixed seed.  Exit codes: 0 pass, 2 check failure, 3 infeasible or
-under-resolved, 4 parse error.
+reading comfort; keys are global, each command reads a fixed set of
+them, and a duplicate or unread key is rejected with its line number.
+Output is CSV or JSON, written byte-identically for a fixed seed.
+Exit codes: 0 pass, 2 check failure, 3 infeasible or under-resolved,
+4 parse error.
 """
 
 import argparse
@@ -66,10 +67,27 @@ def load_config(path):
     return entries
 
 
+# keys every command reads, and the keys each command reads besides
+COMMON_KEYS = ("system", "potential", "seed", "rule", "tolerance", "out",
+               "format")
+COMMAND_KEYS = {
+    "estimate": ("kinds", "depths", "epsilons"),
+    "sweep": ("kinds", "depths", "epsilons"),
+    "verify": ("checks", "n", "epsilon", "measure", "system_b"),
+    "dimension": ("n", "epsilon", "bracket"),
+    "localent": ("epsilon", "n_range", "resolution", "measure", "points"),
+}
+
+
+def _check_keys(entries, command):
+    """ParseError at the first key the command does not read."""
+    for key, (_, line) in entries.items():
+        if key not in COMMON_KEYS and key not in COMMAND_KEYS[command]:
+            raise ParseError("%s reads no key %r" % (command, key), line)
+
+
 def _get(entries, key, default=None):
-    if key in entries:
-        return entries[key]
-    return (default, None)
+    return entries.get(key, (default, None))
 
 
 def _require(entries, key):
@@ -185,16 +203,10 @@ class RunSetup:
         else:
             value, line = _get(entries, "seed", "0")
             self.seed = _parse_int(value, line, "seed")
-        value, line = _get(entries, "pool_seed", str(self.seed))
-        pool_seed = _parse_int(value, line, "pool_seed")
-        value, line = _get(entries, "pool_random", "32")
-        pool_random = _parse_int(value, line, "pool_random")
-        self.pool = WordPool(self.system.m, seed=pool_seed,
-                             random_count=pool_random)
-        self.rule = None
-        if "rule" in entries:
-            value, line = entries["rule"]
-            self.rule = _parse_rule(value, line, self.system.m)
+        self.pool = WordPool(self.system.m, seed=self.seed)
+        value, self.rule_line = _get(entries, "rule")
+        self.rule = None if value is None \
+            else _parse_rule(value, self.rule_line, self.system.m)
         if args.tolerance is not None:
             self.tolerance = args.tolerance
         else:
@@ -211,10 +223,13 @@ class RunSetup:
             self.format = value
 
 
-def _default_rule(setup):
-    if setup.rule is not None:
-        return setup.rule
-    return periodic_rule(tuple(range(1, setup.system.m + 1)))
+def _require_rule_length(setup, need, use):
+    """An explicit rule gives words of at most its own length; constant
+    and periodic rules give every length."""
+    rule = setup.rule
+    if rule and rule.mode == "explicit" and len(rule.data) < need:
+        raise ParseError("explicit rule has %d symbols, %s needs %d"
+                         % (len(rule.data), use, need), setup.rule_line)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +288,9 @@ def _estimate_jobs(entries, setup):
     depths = _parse_list(value, line, "depths", int)
     value, line = _require(entries, "epsilons")
     epsilons = _parse_list(value, line, "epsilons", float)
+    if "trajectory" in kinds:
+        _require_rule_length(setup, max(depths),
+                             "the trajectory at depth %d" % max(depths))
     return kinds, depths, epsilons
 
 
@@ -323,6 +341,11 @@ def _verify_rows(entries, setup):
     n = _parse_int(value, line, "n")
     value, line = _get(entries, "epsilon", "0.125")
     epsilon = _parse_float(value, line, "epsilon")
+    if "chain" in names:
+        _require_rule_length(setup, n, "the chain at n = %d" % n)
+    if "shift" in names:
+        # the shifted trajectory drops the rule's first symbol
+        _require_rule_length(setup, n + 1, "the shift check at n = %d" % n)
     rows = []
 
     def add(name, ok, detail):
@@ -337,9 +360,10 @@ def _verify_rows(entries, setup):
                 add("chain:" + c.name, c.ok,
                     "lhs=%s rhs=%s" % (_fmt(c.lhs), _fmt(c.rhs)))
         elif name == "shift":
-            check = trajectory_shift_check(
-                setup.system, setup.phi, _default_rule(setup), n, epsilon,
-                seed=setup.seed)
+            rule = setup.rule \
+                or periodic_rule(tuple(range(1, setup.system.m + 1)))
+            check = trajectory_shift_check(setup.system, setup.phi, rule, n,
+                                           epsilon, seed=setup.seed)
             add("shift", check.ok, "difference=%s bound=%s"
                 % (_fmt(check.lhs), _fmt(check.rhs)))
         elif name == "lipschitz":
@@ -510,6 +534,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         entries = load_config(args.config)
+        _check_keys(entries, args.command)
         setup = RunSetup(entries, args)
         return COMMANDS[args.command](entries, setup)
     except ParseError as exc:

@@ -56,10 +56,6 @@ class ToralGenerator:
         return a * d - b * c
 
     @property
-    def trace(self):
-        return self.matrix[0][0] + self.matrix[1][1]
-
-    @property
     def is_diagonal(self):
         return self.matrix[0][1] == 0 and self.matrix[1][0] == 0
 
@@ -72,28 +68,6 @@ class ToralGenerator:
         # max row sum bounds the sup-metric expansion of one step
         return max(abs(self.matrix[0][0]) + abs(self.matrix[0][1]),
                    abs(self.matrix[1][0]) + abs(self.matrix[1][1]))
-
-    def eigenvalues(self):
-        """Both eigenvalues sorted by modulus, complex if the discriminant
-        is negative."""
-        t, d = self.trace, self.det
-        disc = t * t - 4 * d
-        if disc >= 0:
-            r = math.sqrt(disc)
-            lam = ((t - r) / 2.0, (t + r) / 2.0)
-        else:
-            r = math.sqrt(-disc)
-            lam = (complex(t / 2.0, -r / 2.0), complex(t / 2.0, r / 2.0))
-        return tuple(sorted(lam, key=abs))
-
-    def char_poly_irreducible_over_z(self):
-        """x^2 - t x + d with no rational root and non-square discriminant."""
-        t, d = self.trace, self.det
-        disc = t * t - 4 * d
-        if disc < 0:
-            return True
-        s = math.isqrt(disc)
-        return s * s != disc
 
     def apply(self, point):
         (a, b), (c, d) = self.matrix
@@ -442,94 +416,3 @@ def closed_form_entropies(alpha, beta, gamma, delta):
                math.log(gamma) + math.log(delta))
     h_cond = math.log(max(alpha, gamma)) + math.log(max(beta, delta))
     return (h_plus, h_am, h_cond)
-
-
-def conjugacy_example_report():
-    """Evaluate the exhaustive-entropy closed form verbatim on the pair of
-    non-conjugate systems sharing all single-map entropies.
-
-    The two families {diag(4,5), diag(2,6)} and {diag(2,10), diag(3,4)}
-    have identical generator determinant spectra, yet the formula values
-    log 10 and log 8 differ, which is the separation the estimators must
-    reproduce.  Some derived write-ups quote log 8 vs log 6 for this pair;
-    evaluating the formula verbatim does not support that, so the report
-    carries both numbers and a discrepancy flag instead of reconciling."""
-    first = closed_form_entropies(4, 5, 2, 6)[0]
-    second = closed_form_entropies(2, 10, 3, 4)[0]
-    report = {
-        "first_system": "diag:4,5|2,6",
-        "second_system": "diag:2,10|3,4",
-        "h_plus_first": first,
-        "h_plus_second": second,
-        "expected_first": math.log(10.0),
-        "expected_second": math.log(8.0),
-        "separation": abs(first - second),
-        "formula_matches_expected": (abs(first - math.log(10.0)) < 1e-12
-                                     and abs(second - math.log(8.0)) < 1e-12),
-        "quoted_alternative": (math.log(8.0), math.log(6.0)),
-        "alternative_consistent": (abs(first - math.log(8.0)) < 1e-12
-                                   and abs(second - math.log(6.0)) < 1e-12),
-    }
-    return report
-
-
-# ---------------------------------------------------------------------------
-# simultaneous eigenstructure and the rigidity screen
-
-
-def _commute(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    p1 = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-    p2 = ((e * a + f * c, e * b + f * d), (g * a + h * c, g * b + h * d))
-    return p1 == p2
-
-
-def single_generator_entropy(gen):
-    """Entropy of one toral endomorphism: sum of log|lambda| over
-    eigenvalues of modulus above one."""
-    return sum(math.log(abs(lam)) for lam in gen.eigenvalues()
-               if abs(lam) > 1.0)
-
-
-@dataclass(frozen=True)
-class BerendVerdict:
-    commutative: bool
-    all_eigen_moduli_gt1: bool
-    has_irreducible_generator_with_distinct_moduli: bool
-    exhaustive_lt_every_single_entropy: bool
-    conclusion: str
-
-
-def berend_check(generators, h_plus_estimate, single_entropies):
-    """Screen a commuting family against the hypotheses under which the
-    only invariant measure with full-dimensional support behaviour is the
-    uniform one on the torus.
-
-    The caller supplies the exhaustive-entropy estimate and per-generator
-    entropies (closed form or estimated); this routine only judges."""
-    mats = [g.matrix for g in generators]
-    commutative = all(_commute(mats[i], mats[j])
-                      for i in range(len(mats))
-                      for j in range(i + 1, len(mats)))
-    all_gt1 = True
-    for g in generators:
-        for lam in g.eigenvalues():
-            if abs(lam) <= 1.0 + 1e-12:
-                all_gt1 = False
-    has_irr = False
-    for g in generators:
-        lams = g.eigenvalues()
-        if not g.char_poly_irreducible_over_z():
-            continue
-        if abs(abs(lams[0]) - abs(lams[1])) > 1e-9:
-            has_irr = True
-    strict = all(h_plus_estimate < h - 1e-12 for h in single_entropies)
-    ok = commutative and all_gt1 and has_irr and strict
-    return BerendVerdict(
-        commutative=commutative,
-        all_eigen_moduli_gt1=all_gt1,
-        has_irreducible_generator_with_distinct_moduli=has_irr,
-        exhaustive_lt_every_single_entropy=strict,
-        conclusion="OnlyTorusInvariant" if ok else "Inconclusive",
-    )

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .errors import DepthTooLarge
 
 ENUM_CAP = 4096
+# seeded random words a WordPool adds at each depth
+POOL_RANDOM_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,6 @@ class WordRule:
         if self.mode == "periodic":
             rotated = self.data[1:] + self.data[:1]
             return WordRule("periodic", rotated)
-        if len(self.data) < 2:
-            raise ValueError("cannot shift a length-1 explicit rule")
         return WordRule("explicit", self.data[1:])
 
 
@@ -141,12 +141,11 @@ def explicit_rule(symbols):
 
 class WordPool:
     """Deterministic candidate words per depth: all constants, all ordered
-    period-2 patterns, plus `random_count` seeded random words."""
+    period-2 patterns, plus POOL_RANDOM_WORDS seeded random words."""
 
-    def __init__(self, m, seed=0, random_count=32):
+    def __init__(self, m, seed=0):
         self.m = m
         self.seed = seed
-        self.random_count = random_count
 
     def words(self, n):
         out = []
@@ -165,7 +164,7 @@ class WordPool:
                     seen.add(w.symbols)
                     out.append(w)
         rng = random.Random("pool:%d:%d:%d" % (self.seed, n, self.m))
-        for _ in range(self.random_count):
+        for _ in range(POOL_RANDOM_WORDS):
             tup = tuple(rng.randrange(1, self.m + 1) for _ in range(n))
             if tup not in seen:
                 seen.add(tup)

@@ -1,12 +1,14 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from presslab.cli import _parse_points, load_config, main
+from presslab.cli import _check_keys, _parse_points, load_config, main
 from presslab.errors import ParseError
 from presslab.systems import parse_system
 
@@ -24,7 +26,6 @@ kinds = amalgamated,condensed-upper,exhaustive-upper,free
 depths = 3,6
 epsilons = 0.125
 seed = 0
-threads = 1
 """
 
 VERIFY_CFG = """system = diag:2,3|3,2
@@ -33,7 +34,6 @@ checks = chain,shift,lipschitz,lift
 n = 3
 epsilon = 0.125
 seed = 0
-threads = 1
 """
 
 
@@ -227,7 +227,6 @@ checks = separation
 n = 6
 epsilon = 0.0416666666666667
 seed = 0
-threads = 1
 """)
     assert main(["verify", "--config", path]) == 0
     assert "distinguishable: yes" in capsys.readouterr().out
@@ -248,6 +247,99 @@ checks = bogus
 """)
     assert main(["verify", "--config", path]) == 4
     assert "line 2: unknown check 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, command", [
+    ("potentail = constants:5", "estimate"),
+    ("pool_random = 64", "estimate"),
+    ("pool_seed = 3", "estimate"),
+    ("threads = 1", "estimate"),
+    ("kinds = all", "verify"),
+    ("system_b = diag:2,10|3,4", "dimension"),
+])
+def test_unread_keys_are_parse_errors(tmp_path, capsys, extra, command):
+    # a misspelt or removed key would otherwise leave its default in
+    # force without a word
+    rest = {"estimate": "kinds = amalgamated\ndepths = 3\nepsilons = 0.125\n",
+            "verify": "checks = chain\n", "dimension": ""}[command]
+    path = write_cfg(tmp_path, "bad.cfg",
+                     "system = diag:2,3|3,2\n%s\n%s" % (extra, rest))
+    assert main([command, "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 2: %s reads no key %r\n" \
+        % (command, extra.split(" = ")[0])
+
+
+def _benchmark_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_benchmark_configs_read_only_their_keys():
+    # the golden configs run in test_golden; these are too slow to run
+    for make in _benchmark_workloads().values():
+        for seed in (1, 7, 201):
+            for req in make(seed):
+                entries = {key: (value, i + 1) for i, (key, value)
+                           in enumerate(req.config.items())}
+                _check_keys(entries, req.command)
+
+
+SHORT_RULE_CFG = """system = diag:2,3|3,2
+kinds = %s
+rule = %s
+depths = 3
+epsilons = 0.125
+"""
+
+
+def test_short_explicit_rules_are_parse_errors(tmp_path, capsys):
+    path = write_cfg(tmp_path, "est.cfg",
+                     SHORT_RULE_CFG % ("trajectory", "explicit:1,2"))
+    assert main(["estimate", "--config", path]) == 4
+    assert capsys.readouterr().err == "parse error: line 3: explicit rule " \
+        "has 2 symbols, the trajectory at depth 3 needs 3\n"
+    path = write_cfg(tmp_path, "ver.cfg", """system = diag:2,3|3,2
+checks = shift
+rule = explicit:1,2,1
+n = 3
+""")
+    assert main(["verify", "--config", path]) == 4
+    assert capsys.readouterr().err == "parse error: line 3: explicit rule " \
+        "has 3 symbols, the shift check at n = 3 needs 4\n"
+    path = write_cfg(tmp_path, "chain.cfg", """system = diag:2,3|3,2
+checks = chain
+rule = explicit:1,2
+n = 3
+""")
+    assert main(["verify", "--config", path]) == 4
+    assert capsys.readouterr().err == "parse error: line 3: explicit rule " \
+        "has 2 symbols, the chain at n = 3 needs 3\n"
+
+
+def test_short_explicit_rule_is_unread_without_a_trajectory(tmp_path,
+                                                            capsys):
+    path = write_cfg(tmp_path, "est.cfg",
+                     SHORT_RULE_CFG % ("amalgamated", "explicit:1,2"))
+    assert main(["estimate", "--config", path]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+@pytest.mark.parametrize("rule", ["explicit:1,2,1,2", "constant:1"])
+def test_shift_check_with_a_long_enough_rule(tmp_path, capsys, rule):
+    path = write_cfg(tmp_path, "ver.cfg", """system = diag:2,3|3,2
+checks = shift
+rule = %s
+n = 3
+""" % rule)
+    assert main(["verify", "--config", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("shift,yes,")
 
 
 def test_dimension_json_document(tmp_path, capsys):
@@ -383,7 +475,6 @@ epsilon = 0.125
 n_range = 8..24
 points = sample:5
 seed = 11
-threads = 1
 """)
     assert main(["localent", "--config", path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -399,7 +490,6 @@ kinds = amalgamated
 depths = 3,4,5,6
 epsilons = 0.125
 seed = 0
-threads = 1
 """)
     assert main(["sweep", "--config", path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -428,17 +518,6 @@ def test_out_file_and_thread_count_leave_bytes_unchanged(tmp_path):
     blob = open(a, "rb").read()
     assert blob == open(b, "rb").read()
     assert blob == open(c, "rb").read()
-
-
-def test_threads_env_var_is_honoured(tmp_path, monkeypatch):
-    path = write_cfg(tmp_path, "est.cfg", ESTIMATE_CFG.replace(
-        "threads = 1\n", ""))
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
-    main(["estimate", "--config", path, "--out", a])
-    monkeypatch.setenv("PRESSLAB_THREADS", "3")
-    main(["estimate", "--config", path, "--out", b])
-    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -223,6 +223,26 @@ def test_chain_single_engine_policy():
     assert all(e.method == "GenericGrid" for e in rep.estimates.values())
 
 
+def test_chain_with_a_rule_checks_the_trajectory():
+    rule = periodic_rule((1, 2))
+    rep = verify_inequality_chain(DIAG, ZERO2, 3, 0.125, rule=rule, seed=0)
+    assert len(rep.checks) == 14
+    assert all(c.ok for c in rep.checks)
+    names = [c.name for c in rep.checks]
+    assert "lower<=upper:trajectory" in names
+    assert "amalgamated<=trajectory" in names
+
+
+def test_chain_with_a_rule_on_the_grid():
+    phi = random_potential(2, seed=12)
+    rep = verify_inequality_chain(SHEAR, phi, 2, 0.25,
+                                  rule=periodic_rule((1, 2)), seed=0)
+    assert len(rep.checks) == 14
+    assert all(c.ok for c in rep.checks)
+    assert set(rep.estimates) == set(KINDS)
+    assert all(e.method == "GenericGrid" for e in rep.estimates.values())
+
+
 def test_constant_shift_identity():
     pool = pool2()
     rng = random.Random(17)

@@ -1,4 +1,4 @@
-"""System parsing, the zoo, closed forms, and the screening reports."""
+"""System parsing, the zoo, the closed-form entropies, and the maps."""
 
 import math
 import random
@@ -6,14 +6,7 @@ import random
 import pytest
 
 from presslab.errors import ParseError
-from presslab.systems import (
-    berend_check,
-    closed_form_entropies,
-    conjugacy_example_report,
-    parse_system,
-    single_generator_entropy,
-    zoo_systems,
-)
+from presslab.systems import closed_form_entropies, parse_system, zoo_systems
 
 LOG = math.log
 
@@ -119,56 +112,6 @@ def test_closed_form_rejects_non_integer_entries():
         closed_form_entropies(2.5, 3, 3, 2)
     with pytest.raises(ValueError):
         closed_form_entropies(1, 3, 3, 2)
-
-
-def test_conjugacy_example_report():
-    rep = conjugacy_example_report()
-    assert rep["first_system"] == "diag:4,5|2,6"
-    assert rep["second_system"] == "diag:2,10|3,4"
-    assert rep["h_plus_first"] == pytest.approx(LOG(10), abs=1e-12)
-    assert rep["h_plus_second"] == pytest.approx(LOG(8), abs=1e-12)
-    assert rep["separation"] == pytest.approx(LOG(10) - LOG(8), abs=1e-12)
-    assert rep["formula_matches_expected"] is True
-    # the commonly quoted alternative values disagree with the formula,
-    # and the report says so rather than papering over it
-    assert rep["alternative_consistent"] is False
-
-
-def test_single_generator_entropy_values():
-    shear = parse_system("toral:0,1,1,2")
-    assert single_generator_entropy(shear.generators[0]) == pytest.approx(
-        LOG(1.0 + math.sqrt(2.0)), abs=1e-12)
-    both_expanding = parse_system("toral:3,1,1,2")
-    assert single_generator_entropy(both_expanding.generators[0]) == \
-        pytest.approx(LOG(5), abs=1e-12)
-
-
-def test_berend_screen_accepts_power_pair():
-    sys_ = parse_system("toral:3,1,1,2;10,5,5,5")
-    singles = [single_generator_entropy(g) for g in sys_.generators]
-    assert singles == pytest.approx([LOG(5), LOG(25)], abs=1e-12)
-    verdict = berend_check(sys_.generators, 1.2, singles)
-    assert verdict.commutative
-    assert verdict.all_eigen_moduli_gt1
-    assert verdict.has_irreducible_generator_with_distinct_moduli
-    assert verdict.conclusion == "OnlyTorusInvariant"
-
-
-def test_berend_screen_inconclusive_on_contracting_direction():
-    sys_ = parse_system("toral:2,1,1,1;5,3,3,2")
-    singles = [single_generator_entropy(g) for g in sys_.generators]
-    verdict = berend_check(sys_.generators, 0.9, singles)
-    # one eigenvalue modulus below 1, so the hypotheses fail
-    assert not verdict.all_eigen_moduli_gt1
-    assert verdict.conclusion == "Inconclusive"
-
-
-def test_berend_screen_needs_strict_entropy_gap():
-    sys_ = parse_system("toral:3,1,1,2;10,5,5,5")
-    singles = [single_generator_entropy(g) for g in sys_.generators]
-    verdict = berend_check(sys_.generators, singles[0], singles)
-    assert not verdict.exhaustive_lt_every_single_entropy
-    assert verdict.conclusion == "Inconclusive"
 
 
 def test_apply_wraps_to_unit_square():

@@ -93,12 +93,6 @@ def test_pool_deduplicates_and_is_seed_stable():
                                           WordPool(2, seed=5).words(12)]
 
 
-def test_pool_random_count_is_a_knob():
-    small = WordPool(4, seed=1, random_count=2)
-    big = WordPool(4, seed=1, random_count=32)
-    assert len(small.words(6)) < len(big.words(6))
-
-
 def test_consecutive_sum_matches_manual_walk():
     diag = parse_system("diag:2,3|3,2")
     phi = constant_potential([0.5, -0.25])
