@@ -346,6 +346,19 @@ def _verify_rows(entries, setup):
     if "shift" in names:
         # the shifted trajectory drops the rule's first symbol
         _require_rule_length(setup, n + 1, "the shift check at n = %d" % n)
+    if "marginal" in names:
+        value, mline = _get(entries, "measure", "")
+        if value:
+            measure = parse_measure(value, setup.system, line=mline)
+        else:
+            weights = tuple([1.0 / setup.system.m] * setup.system.m)
+            measure = ProductMeasureModel(
+                weights, parse_measure("lebesgue", setup.system))
+        if not isinstance(measure, ProductMeasureModel):
+            raise ParseError("marginal check needs a product measure", mline)
+    if "separation" in names:
+        spec, sline = _require(entries, "system_b")
+        other = parse_system(spec, line=sline)
     rows = []
 
     def add(name, ok, detail):
@@ -382,16 +395,6 @@ def _verify_rows(entries, setup):
                 add("lift:" + c.name, c.ok,
                     "lhs=%s rhs=%s" % (_fmt(c.lhs), _fmt(c.rhs)))
         elif name == "marginal":
-            value, mline = _get(entries, "measure", "")
-            if value:
-                measure = parse_measure(value, setup.system, line=mline)
-            else:
-                weights = tuple([1.0 / setup.system.m] * setup.system.m)
-                measure = ProductMeasureModel(
-                    weights, parse_measure("lebesgue", setup.system))
-            if not isinstance(measure, ProductMeasureModel):
-                raise ParseError("marginal check needs a product measure",
-                                 mline)
             pts = sample_points(measure.base, setup.system, 10,
                                 seed=setup.seed)
             # the finite-scale tolerance only absorbs the 1/n tail when
@@ -407,8 +410,6 @@ def _verify_rows(entries, setup):
                     % (_fmt(c.h_plus), _fmt(c.h_lower),
                        _fmt(report.bound), _fmt(c.tolerance)))
         elif name == "separation":
-            spec, sline = _require(entries, "system_b")
-            other = parse_system(spec, line=sline)
             mine = estimate_pressure(setup.system, setup.phi,
                                      "exhaustive-upper", n, epsilon,
                                      pool=setup.pool, seed=setup.seed)

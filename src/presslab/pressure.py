@@ -34,7 +34,7 @@ import numpy as np
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge, UnderResolved
-from .words import WordPool, all_words, consecutive_sum, orbit
+from .words import WordPool, all_words, consecutive_sum
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -113,10 +113,11 @@ def _require_radius(epsilon):
 
 class _GridEngine:
     """Finite-universe certificates for one (system, n, epsilon), on the
-    system's own maps: its `grid_points`, `words.orbit`, its
-    `pair_distances` and `consecutive_sum`.  Precomputes the pairwise
-    metric of every length-n word, then answers cover and packing queries
-    per kind.  All quantities are certified on the grid.
+    system's own maps: its `grid_points`, its `grid_metrics` (exact
+    lattice integers on the torus, orbit distances elsewhere) and
+    `consecutive_sum`.  Precomputes the pairwise metric of every length-n
+    word, then answers cover and packing queries per kind.  All
+    quantities are certified on the grid.
 
     Invariant: every region point lies in its own ball along every word,
     and has a finite weight.  The greedies rely on it: each point is the
@@ -151,19 +152,10 @@ class _GridEngine:
 
     def _build_metrics(self):
         """The region (the grid points whose orbit is defined along every
-        word) and one pairwise word metric over it per word: the largest
-        distance over the orbit steps."""
-        orbits = [[orbit(self.system, x, word) for x in self.points]
-                  for word in self.words]
-        alive = [i for i in range(len(self.points))
-                 if all(o[i] is not None for o in orbits)]
-        self.region = [self.points[i] for i in alive]
-        self.dist = []
-        for paths in orbits:
-            d = np.zeros((len(alive), len(alive)))
-            for step in zip(*(paths[i] for i in alive)):
-                np.maximum(d, self.system.pair_distances(step), out=d)
-            self.dist.append(d.astype(np.float32))
+        word) and one pairwise word metric over it per word, from the
+        system's `grid_metrics`."""
+        self.region, self.dist = self.system.grid_metrics(self.points,
+                                                          self.words)
 
     def weights(self, phi):
         """S[word][region point]: consecutive sums along every word."""
@@ -172,9 +164,12 @@ class _GridEngine:
         key = phi.components
         if key not in self._phi_cache:
             # built per point and transposed: each point's words are
-            # contiguous, which fixes the summation order of the word mean
+            # contiguous, which fixes the summation order of the word mean;
+            # orbits revisit points, so each (generator, point) step is
+            # evaluated once
+            steps = {}
             arr = np.array(
-                [[consecutive_sum(self.system, phi, x, word)
+                [[consecutive_sum(self.system, phi, x, word, steps)
                   for word in self.words] for x in self.region]).T
             # finite step values can still sum past the float range
             if not np.isfinite(arr).all():

@@ -7,7 +7,11 @@ a tuple of generator maps plus the metric of its domain; everything else
 in the package (ball geometry, cover costs, pressure estimates) is built
 on top of the `apply` / `distance` pair defined here.  The grid engine
 uses that pair too: `grid_points` is its finite universe and
-`pair_distances` is `distance` over every pair of an array of points.
+`grid_metrics` its word metrics.  On intervals and shifts those are
+`distance` over every pair of orbit points (`pair_distances`); on the
+torus they are exact lattice integers, because a torus endomorphism is a
+group homomorphism and the word distance of two lattice points depends
+on their difference alone.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
+from .words import orbit
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
@@ -256,24 +261,61 @@ class SemigroupSystem:
         return 2.0 ** (-min(len(p), len(q)))
 
     def pair_distances(self, a):
-        """`distance` between every pair of an array of points: (P, 2) on
-        the torus, (P,) on intervals, (P, L) symbols on the shift, one
-        coordinate at a time so that every temporary is P x P.  On the
-        shift it is 2**-k at the first differing symbol k, and 2**-L, the
-        diameter of a length-L cylinder, where all L symbols agree."""
+        """`distance` between every pair of an array of points: (P,) on
+        intervals, (P, L) symbols on the shift, so that every temporary is
+        P x P.  On the shift it is 2**-k at the first differing symbol k,
+        and 2**-L, the diameter of a length-L cylinder, where all L symbols
+        agree."""
         a = np.asarray(a)
         if self.is_shift:
             out = np.full((len(a), len(a)), 2.0 ** -a.shape[1])
             for k in range(a.shape[1] - 1, -1, -1):
                 np.putmask(out, a[:, None, k] != a[None, :, k], 2.0 ** -k)
             return out
-        out = np.zeros((len(a), len(a)))
-        for col in (a.T if self.is_toral else [a]):
-            d = np.abs(col[:, None] - col[None, :])
-            if self.is_toral or self.wrap:
-                d = np.minimum(d, 1.0 - d)
-            np.maximum(out, d, out=out)
-        return out
+        out = np.abs(a[:, None] - a[None, :])
+        return np.minimum(out, 1.0 - out) if self.wrap else out
+
+    def grid_metrics(self, points, words):
+        """The region of a grid universe (its points whose orbit is defined
+        along every word) and one float32 region x region word metric per
+        word: the largest step distance along the two orbits."""
+        if self.is_toral:
+            return points, self._lattice_metrics(len(points), words)
+        orbits = [[orbit(self, x, word) for x in points] for word in words]
+        alive = [i for i in range(len(points))
+                 if all(o[i] is not None for o in orbits)]
+        dist = []
+        for paths in orbits:
+            d = np.zeros((len(alive), len(alive)))
+            for step in zip(*(paths[i] for i in alive)):
+                np.maximum(d, self.pair_distances(step), out=d)
+            dist.append(d.astype(np.float32))
+        return [points[i] for i in alive], dist
+
+    def _lattice_metrics(self, npts, words):
+        """Word metrics on the g x g torus lattice of `grid_points`, whose
+        point i*g + j is (i/g, j/g).  The maps are homomorphisms, so
+        d_w(p, q) = D_w(p - q): each word runs the g**2 lattice differences
+        through its steps in integers, and D_w is the running max of the
+        circle distance max(min(u, g - u), min(v, g - v)) / g."""
+        g = math.isqrt(npts)
+        u, v = np.divmod(np.arange(npts), g)
+        # idx[p, q]: the lattice index of (p - q) mod g
+        idx = np.subtract.outer(u, u) % g * g
+        idx += np.subtract.outer(v, v) % g
+        dist = []
+        for word in words:
+            du, dv = u, v
+            h = np.maximum(np.minimum(du, g - du), np.minimum(dv, g - dv))
+            for j in word:
+                # entries reduced mod g first: exact, and no int64 overflow
+                a, b, c, d = (e % g for row in self.generators[j - 1].matrix
+                              for e in row)
+                du, dv = (a * du + b * dv) % g, (c * du + d * dv) % g
+                np.maximum(h, np.minimum(du, g - du), out=h)
+                np.maximum(h, np.minimum(dv, g - dv), out=h)
+            dist.append((h / g).astype(np.float32)[idx])
+        return dist
 
     def grid_points(self, epsilon, n):
         """Universe of the depth-n grid engine at radius epsilon: a g x g

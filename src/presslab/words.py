@@ -56,15 +56,21 @@ def orbit(system, point, word):
     return out
 
 
-def consecutive_sum(system, phi, point, word):
+def consecutive_sum(system, phi, point, word, steps=None):
     """S_n Phi(x, w) = phi_{i_1}(x) + phi_{i_2}(f_{i_1} x) + ...
 
-    Uses the first n orbit points.  None when the orbit breaks early."""
+    Uses the first n orbit points.  None when the orbit breaks early.
+    `steps`, a dict shared by calls with one system and one phi, keeps
+    each (generator, point) step's value and image for the next call."""
+    steps = {} if steps is None else steps
     total = 0.0
     cur = point
     for j in word:
-        total += phi.eval(j, cur)
-        cur = system.apply(j, cur)
+        step = steps.get((j, cur))
+        if step is None:
+            step = steps[j, cur] = (phi.eval(j, cur), system.apply(j, cur))
+        value, cur = step
+        total += value
         if cur is None:
             return None
     return total

@@ -556,6 +556,37 @@ def test_estimate_refuses_past_the_grid_budget_before_any_grid(
     assert "512 x 1600^2 pair entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks, key, err", [
+    ("lipschitz,shift,separation", "system_b = nosuch:1",
+     "parse error: line 7: unknown system family 'nosuch'\n"),
+    ("lipschitz,shift,marginal", "measure = bernoulli:0.5,0.5 x dirac",
+     "parse error: line 7: product measures are bernoulli:... x lebesgue\n"),
+    ("lipschitz,shift,marginal", "measure = lebesgue",
+     "parse error: line 7: marginal check needs a product measure\n"),
+], ids=["system_b", "measure-syntax", "measure-not-product"])
+def test_verify_refuses_bad_check_inputs_before_any_grid(
+        tmp_path, monkeypatch, capsys, checks, key, err):
+    """The shear pair's lipschitz and shift checks build grids: a bad
+    `system_b` or `measure` exits 4 before the first of them."""
+    import presslab.pressure as pressure
+
+    def no_metrics(self):
+        raise AssertionError("a grid was built before the inputs parsed")
+
+    monkeypatch.setattr(pressure._GridEngine, "_build_metrics", no_metrics)
+    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    path = write_cfg(tmp_path, "ver.cfg", """system = toral:0,1,1,2;2,1,1,0
+potential = random:1,0.25
+checks = %s
+n = 2
+epsilon = 0.25
+seed = 1
+%s
+""" % (checks, key))
+    assert main(["verify", "--config", path]) == 4
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_lipschitz_bound_is_the_sup_distance(tmp_path, capsys, seed):
     """random:seed,0.25 against random:seed+1,0.25 on the shear pair (a

@@ -32,6 +32,7 @@ from presslab.words import (
     WordPool,
     consecutive_sum,
     constant_rule,
+    dn_distance,
     explicit_rule,
     periodic_rule,
 )
@@ -381,6 +382,26 @@ def test_grid_weights_are_consecutive_sums_at_region_points():
     for w, word in enumerate(eng.words):
         for i, x in enumerate(eng.region):
             assert s[w, i] == consecutive_sum(system, phi, x, word)
+
+
+@pytest.mark.parametrize("spec", ["toral:0,1,1,2;2,1,1,0", "diag:2,3|3,2",
+                                  "toral:3,-1,2,5;1,2,-1,3"])
+def test_toral_grid_metric_is_the_word_distance(spec):
+    # the lattice stencil gives the library's own orbit distance: every
+    # pair of the 8 x 8 lattice, and 20 rows of the non-dyadic 20 x 20 one
+    system = parse_system(spec)
+    for epsilon, rows in ((0.5, None), (0.2, 20)):
+        eng = _GridEngine(system, 2, epsilon)
+        npts = len(eng.points)
+        assert eng.region == eng.points
+        picked = range(npts) if rows is None else \
+            np.random.default_rng(3).choice(npts, rows, replace=False)
+        for w, word in enumerate(eng.words):
+            for p in picked:
+                x = eng.points[p]
+                for q, y in enumerate(eng.points):
+                    assert eng.dist[w][p, q] == np.float32(
+                        dn_distance(system, x, y, word)), (word, x, y)
 
 
 def test_grid_engine_cache_is_keyed_by_system_value():
