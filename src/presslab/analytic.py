@@ -45,6 +45,9 @@ from .errors import AnalyticUnavailable
 from .words import all_words
 
 LN2 = math.log(2.0)
+# joint-core refinements stop past this many blocks or at this depth
+CORE_BLOCK_CAP = 4096
+CORE_DEPTH_CAP = 12
 
 
 def log_big(x):
@@ -522,7 +525,7 @@ def _interval_weight_table(system, phi):
     return table
 
 
-def joint_core_blocks(system, depth, cap=4096):
+def joint_core_blocks(system, depth):
     """Intervals of the depth-`depth` refinement of the set of points
     whose orbits along all words of that length stay inside the branch
     domains."""
@@ -546,7 +549,7 @@ def joint_core_blocks(system, depth, cap=4096):
         if not new:
             return []
         blocks = new
-        if len(blocks) > cap:
+        if len(blocks) > CORE_BLOCK_CAP:
             break
     return blocks
 
@@ -598,13 +601,13 @@ def interval_packing_number(blocks, scale):
     return max(count, 1)
 
 
-def _single_core_numbers(system, epsilon, depth_cap=12):
+def _single_core_numbers(system, epsilon):
     """Relative-scale cover and packing counts of the invariant core of
     a single-generator system, computed on an explicit refinement deep
     enough that blocks are narrower than the scale."""
     s_min = min(system.generators[0].slopes)
     depth = 1
-    while s_min ** depth < 4.0 / (2.0 * epsilon) and depth < depth_cap:
+    while s_min ** depth < 4.0 / (2.0 * epsilon) and depth < CORE_DEPTH_CAP:
         depth += 1
     blocks = joint_core_blocks(system, depth)
     if not blocks:
@@ -724,7 +727,7 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         s_min = min(min(g.slopes) for g in system.generators)
         need = 2.0 * epsilon / s_min ** n
         blocks = None
-        for depth in range(2, 13):
+        for depth in range(2, CORE_DEPTH_CAP + 1):
             cand = joint_core_blocks(system, depth)
             if not cand:
                 break

@@ -27,7 +27,7 @@ from .systems import parse_system
 from .words import Word, WordPool, constant_rule, explicit_rule, \
     periodic_rule
 
-CSV_HEADER = "kind,n,epsilon,lower,upper,cover_size,method,seed"
+ROW_KEYS = "kind,n,epsilon,lower,upper,cover_size,method,seed".split(",")
 SCHEMA_VERSION = 1
 
 __all__ = ["main", "load_config"]
@@ -251,16 +251,8 @@ def _write(setup, text):
 
 
 def _emit_rows(setup, rows, command):
-    if setup.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command,
-               "rows": rows}
-        _write(setup, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        return
-    cols = CSV_HEADER.split(",")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    _write(setup, "\n".join(lines) + "\n")
+    _emit_table(setup, ROW_KEYS, [[row[k] for k in ROW_KEYS] for row in rows],
+                command)
 
 
 def _emit_table(setup, header, rows, command):

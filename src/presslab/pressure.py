@@ -16,11 +16,11 @@ kinds
 Closed-form counts from the analytic module are used whenever the
 system and potential admit them (method "AnalyticBox"); otherwise the
 quantities are certified on an explicit finite grid ("GenericGrid"),
-which runs on the system's own `apply` / `distance` pair like every
-other layer.  Grid estimates bound grid-restricted quantities only;
-their value is that every comparison theorem is enforced structurally,
-by reusing and re-weighting the competitor's cover, so inequality
-reports hold at any resolution.
+built from the system's own `apply`, `grid_points` and `grid_metrics`.
+Grid estimates bound grid-restricted quantities only; their value is
+that every comparison theorem is enforced structurally, by reusing and
+re-weighting the competitor's cover, so inequality reports hold at any
+resolution.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def _require_radius(epsilon):
 
 class _GridEngine:
     """Finite-universe certificates for one (system, n, epsilon), on the
-    system's own maps: its `grid_points`, its `grid_metrics` (exact
-    lattice integers on the torus, orbit distances elsewhere) and
-    `consecutive_sum`.  Precomputes the pairwise metric of every length-n
-    word, then answers cover and packing queries per kind.  All
+    system's own `grid_shape`, `grid_points`, `grid_metrics` (one integer
+    difference table on torus and shift, orbit distances on intervals)
+    and `consecutive_sum`.  Precomputes the pairwise metric of every
+    length-n word, then answers cover and packing queries per kind.  All
     quantities are certified on the grid.
 
     Invariant: every region point lies in its own ball along every word,
@@ -134,12 +134,14 @@ class _GridEngine:
         self.system = system
         self.n = n
         self.epsilon = float(epsilon)
-        self.points = system.grid_points(self.epsilon, n)
-        npts = len(self.points)
+        # sized from its shape before any point exists
+        self.shape = system.grid_shape(self.epsilon, n)
+        npts = self.shape[0] ** self.shape[1]
         if len(self.words) * npts * npts > GRID_BUDGET:
             raise DepthTooLarge(
                 "grid certificates need %d x %d^2 pair entries; reduce the "
                 "depth or use a closed-form system" % (len(self.words), npts))
+        self.points = system.grid_points(*self.shape)
         self._phi_cache = {}
         self._word_covers = {}
         self._build_metrics()
@@ -154,8 +156,8 @@ class _GridEngine:
         """The region (the grid points whose orbit is defined along every
         word) and one pairwise word metric over it per word, from the
         system's `grid_metrics`."""
-        self.region, self.dist = self.system.grid_metrics(self.points,
-                                                          self.words)
+        self.region, self.dist = self.system.grid_metrics(
+            self.points, self.words, *self.shape)
 
     def weights(self, phi):
         """S[word][region point]: consecutive sums along every word."""

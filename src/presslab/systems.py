@@ -7,11 +7,11 @@ a tuple of generator maps plus the metric of its domain; everything else
 in the package (ball geometry, cover costs, pressure estimates) is built
 on top of the `apply` / `distance` pair defined here.  The grid engine
 uses that pair too: `grid_points` is its finite universe and
-`grid_metrics` its word metrics.  On intervals and shifts those are
-`distance` over every pair of orbit points (`pair_distances`); on the
-torus they are exact lattice integers, because a torus endomorphism is a
-group homomorphism and the word distance of two lattice points depends
-on their difference alone.
+`grid_metrics` its word metrics.  On intervals those are distances of
+orbit points.  Torus and shift generators are endomorphisms of the
+grid's finite digit group (the g x g lattice, and length-L words with
+zero padding), so the word distance of two grid points depends on their
+difference alone, and both read one integer difference table.
 """
 
 from __future__ import annotations
@@ -260,79 +260,80 @@ class SemigroupSystem:
                 return 2.0 ** (-i)
         return 2.0 ** (-min(len(p), len(q)))
 
-    def pair_distances(self, a):
-        """`distance` between every pair of an array of points: (P,) on
-        intervals, (P, L) symbols on the shift, so that every temporary is
-        P x P.  On the shift it is 2**-k at the first differing symbol k,
-        and 2**-L, the diameter of a length-L cylinder, where all L symbols
-        agree."""
-        a = np.asarray(a)
-        if self.is_shift:
-            out = np.full((len(a), len(a)), 2.0 ** -a.shape[1])
-            for k in range(a.shape[1] - 1, -1, -1):
-                np.putmask(out, a[:, None, k] != a[None, :, k], 2.0 ** -k)
-            return out
-        out = np.abs(a[:, None] - a[None, :])
-        return np.minimum(out, 1.0 - out) if self.wrap else out
-
-    def grid_metrics(self, points, words):
-        """The region of a grid universe (its points whose orbit is defined
-        along every word) and one float32 region x region word metric per
-        word: the largest step distance along the two orbits."""
+    def grid_shape(self, epsilon, n):
+        """(base, rank) of the depth-n grid at radius epsilon: its points
+        are the base**rank digit tuples, in `itertools.product` order."""
         if self.is_toral:
-            return points, self._lattice_metrics(len(points), words)
-        orbits = [[orbit(self, x, word) for x in points] for word in words]
-        alive = [i for i in range(len(points))
-                 if all(o[i] is not None for o in orbits)]
-        dist = []
-        for paths in orbits:
-            d = np.zeros((len(alive), len(alive)))
-            for step in zip(*(paths[i] for i in alive)):
-                np.maximum(d, self.pair_distances(step), out=d)
-            dist.append(d.astype(np.float32))
-        return [points[i] for i in alive], dist
-
-    def _lattice_metrics(self, npts, words):
-        """Word metrics on the g x g torus lattice of `grid_points`, whose
-        point i*g + j is (i/g, j/g).  The maps are homomorphisms, so
-        d_w(p, q) = D_w(p - q): each word runs the g**2 lattice differences
-        through its steps in integers, and D_w is the running max of the
-        circle distance max(min(u, g - u), min(v, g - v)) / g."""
-        g = math.isqrt(npts)
-        u, v = np.divmod(np.arange(npts), g)
-        # idx[p, q]: the lattice index of (p - q) mod g
-        idx = np.subtract.outer(u, u) % g * g
-        idx += np.subtract.outer(v, v) % g
-        dist = []
-        for word in words:
-            du, dv = u, v
-            h = np.maximum(np.minimum(du, g - du), np.minimum(dv, g - dv))
-            for j in word:
-                # entries reduced mod g first: exact, and no int64 overflow
-                a, b, c, d = (e % g for row in self.generators[j - 1].matrix
-                              for e in row)
-                du, dv = (a * du + b * dv) % g, (c * du + d * dv) % g
-                np.maximum(h, np.minimum(du, g - du), out=h)
-                np.maximum(h, np.minimum(dv, g - dv), out=h)
-            dist.append((h / g).astype(np.float32)[idx])
-        return dist
-
-    def grid_points(self, epsilon, n):
-        """Universe of the depth-n grid engine at radius epsilon: a g x g
-        torus lattice, g + 1 evenly spaced points of [0, 1] on intervals,
-        every symbol tuple of one length on the shift."""
-        if self.is_toral:
-            g = max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon)))
-            xs = [i / g for i in range(g)]
-            return list(itertools.product(xs, xs))
+            return max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon))), 2
         if self.is_interval:
-            g = max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon)))
-            return [i / g for i in range(g + 1)]
+            return max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon))) + 1, 1
         step = max(gen.step for gen in self.generators)
         tail = max(1, math.ceil(math.log2(1.0 / epsilon)))
-        length = min(n * step + tail + 1, GRID_MAX_SHIFT_LENGTH)
-        return list(itertools.product(range(self.generators[0].alphabet),
-                                      repeat=length))
+        return (self.generators[0].alphabet,
+                min(n * step + tail + 1, GRID_MAX_SHIFT_LENGTH))
+
+    def grid_points(self, base, rank):
+        """Digit i is i/base on the torus, i/(base - 1) on intervals and
+        symbol i on the shift."""
+        if self.is_interval:
+            return [i / (base - 1) for i in range(base)]
+        digits = [i / base for i in range(base)] if self.is_toral \
+            else range(base)
+        return list(itertools.product(digits, repeat=rank))
+
+    def grid_metrics(self, points, words, base, rank):
+        """The region of a grid (its points whose orbit is defined along
+        every word) and one float32 region x region word metric per word:
+        the largest step distance along the two orbits.  Torus and shift
+        maps are endomorphisms of the digit group, so d_w(p, q) =
+        D_w(p - q): each word runs the base**rank differences through its
+        steps in integers, and D_w is the running max of their norm."""
+        if self.is_interval:
+            orbits = [[orbit(self, x, word) for x in points] for word in words]
+            alive = [i for i in range(len(points))
+                     if all(o[i] is not None for o in orbits)]
+            dist = []
+            for paths in orbits:
+                d = np.zeros((len(alive), len(alive)))
+                for step in zip(*(paths[i] for i in alive)):
+                    gap = np.abs(np.subtract.outer(step, step))
+                    if self.wrap:
+                        gap = np.minimum(gap, 1.0 - gap)
+                    np.maximum(d, gap, out=d)
+                dist.append(d.astype(np.float32))
+            return [points[i] for i in alive], dist
+        # a difference's norm: the max of floor and of sizes[c, digit c]
+        v = np.arange(base)
+        if self.is_toral:
+            # entries reduced mod base first: exact, and no int64 overflow
+            mats = [np.array(gen.matrix) % base for gen in self.generators]
+            sizes = np.tile(np.minimum(v, base - v) / base, (rank, 1))
+            floor = 0.0
+        else:
+            # sigma^s moves digit i + s to i, padding zeros; 2**-j at the
+            # first nonzero digit j, 2**-rank (a cylinder's diameter) at none
+            mats = [np.eye(rank, k=gen.step, dtype=int)
+                    for gen in self.generators]
+            sizes = np.outer(np.ldexp(1.0, -np.arange(rank)), v > 0)
+            floor = 2.0 ** -rank
+        # idx[p, q]: the index of the digit-wise difference p - q, built
+        # one digit at a time, as point p*base + a is p with a appended
+        step = np.subtract.outer(v, v) % base
+        idx = np.zeros((1, 1), dtype=np.intp)
+        for _ in range(rank):
+            idx = (idx[:, None, :, None] * base + step[:, None]).reshape(
+                len(idx) * base, -1)
+        rows = np.arange(rank)[:, None]
+        diffs = np.indices((base,) * rank).reshape(rank, -1)
+        dist = []
+        for word in words:
+            diff = diffs
+            d_w = sizes[rows, diff].max(axis=0, initial=floor)
+            for j in word:
+                diff = mats[j - 1] @ diff % base
+                np.maximum(d_w, sizes[rows, diff].max(axis=0), out=d_w)
+            dist.append(d_w.astype(np.float32)[idx])
+        return points, dist
 
 
 def toral_system(matrices, name=""):

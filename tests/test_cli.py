@@ -556,6 +556,31 @@ def test_estimate_refuses_past_the_grid_budget_before_any_grid(
     assert "512 x 1600^2 pair entries" in capsys.readouterr().err
 
 
+def test_estimate_sizes_the_grid_before_building_its_points(
+        tmp_path, monkeypatch, capsys):
+    """shift:5 at n=3, eps=1/8 has 5**10 grid points: the budget is read
+    from the grid's shape, so the request exits 3 before one exists."""
+    import presslab.pressure as pressure
+    from presslab.systems import SemigroupSystem
+
+    def no_points(self, base, rank):
+        raise AssertionError("grid points were built before the budget check")
+
+    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
+    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    path = write_cfg(tmp_path, "shift5.cfg", """system = shift:5
+potential = zero
+kinds = amalgamated
+depths = 3
+epsilons = 0.125
+seed = 0
+""")
+    assert main(["estimate", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: grid certificates need 8 x 9765625^2 pair entries; "
+        "reduce the depth or use a closed-form system\n")
+
+
 @pytest.mark.parametrize("checks, key, err", [
     ("lipschitz,shift,separation", "system_b = nosuch:1",
      "parse error: line 7: unknown system family 'nosuch'\n"),

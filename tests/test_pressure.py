@@ -385,23 +385,29 @@ def test_grid_weights_are_consecutive_sums_at_region_points():
 
 
 @pytest.mark.parametrize("spec", ["toral:0,1,1,2;2,1,1,0", "diag:2,3|3,2",
-                                  "toral:3,-1,2,5;1,2,-1,3"])
-def test_toral_grid_metric_is_the_word_distance(spec):
-    # the lattice stencil gives the library's own orbit distance: every
-    # pair of the 8 x 8 lattice, and 20 rows of the non-dyadic 20 x 20 one
+                                  "toral:3,-1,2,5;1,2,-1,3", "cantor:2,2",
+                                  "cantor:3,3", "shift:2"])
+def test_grid_metric_is_the_word_distance(spec):
+    # the grid metric is the library's own orbit distance: every region
+    # pair of a coarse grid, and 20 rows of a finer one (the non-dyadic
+    # 20 x 20 torus lattice); a shift point stands for its length-L
+    # cylinder, 2**-L from itself, where dn_distance sees one sequence
     system = parse_system(spec)
     for epsilon, rows in ((0.5, None), (0.2, 20)):
         eng = _GridEngine(system, 2, epsilon)
-        npts = len(eng.points)
-        assert eng.region == eng.points
+        npts = len(eng.region)
+        if not system.is_interval:
+            assert eng.region == eng.points
         picked = range(npts) if rows is None else \
             np.random.default_rng(3).choice(npts, rows, replace=False)
         for w, word in enumerate(eng.words):
             for p in picked:
-                x = eng.points[p]
-                for q, y in enumerate(eng.points):
-                    assert eng.dist[w][p, q] == np.float32(
-                        dn_distance(system, x, y, word)), (word, x, y)
+                x = eng.region[p]
+                for q, y in enumerate(eng.region):
+                    want = 2.0 ** -len(x) if system.is_shift and p == q \
+                        else dn_distance(system, x, y, word)
+                    assert eng.dist[w][p, q] == np.float32(want), \
+                        (word, x, y)
 
 
 def test_grid_engine_cache_is_keyed_by_system_value():

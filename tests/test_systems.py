@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from presslab.errors import ParseError
 from presslab.systems import closed_form_entropies, parse_system, zoo_systems
+from presslab.words import all_words, orbit
 
 LOG = math.log
 
@@ -122,23 +124,34 @@ def test_apply_wraps_to_unit_square():
     assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0
 
 
-@pytest.mark.parametrize("spec", ["cantor:2,2", "cantor:3,3", "shift:2"])
-def test_pair_distances_match_distance(spec):
+def _reference_shift_pair_distances(a):
+    """The dense shift metric of every pair of a (P, L) symbol array, as
+    the grid engine computed it before the difference stencil: 2**-k at
+    the first differing symbol k, and 2**-L, the diameter of a length-L
+    cylinder, where all L symbols agree."""
+    a = np.asarray(a)
+    out = np.full((len(a), len(a)), 2.0 ** -a.shape[1])
+    for k in range(a.shape[1] - 1, -1, -1):
+        np.putmask(out, a[:, None, k] != a[None, :, k], 2.0 ** -k)
+    return out
+
+
+@pytest.mark.parametrize("spec, n, epsilon", [
+    ("shift:2", n, epsilon) for n in (1, 2, 3)
+    for epsilon in (0.5, 0.25, 0.003)] + [
+    ("shift:3", 1, 0.5), ("shift:3", 1, 0.125), ("shift:3", 2, 0.5)])
+def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
+    # the digit-difference stencil gives the dense P x P orbit metric bit
+    # for bit, on 4- to 10-symbol grids
     system = parse_system(spec)
-    rng = random.Random(spec)
-    pts = set()
-    while len(pts) < 40:
-        if system.is_interval:
-            pts.add(rng.random())
-        else:
-            k = system.generators[0].alphabet
-            pts.add(tuple(rng.randrange(k) for _ in range(24)))
-    pts = sorted(pts)
-    d = system.pair_distances(pts)
-    assert d.shape == (40, 40)
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            # a shift point is 2**-L from itself: it stands for its
-            # length-L cylinder, where distance() sees one sequence
-            if i != j or not system.is_shift:
-                assert d[i, j] == system.distance(p, q), (i, j)
+    shape = system.grid_shape(epsilon, n)
+    points = system.grid_points(*shape)
+    words = list(all_words(system.m, n))
+    region, dist = system.grid_metrics(points, words, *shape)
+    assert region == points
+    for word, d in zip(words, dist):
+        want = np.zeros((len(points), len(points)))
+        for step in zip(*(orbit(system, x, word) for x in points)):
+            np.maximum(want, _reference_shift_pair_distances(step), out=want)
+        assert d.dtype == np.float32
+        assert np.array_equal(d, want.astype(np.float32)), word
