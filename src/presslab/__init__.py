@@ -11,9 +11,8 @@ from .balls import BallSpec, ball_contains, separation_distance, \
 from .dimension import DimensionResult, bowen_root, expansion_field, \
     unstable_multipotential
 from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
-    PresslabError, UnderResolved
-from .lift import LiftPoint, check_lift_inequalities, lift_birkhoff_sum, \
-    lift_pressure_estimate, lifted_potential, skew_apply
+    PresslabError
+from .lift import check_lift_inequalities, lift_pressure_estimate
 from .localent import LocalEntropyEstimate, MeasureModel, \
     ProductMeasureModel, ball_measure, dirac_measure, empirical_measure, \
     lebesgue_measure, local_amalgamated_entropy, marginal_bound_check, \
@@ -33,23 +32,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticUnavailable", "BallSpec", "DepthTooLarge",
-    "DimensionResult", "Extrapolation", "KINDS",
-    "LiftPoint", "LocalEntropyEstimate", "MeasureModel", "MultiPotential",
-    "ParseError", "PresslabError", "PressureEstimate",
-    "ProductMeasureModel", "SemigroupSystem", "UnderResolved", "Word",
-    "WordPool", "all_words", "ball_contains", "ball_measure",
+    "DimensionResult", "Extrapolation", "KINDS", "LocalEntropyEstimate",
+    "MeasureModel", "MultiPotential", "ParseError", "PresslabError",
+    "PressureEstimate", "ProductMeasureModel", "SemigroupSystem",
+    "Word", "WordPool", "all_words", "ball_contains", "ball_measure",
     "bowen_root", "check_lift_inequalities", "closed_form_entropies",
     "consecutive_sum", "constant_potential", "constant_rule",
     "coordinate_potential", "dirac_measure", "dn_distance",
     "empirical_measure", "estimate_pressure", "expansion_field",
     "explicit_rule", "extrapolate", "lebesgue_measure",
-    "lift_birkhoff_sum", "lift_pressure_estimate", "lifted_potential",
-    "lipschitz_check", "local_amalgamated_entropy",
-    "marginal_bound_check", "min_cover_cost", "orbit", "packing_bound",
-    "parse_measure", "parse_potential", "parse_system",
-    "periodic_rule", "random_potential", "separation_distance",
-    "skew_apply", "sweep_estimates", "trajectory_shift_check",
-    "unstable_multipotential", "vitali_disjointify",
-    "verify_inequality_chain", "zero_potential", "zoo_systems",
-    "__version__",
+    "lift_pressure_estimate", "lipschitz_check",
+    "local_amalgamated_entropy", "marginal_bound_check",
+    "min_cover_cost", "orbit", "packing_bound", "parse_measure",
+    "parse_potential", "parse_system", "periodic_rule",
+    "random_potential", "separation_distance", "sweep_estimates",
+    "trajectory_shift_check", "unstable_multipotential",
+    "vitali_disjointify", "verify_inequality_chain", "zero_potential",
+    "zoo_systems", "__version__",
 ]

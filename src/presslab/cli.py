@@ -5,8 +5,7 @@ flat key=value text with optional [section] headers kept purely for
 reading comfort; keys are global, each command reads a fixed set of
 them, and a duplicate or unread key is rejected with its line number.
 Output is CSV or JSON, written byte-identically for a fixed seed.
-Exit codes: 0 pass, 2 check failure, 3 infeasible or under-resolved,
-4 parse error.
+Exit codes: 0 pass, 2 check failure, 3 infeasible, 4 parse error.
 """
 
 import argparse
@@ -14,8 +13,7 @@ import json
 import sys
 
 from .dimension import bowen_root
-from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
-    UnderResolved
+from .errors import AnalyticUnavailable, DepthTooLarge, ParseError
 from .lift import check_lift_inequalities
 from .localent import ProductMeasureModel, local_amalgamated_entropy, \
     marginal_bound_check, parse_measure, sample_points
@@ -68,12 +66,12 @@ def load_config(path):
 
 
 # keys every command reads, and the keys each command reads besides
-COMMON_KEYS = ("system", "potential", "seed", "rule", "tolerance", "out",
-               "format")
+COMMON_KEYS = ("system", "seed")
 COMMAND_KEYS = {
-    "estimate": ("kinds", "depths", "epsilons"),
-    "sweep": ("kinds", "depths", "epsilons"),
-    "verify": ("checks", "n", "epsilon", "measure", "system_b"),
+    "estimate": ("potential", "rule", "kinds", "depths", "epsilons"),
+    "sweep": ("potential", "rule", "kinds", "depths", "epsilons"),
+    "verify": ("potential", "rule", "tolerance", "checks", "n", "epsilon",
+               "measure", "system_b"),
     "dimension": ("n", "epsilon", "bracket"),
     "localent": ("epsilon", "n_range", "resolution", "measure", "points"),
 }
@@ -191,36 +189,23 @@ def _parse_points(value, line, system):
 
 
 class RunSetup:
-    """Everything the commands share, resolved from config plus flags."""
+    """Everything the commands share: the config's system, seed,
+    potential and rule (the last two at their defaults for commands that
+    read neither key), and the output flags."""
 
     def __init__(self, entries, args):
         spec, line = _require(entries, "system")
         self.system = parse_system(spec, line=line)
         spec, line = _get(entries, "potential", "zero")
         self.phi = parse_potential(spec, self.system.m, line=line)
-        if args.seed is not None:
-            self.seed = args.seed
-        else:
-            value, line = _get(entries, "seed", "0")
-            self.seed = _parse_int(value, line, "seed")
+        value, line = _get(entries, "seed", "0")
+        self.seed = _parse_int(value, line, "seed")
         self.pool = WordPool(self.system.m, seed=self.seed)
         value, self.rule_line = _get(entries, "rule")
         self.rule = None if value is None \
             else _parse_rule(value, self.rule_line, self.system.m)
-        if args.tolerance is not None:
-            self.tolerance = args.tolerance
-        else:
-            value, line = _get(entries, "tolerance", "1e-9")
-            self.tolerance = _parse_float(value, line, "tolerance")
-        self.out = args.out if args.out is not None \
-            else _get(entries, "out")[0]
-        if args.format is not None:
-            self.format = args.format
-        else:
-            value, line = _get(entries, "format", "csv")
-            if value not in ("csv", "json"):
-                raise ParseError("format must be csv or json", line)
-            self.format = value
+        self.out = args.out
+        self.format = args.format
 
 
 def _require_rule_length(setup, need, use):
@@ -324,6 +309,8 @@ VERIFY_CHECKS = ("chain", "shift", "lipschitz", "lift", "marginal",
 
 
 def _verify_rows(entries, setup):
+    value, line = _get(entries, "tolerance", "1e-9")
+    tolerance = _parse_float(value, line, "tolerance")
     value, line = _get(entries, "checks", "chain,shift,lipschitz,lift")
     names = _parse_list(value, line, "checks", str)
     for name in names:
@@ -360,7 +347,7 @@ def _verify_rows(entries, setup):
         if name == "chain":
             report = verify_inequality_chain(
                 setup.system, setup.phi, n, epsilon, rule=setup.rule,
-                seed=setup.seed, tolerance=setup.tolerance)
+                seed=setup.seed, tolerance=tolerance)
             for c in report.checks:
                 add("chain:" + c.name, c.ok,
                     "lhs=%s rhs=%s" % (_fmt(c.lhs), _fmt(c.rhs)))
@@ -382,7 +369,7 @@ def _verify_rows(entries, setup):
             report = check_lift_inequalities(setup.system, setup.phi, n,
                                              epsilon, pool=setup.pool,
                                              seed=setup.seed,
-                                             tolerance=setup.tolerance)
+                                             tolerance=tolerance)
             for c in report.checks:
                 add("lift:" + c.name, c.ok,
                     "lhs=%s rhs=%s" % (_fmt(c.lhs), _fmt(c.rhs)))
@@ -519,11 +506,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         # accepted and ignored: every request runs on one thread
         p.add_argument("--threads", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tolerance", type=float)
     args = parser.parse_args(argv)
     try:
         entries = load_config(args.config)
@@ -533,7 +518,7 @@ def main(argv=None):
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 4
-    except (UnderResolved, DepthTooLarge, AnalyticUnavailable) as exc:
+    except (DepthTooLarge, AnalyticUnavailable) as exc:
         sys.stderr.write("infeasible: %s\n" % exc)
         return 3
     except ValueError as exc:

@@ -24,8 +24,5 @@ class AnalyticUnavailable(PresslabError):
 
 
 class DepthTooLarge(PresslabError):
-    """Word enumeration would exceed the m**n cap."""
-
-
-class UnderResolved(PresslabError):
-    """Grid or measure resolution too coarse for the requested scale."""
+    """A depth past the word enumeration cap, or a grid past its size
+    limit."""

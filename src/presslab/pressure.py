@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic
 from .analytic import log_sum_exp
-from .errors import AnalyticUnavailable, DepthTooLarge, UnderResolved
+from .errors import AnalyticUnavailable, DepthTooLarge
 from .words import WordPool, all_words, consecutive_sum
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
@@ -75,14 +75,6 @@ class PressureEstimate:
     def width(self):
         return self.upper - self.lower
 
-    def replaced(self, **kw):
-        base = {"kind": self.kind, "n": self.n, "epsilon": self.epsilon,
-                "lower": self.lower, "upper": self.upper,
-                "cover_size": self.cover_size, "method": self.method,
-                "seed": self.seed, "note": self.note}
-        base.update(kw)
-        return PressureEstimate(**base)
-
     def as_row(self):
         return {"kind": self.kind, "n": self.n, "epsilon": self.epsilon,
                 "lower": self.lower, "upper": self.upper,
@@ -120,13 +112,11 @@ class _GridEngine:
     quantities are certified on the grid.
 
     Invariant: every region point lies in its own ball along every word,
-    and has a finite weight.  The greedies rely on it: each point is the
-    centre of an atom that covers it, so every cover is complete and
-    every packing keeps at least one point.  A radius at or below a grid
-    point's distance to itself (2**-L on length-L shift cylinders) breaks
-    it, so `__init__` refuses such a radius as `UnderResolved`; finite
-    step values whose sums overflow break it too, so `weights` refuses
-    them with a `ValueError`."""
+    as its distance to itself is 0, and has a finite weight.  The
+    greedies rely on it: each point is the centre of an atom that covers
+    it, so every cover is complete and every packing keeps at least one
+    point.  Finite step values whose sums overflow break it, so `weights`
+    refuses them with a `ValueError`."""
 
     def __init__(self, system, n, epsilon, words=None):
         # given words restrict the universe: certificates for them only
@@ -145,10 +135,6 @@ class _GridEngine:
         self._phi_cache = {}
         self._word_covers = {}
         self._build_metrics()
-        if any((d.diagonal() >= self.epsilon).any() for d in self.dist):
-            raise UnderResolved(
-                "the grid cannot resolve radius %r: no grid point lies in "
-                "its own ball" % self.epsilon)
 
     # -- construction
 
@@ -479,9 +465,8 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
             est = fixed[(n, eps)]
             up = best_upper.get(n)
             if up is not None and up < est.upper:
-                est = est.replaced(upper=up,
-                                   note=(est.note +
-                                         "; carried cover").strip("; "))
+                est = replace(est, upper=up, note=(
+                    est.note + "; carried cover").strip("; "))
             best_upper[n] = est.upper
             fixed[(n, eps)] = est
     # descending pass: a 2E-separated packing is still 2 eps separated
@@ -492,9 +477,8 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
             est = fixed[(n, eps)]
             lo = best_lower.get(n)
             if lo is not None and lo > est.lower:
-                est = est.replaced(lower=min(lo, est.upper),
-                                   note=(est.note +
-                                         "; carried packing").strip("; "))
+                est = replace(est, lower=min(lo, est.upper), note=(
+                    est.note + "; carried packing").strip("; "))
             best_lower[n] = est.lower
             fixed[(n, eps)] = est
     out = []
@@ -556,8 +540,8 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     def clamp_upper(kind, bound, source):
         est = ests[kind]
         if est.upper > bound:
-            ests[kind] = est.replaced(
-                upper=bound, lower=min(est.lower, bound),
+            ests[kind] = replace(
+                est, upper=bound, lower=min(est.lower, bound),
                 note=(est.note + "; upper via " + source).strip("; "))
 
     # structural dominations mirror the induced-cover constructions

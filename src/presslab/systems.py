@@ -22,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DepthTooLarge, ParseError
 from .words import orbit
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
 SHIFT = "full-shift"
 
-# caps of grid_points: torus lattice side, interval cells, shift length
+# caps of grid_points: torus lattice side and interval cells, to which a
+# finer radius is rounded up, and shift length, past which a word is refused
 GRID_MAX_TORUS = 40
 GRID_MAX_LINE = 1024
 GRID_MAX_SHIFT_LENGTH = 10
@@ -262,15 +263,26 @@ class SemigroupSystem:
 
     def grid_shape(self, epsilon, n):
         """(base, rank) of the depth-n grid at radius epsilon: its points
-        are the base**rank digit tuples, in `itertools.product` order."""
+        are the base**rank digit tuples, in `itertools.product` order.
+
+        A shift ball of radius epsilon along a word of total step S is
+        the cylinder of its first floor(log2(1/epsilon)) + 1 + S symbols.
+        The shift rank n*max(step) + max(1, ceil(log2(1/epsilon))) + 1
+        holds every such cylinder of a depth-n word, with 2**-rank <=
+        epsilon/2; a rank past GRID_MAX_SHIFT_LENGTH is refused."""
         if self.is_toral:
             return max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon))), 2
         if self.is_interval:
             return max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon))) + 1, 1
         step = max(gen.step for gen in self.generators)
         tail = max(1, math.ceil(math.log2(1.0 / epsilon)))
-        return (self.generators[0].alphabet,
-                min(n * step + tail + 1, GRID_MAX_SHIFT_LENGTH))
+        rank = n * step + tail + 1
+        if rank > GRID_MAX_SHIFT_LENGTH:
+            raise DepthTooLarge(
+                "a shift grid at depth %d and radius %r needs %d symbols, "
+                "past the %d-symbol cap" % (n, epsilon, rank,
+                                            GRID_MAX_SHIFT_LENGTH))
+        return self.generators[0].alphabet, rank
 
     def grid_points(self, base, rank):
         """Digit i is i/base on the torus, i/(base - 1) on intervals and
@@ -302,20 +314,18 @@ class SemigroupSystem:
                     np.maximum(d, gap, out=d)
                 dist.append(d.astype(np.float32))
             return [points[i] for i in alive], dist
-        # a difference's norm: the max of floor and of sizes[c, digit c]
+        # a difference's norm: the max of sizes[c, digit c] over digits c
         v = np.arange(base)
         if self.is_toral:
             # entries reduced mod base first: exact, and no int64 overflow
             mats = [np.array(gen.matrix) % base for gen in self.generators]
             sizes = np.tile(np.minimum(v, base - v) / base, (rank, 1))
-            floor = 0.0
         else:
             # sigma^s moves digit i + s to i, padding zeros; 2**-j at the
-            # first nonzero digit j, 2**-rank (a cylinder's diameter) at none
+            # first nonzero digit j, 0 at none
             mats = [np.eye(rank, k=gen.step, dtype=int)
                     for gen in self.generators]
             sizes = np.outer(np.ldexp(1.0, -np.arange(rank)), v > 0)
-            floor = 2.0 ** -rank
         # idx[p, q]: the index of the digit-wise difference p - q, built
         # one digit at a time, as point p*base + a is p with a appended
         step = np.subtract.outer(v, v) % base
@@ -328,7 +338,7 @@ class SemigroupSystem:
         dist = []
         for word in words:
             diff = diffs
-            d_w = sizes[rows, diff].max(axis=0, initial=floor)
+            d_w = sizes[rows, diff].max(axis=0)
             for j in word:
                 diff = mats[j - 1] @ diff % base
                 np.maximum(d_w, sizes[rows, diff].max(axis=0), out=d_w)

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from presslab.cli import _check_keys, _parse_points, load_config, main
+from presslab.cli import COMMAND_KEYS, COMMON_KEYS, _check_keys, \
+    _parse_points, load_config, main
 from presslab.errors import ParseError
 from presslab.systems import parse_system
 
@@ -132,19 +133,53 @@ epsilons = %s
 
 
 def test_radius_below_the_shift_grid_is_infeasible(tmp_path, capsys):
-    # 2**-10 is the smallest shift cylinder the grid holds; below it no
-    # grid point lies in its own ball
-    path = write_cfg(tmp_path, "fine.cfg", """system = shift:2
+    # a ball along sigma**2 is a cylinder of 13 symbols at eps = 0.0009
+    # and of 12 at eps = 0.001, and the grid needs one symbol more: past
+    # its 10-symbol cap.  At 0.001 a 10-symbol grid gave every kind one
+    # ball per point (log 1024) with exit 0.
+    for epsilon, symbols in (("0.0009", 14), ("0.001", 13)):
+        path = write_cfg(tmp_path, "fine.cfg", """system = shift:2
 potential = zero
 rule = periodic:1,2
 kinds = all
 depths = 1
-epsilons = 0.0009
+epsilons = %s
+""" % epsilon)
+        assert main(["estimate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "infeasible: a shift grid at depth 1 and radius %s needs %d "
+            "symbols, past the 10-symbol cap\n" % (epsilon, symbols))
+
+
+def test_shift_words_past_the_grid_are_refused_before_any_point(
+        tmp_path, monkeypatch, capsys):
+    """At eps = 1/4 a ball along sigma**2 ... sigma**2 is a cylinder of
+    3 + 2n symbols: 11 at n = 4, past the 10-symbol cap.  The request
+    exits 3 from the grid's shape, where a truncated grid printed
+    [1.7329, 1.7329] against an exact cover rate of log(2**11)/4 =
+    1.9062."""
+    import presslab.pressure as pressure
+    from presslab.systems import SemigroupSystem
+
+    def no_points(self, base, rank):
+        raise AssertionError("grid points were built for a refused shape")
+
+    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
+    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    path = write_cfg(tmp_path, "deep.cfg", """system = shift:2
+potential = zero
+kinds = condensed-upper
+depths = 4,5
+epsilons = 0.25
 """)
     assert main(["estimate", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("infeasible: ")
+    assert captured.err == (
+        "infeasible: a shift grid at depth 5 and radius 0.25 needs 13 "
+        "symbols, past the 10-symbol cap\n")
 
 
 def test_overflowing_potential_sums_are_invalid(tmp_path, capsys):
@@ -216,8 +251,18 @@ def test_verify_standard_checks_pass(tmp_path, capsys):
 
 
 def test_verify_negative_tolerance_fails_checks(tmp_path):
+    path = write_cfg(tmp_path, "ver.cfg", VERIFY_CFG + "tolerance = -1\n")
+    assert main(["verify", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tolerance"])
+def test_config_settings_have_no_flag(tmp_path, capsys, flag):
+    # seed and tolerance are config keys, so a flag cannot override them
     path = write_cfg(tmp_path, "ver.cfg", VERIFY_CFG)
-    assert main(["verify", "--config", path, "--tolerance", "-1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", path, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 1" % flag in capsys.readouterr().err
 
 
 def test_verify_separation_reports_distinguishable(tmp_path, capsys):
@@ -256,12 +301,20 @@ checks = bogus
     ("threads = 1", "estimate"),
     ("kinds = all", "verify"),
     ("system_b = diag:2,10|3,4", "dimension"),
+    ("potential = random:3", "dimension"),
+    ("rule = constant:1", "dimension"),
+    ("tolerance = 5", "dimension"),
+    ("tolerance = 5", "estimate"),
+    ("potential = zero", "localent"),
+    ("out = rows.csv", "estimate"),
+    ("format = json", "verify"),
 ])
 def test_unread_keys_are_parse_errors(tmp_path, capsys, extra, command):
     # a misspelt or removed key would otherwise leave its default in
     # force without a word
     rest = {"estimate": "kinds = amalgamated\ndepths = 3\nepsilons = 0.125\n",
-            "verify": "checks = chain\n", "dimension": ""}[command]
+            "verify": "checks = chain\n", "dimension": "",
+            "localent": ""}[command]
     path = write_cfg(tmp_path, "bad.cfg",
                      "system = diag:2,3|3,2\n%s\n%s" % (extra, rest))
     assert main([command, "--config", path]) == 4
@@ -269,6 +322,23 @@ def test_unread_keys_are_parse_errors(tmp_path, capsys, extra, command):
     assert captured.out == ""
     assert captured.err == "parse error: line 2: %s reads no key %r\n" \
         % (command, extra.split(" = ")[0])
+
+
+def test_readme_key_table_is_the_cli_key_sets():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| keys | read by |") + 2
+    read = {command: set() for command in COMMAND_KEYS}
+    for row in lines[start:]:
+        if not row.startswith("|"):
+            break
+        keys, readers = (cell.strip() for cell in row.strip("|").split("|"))
+        commands = list(COMMAND_KEYS) if readers == "every command" \
+            else [c.strip(" `") for c in readers.split(",")]
+        for command in commands:
+            read[command] |= {k.strip(" `") for k in keys.split(",")}
+    assert read == {command: set(COMMON_KEYS) | set(keys)
+                    for command, keys in COMMAND_KEYS.items()}
 
 
 def _benchmark_workloads():

@@ -2,11 +2,16 @@
 from the package stay deleted."""
 
 import presslab
+import presslab.errors
+import presslab.lift
+import presslab.pressure
 import presslab.systems
 import presslab.words
 
 DELETED = ("BerendVerdict", "berend_check", "_commute",
-           "single_generator_entropy", "conjugacy_example_report")
+           "single_generator_entropy", "conjugacy_example_report",
+           "UnderResolved", "LiftPoint", "skew_apply", "lifted_potential",
+           "lift_birkhoff_sum")
 
 
 def test_every_exported_name_resolves():
@@ -18,8 +23,10 @@ def test_every_exported_name_resolves():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in presslab.__all__
-        assert not hasattr(presslab, name), name
-        assert not hasattr(presslab.systems, name), name
+        for module in (presslab, presslab.systems, presslab.errors,
+                       presslab.lift):
+            assert not hasattr(module, name), (module.__name__, name)
     for attr in ("eigenvalues", "char_poly_irreducible_over_z", "trace"):
         assert not hasattr(presslab.systems.ToralGenerator, attr), attr
     assert "random_count" not in vars(presslab.words.WordPool(2))
+    assert not hasattr(presslab.pressure.PressureEstimate, "replaced")

@@ -1,64 +1,18 @@
-"""Skew-product lift: orbits, cylinder covers, and the sandwich."""
+"""Skew-product lift: the bracket from the free kind, and the sandwich."""
 
 import math
 
 import pytest
 
 from presslab.errors import DepthTooLarge
-from presslab.lift import (
-    LiftPoint,
-    check_lift_inequalities,
-    lift_birkhoff_sum,
-    lift_pressure_estimate,
-    lifted_potential,
-    skew_apply,
-)
-from presslab.potentials import constant_potential, random_potential, \
-    zero_potential
+from presslab.lift import check_lift_inequalities, lift_pressure_estimate
+from presslab.potentials import random_potential, zero_potential
 from presslab.pressure import estimate_pressure
 from presslab.systems import parse_system
-from presslab.words import Word, WordPool, consecutive_sum, orbit
+from presslab.words import WordPool
 
 DIAG = parse_system("diag:2,3|3,2")
 ZERO2 = zero_potential(2)
-
-
-def test_lift_point_validation():
-    with pytest.raises(ValueError):
-        LiftPoint((0, 1), 0.3)
-    with pytest.raises(ValueError):
-        LiftPoint((1.5,), 0.3)
-
-
-def test_skew_apply_shifts_and_moves():
-    pt = LiftPoint((1, 2), (0.3, 0.4))
-    nxt = skew_apply(DIAG, pt)
-    assert nxt.word_prefix == (2,)
-    assert nxt.base[0] == pytest.approx(0.6, abs=1e-12)
-    assert nxt.base[1] == pytest.approx(0.2, abs=1e-12)
-    last = skew_apply(DIAG, nxt)
-    assert last.word_prefix == ()
-    with pytest.raises(ValueError):
-        skew_apply(DIAG, last)
-
-
-def test_lifted_potential_reads_leading_symbol():
-    phi = constant_potential([0.5, -0.25])
-    assert lifted_potential(phi, LiftPoint((1, 2), (0.3, 0.4))) == 0.5
-    assert lifted_potential(phi, LiftPoint((2,), (0.3, 0.4))) == -0.25
-
-
-def test_birkhoff_sum_matches_path_sum():
-    phi = constant_potential([0.5, -0.25])
-    pt = LiftPoint((1, 2), (0.3, 0.4))
-    assert lift_birkhoff_sum(DIAG, phi, pt, 2) == pytest.approx(0.25,
-                                                                abs=1e-12)
-    w = Word((1, 2, 2, 1))
-    pt2 = LiftPoint(w.symbols, (0.7, 0.1))
-    assert lift_birkhoff_sum(DIAG, phi, pt2, 4) == pytest.approx(
-        consecutive_sum(DIAG, phi, (0.7, 0.1), w), abs=1e-12)
-    with pytest.raises(ValueError):
-        lift_birkhoff_sum(DIAG, phi, pt, 3)
 
 
 def test_lift_estimate_diag_golden():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from presslab.analytic import log_sum_exp
-from presslab.errors import AnalyticUnavailable, UnderResolved
+from presslab.errors import AnalyticUnavailable, DepthTooLarge
 from presslab.potentials import (
     constant_potential,
     coordinate_potential,
@@ -27,7 +27,7 @@ from presslab.pressure import (
     trajectory_shift_check,
     verify_inequality_chain,
 )
-from presslab.systems import parse_system, shift_system
+from presslab.systems import SemigroupSystem, parse_system, shift_system
 from presslab.words import (
     WordPool,
     consecutive_sum,
@@ -390,8 +390,7 @@ def test_grid_weights_are_consecutive_sums_at_region_points():
 def test_grid_metric_is_the_word_distance(spec):
     # the grid metric is the library's own orbit distance: every region
     # pair of a coarse grid, and 20 rows of a finer one (the non-dyadic
-    # 20 x 20 torus lattice); a shift point stands for its length-L
-    # cylinder, 2**-L from itself, where dn_distance sees one sequence
+    # 20 x 20 torus lattice), diagonal included
     system = parse_system(spec)
     for epsilon, rows in ((0.5, None), (0.2, 20)):
         eng = _GridEngine(system, 2, epsilon)
@@ -404,8 +403,7 @@ def test_grid_metric_is_the_word_distance(spec):
             for p in picked:
                 x = eng.region[p]
                 for q, y in enumerate(eng.region):
-                    want = 2.0 ** -len(x) if system.is_shift and p == q \
-                        else dn_distance(system, x, y, word)
+                    want = dn_distance(system, x, y, word)
                     assert eng.dist[w][p, q] == np.float32(want), \
                         (word, x, y)
 
@@ -477,10 +475,19 @@ def test_greedy_cover_matches_reference_loop():
         assert got == _reference_greedy_cover(masks, lw, need), trial
 
 
-def test_grid_engine_refuses_a_radius_its_points_cannot_resolve():
-    # shift grid points are cylinders of length at most 10, each 2**-10
-    # from itself, so a radius of 2**-10 leaves every ball empty
-    with pytest.raises(UnderResolved):
-        _GridEngine(shift_system(2), 1, 2.0 ** -10)
-    eng = _GridEngine(shift_system(2), 1, 1.5 * 2.0 ** -10)
-    assert len(eng.region) == 1024
+def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(
+        monkeypatch):
+    # at n = 1 the shift grid has ceil(log2(1/eps)) + 3 symbols: 10 at
+    # eps = 2**-7, the cap, and 11 just below it, which is refused before
+    # any grid point exists
+    eng = _GridEngine(shift_system(2), 1, 2.0 ** -7)
+    assert eng.shape == (2, 10) and len(eng.region) == 1024
+    assert all((d.diagonal() == 0).all() for d in eng.dist)
+
+    def no_points(*args):
+        raise AssertionError("a refused grid builds no point")
+
+    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
+    for epsilon in (0.99 * 2.0 ** -7, 2.0 ** -8, 2.0 ** -10, 0.001):
+        with pytest.raises(DepthTooLarge, match="10-symbol cap"):
+            _GridEngine(shift_system(2), 1, epsilon)
