@@ -22,8 +22,7 @@ from .pressure import KINDS, estimate_pressure, extrapolate, \
     lipschitz_check, sweep_estimates, trajectory_shift_check, \
     verify_inequality_chain
 from .systems import parse_system
-from .words import Word, WordPool, constant_rule, explicit_rule, \
-    periodic_rule
+from .words import Word, constant_rule, explicit_rule, periodic_rule
 
 ROW_KEYS = "kind,n,epsilon,lower,upper,cover_size,method,seed".split(",")
 SCHEMA_VERSION = 1
@@ -200,7 +199,6 @@ class RunSetup:
         self.phi = parse_potential(spec, self.system.m, line=line)
         value, line = _get(entries, "seed", "0")
         self.seed = _parse_int(value, line, "seed")
-        self.pool = WordPool(self.system.m, seed=self.seed)
         value, self.rule_line = _get(entries, "rule")
         self.rule = None if value is None \
             else _parse_rule(value, self.rule_line, self.system.m)
@@ -278,8 +276,7 @@ def cmd_estimate(entries, setup):
     # deepest and finest first, so a depth past the grid budget is
     # refused before any other work; rows keep the config order
     ests = {job: estimate_pressure(setup.system, setup.phi, *job,
-                                   pool=setup.pool, rule=setup.rule,
-                                   seed=setup.seed)
+                                   rule=setup.rule, seed=setup.seed)
             for job in sorted(jobs, key=lambda job: (-job[1], job[2]))}
     _emit_rows(setup, [ests[job].as_row() for job in jobs], "estimate")
     return 0
@@ -290,8 +287,7 @@ def cmd_sweep(entries, setup):
     rows = []
     for kind in kinds:
         ests = sweep_estimates(setup.system, setup.phi, kind, depths,
-                               epsilons, pool=setup.pool, rule=setup.rule,
-                               seed=setup.seed)
+                               epsilons, rule=setup.rule, seed=setup.seed)
         rows.extend(e.as_row() for e in ests)
         tail = extrapolate(ests)
         rows.append({"kind": kind + ":extrapolated", "n": max(depths),
@@ -362,13 +358,12 @@ def _verify_rows(entries, setup):
             psi = random_potential(setup.system.m, seed=setup.seed + 1)
             check = lipschitz_check(setup.system, setup.phi, psi,
                                     "amalgamated", n, epsilon,
-                                    pool=setup.pool, seed=setup.seed)
+                                    seed=setup.seed)
             add("lipschitz", check.ok, "difference=%s bound=%s"
                 % (_fmt(check.lhs), _fmt(check.rhs)))
         elif name == "lift":
             report = check_lift_inequalities(setup.system, setup.phi, n,
-                                             epsilon, pool=setup.pool,
-                                             seed=setup.seed,
+                                             epsilon, seed=setup.seed,
                                              tolerance=tolerance)
             for c in report.checks:
                 add("lift:" + c.name, c.ok,
@@ -381,8 +376,7 @@ def _verify_rows(entries, setup):
             lo_depth = max(2, n)
             report = marginal_bound_check(
                 measure, setup.system, pts, epsilon,
-                list(range(lo_depth, 2 * lo_depth + 3)), pool=setup.pool,
-                seed=setup.seed)
+                list(range(lo_depth, 2 * lo_depth + 3)), seed=setup.seed)
             for c in report.checks:
                 add("marginal", c.ok,
                     "h_plus=%s h_lower=%s bound=%s tolerance=%s"
@@ -391,18 +385,16 @@ def _verify_rows(entries, setup):
         elif name == "separation":
             mine = estimate_pressure(setup.system, setup.phi,
                                      "exhaustive-upper", n, epsilon,
-                                     pool=setup.pool, seed=setup.seed)
+                                     seed=setup.seed)
             mine_lo = estimate_pressure(setup.system, setup.phi,
                                         "exhaustive-lower", n, epsilon,
-                                        pool=setup.pool, seed=setup.seed)
+                                        seed=setup.seed)
             phi_b = setup.phi if other.m == setup.system.m \
                 else parse_potential("zero", other.m)
             theirs = estimate_pressure(other, phi_b, "exhaustive-upper", n,
-                                       epsilon, pool=setup.pool,
-                                       seed=setup.seed)
+                                       epsilon, seed=setup.seed)
             theirs_lo = estimate_pressure(other, phi_b, "exhaustive-lower",
-                                          n, epsilon, pool=setup.pool,
-                                          seed=setup.seed)
+                                          n, epsilon, seed=setup.seed)
             a = (mine_lo.lower, mine.upper)
             b = (theirs_lo.lower, theirs.upper)
             gap = max(b[0] - a[1], a[0] - b[1])
@@ -429,7 +421,7 @@ def cmd_dimension(entries, setup):
     if len(bracket) != 2:
         raise ParseError("bracket needs two endpoints", line)
     result = bowen_root(setup.system, n, epsilon, tuple(bracket),
-                        pool=setup.pool, seed=setup.seed)
+                        seed=setup.seed)
     doc = {"schema_version": SCHEMA_VERSION, "command": "dimension",
            "t_uA": result.t_uA,
            "per_map_roots": list(result.per_map_roots),
@@ -463,8 +455,7 @@ def cmd_localent(entries, setup):
 
     if isinstance(measure, ProductMeasureModel):
         report = marginal_bound_check(measure, setup.system, pts, epsilon,
-                                      n_range, pool=setup.pool,
-                                      seed=setup.seed)
+                                      n_range, seed=setup.seed)
         rows = []
         for c in report.checks:
             x, y = coords(c.x)
@@ -477,8 +468,7 @@ def cmd_localent(entries, setup):
     rows = []
     for pt in pts:
         est = local_amalgamated_entropy(measure, setup.system, pt, epsilon,
-                                        n_range, pool=setup.pool,
-                                        seed=setup.seed)
+                                        n_range, seed=setup.seed)
         x, y = coords(est.x)
         rows.append((x, y, est.h_exhaustive_local, est.h_lower_local,
                      est.h_upper_local, est.epsilon, setup.seed))

@@ -40,12 +40,6 @@ class ExpansionField:
                 if slope <= 1.0:
                     raise ValueError("expansion rates must exceed 1")
 
-    @property
-    def log_lambda(self):
-        """Uniform lower expansion exponent, positive by construction."""
-        return min(math.log(slope) for branches in self.per_generator
-                   for _, slope in branches)
-
 
 def expansion_field(system):
     """Extract the scalar expansion rates, rejecting generators whose
@@ -128,8 +122,7 @@ def _bisect_root(pressure_at, bracket):
     return 0.5 * (lo + hi), (lo, hi), iterations
 
 
-def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, pool=None,
-               seed=0):
+def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, seed=0):
     """Dimension-style root of the family plus per-generator roots.
 
     The family root drives the amalgamated pressure of t times the
@@ -140,8 +133,7 @@ def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, pool=None,
 
     def family_pressure(t):
         est = estimate_pressure(system, phi_u.scale(t), "amalgamated", n,
-                                epsilon, pool=pool, seed=seed,
-                                engine="analytic")
+                                epsilon, seed=seed, engine="analytic")
         return est.midpoint
 
     t_ua, final_bracket, iterations = _bisect_root(family_pressure,

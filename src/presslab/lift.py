@@ -16,20 +16,19 @@ from .pressure import Check, Report, estimate_pressure
 __all__ = ["lift_pressure_estimate", "check_lift_inequalities"]
 
 
-def lift_pressure_estimate(system, phi, n, epsilon, *, pool=None, seed=0):
+def lift_pressure_estimate(system, phi, n, epsilon, *, seed=0):
     """Bracket the lift pressure at one depth and radius.
 
     Both bounds are the base free-pressure bounds shifted by log m.  The
     free kind averages over every length-n word, so past the word
     enumeration cap this raises DepthTooLarge."""
     logm = math.log(system.m)
-    est = estimate_pressure(system, phi, "free", n, epsilon, pool=pool,
-                            seed=seed)
+    est = estimate_pressure(system, phi, "free", n, epsilon, seed=seed)
     return replace(est, kind="lift", lower=logm + est.lower,
                    upper=logm + est.upper)
 
 
-def check_lift_inequalities(system, phi, n, epsilon, *, pool=None, seed=0,
+def check_lift_inequalities(system, phi, n, epsilon, *, seed=0,
                             tolerance=1e-9):
     """Sandwich of the lift pressure between the amalgamated and upper
     condensed base pressures, each raised by the symbol term log m.
@@ -38,12 +37,11 @@ def check_lift_inequalities(system, phi, n, epsilon, *, pool=None, seed=0,
     entirely below the shifted amalgamated interval nor entirely above
     the shifted condensed one, so estimate widths absorb finite-depth
     slack without weakening the inequality itself."""
-    lift = lift_pressure_estimate(system, phi, n, epsilon, pool=pool,
-                                  seed=seed)
+    lift = lift_pressure_estimate(system, phi, n, epsilon, seed=seed)
     amalg = estimate_pressure(system, phi, "amalgamated", n, epsilon,
-                              pool=pool, seed=seed)
+                              seed=seed)
     cond = estimate_pressure(system, phi, "condensed-upper", n, epsilon,
-                             pool=pool, seed=seed)
+                             seed=seed)
     logm = math.log(system.m)
     checks = (
         Check("amalgamated lower + log m <= lift upper",

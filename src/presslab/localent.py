@@ -48,7 +48,6 @@ class MeasureModel:
     resolution: int
     points: tuple
     weights: tuple
-    dimensions: int
 
     def __post_init__(self):
         if self.kind == GRID:
@@ -83,7 +82,7 @@ def lebesgue_measure(system, resolution=64):
     """Lebesgue measure on the system's domain."""
     if system.is_shift:
         raise ValueError("no uniform grid density on shift space")
-    return MeasureModel(GRID, resolution, (), (), 2 if system.is_toral else 1)
+    return MeasureModel(GRID, resolution, (), ())
 
 
 def empirical_measure(points, weights=None):
@@ -91,8 +90,7 @@ def empirical_measure(points, weights=None):
     if weights is None:
         weights = tuple([1.0 / len(points)] * len(points))
     return MeasureModel(EMPIRICAL, 0, points,
-                        tuple(float(w) for w in weights),
-                        2 if isinstance(points[0], tuple) else 1)
+                        tuple(float(w) for w in weights))
 
 
 def dirac_measure(point):
@@ -238,11 +236,11 @@ def _rate(mass, n):
 
 
 def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
-                              pool=None, seed=0):
-    """Ball-mass decay rates at x: sup and inf over pool words plus the
-    exhaustive union ball, minimized over the depth range."""
-    if pool is None:
-        pool = WordPool(system.m, seed=seed)
+                              seed=0):
+    """Ball-mass decay rates at x: sup and inf over the words of the
+    (m, seed) pool plus the exhaustive union ball, minimized over the
+    depth range."""
+    pool = WordPool(system.m, seed=seed)
     depths = sorted(set(int(n) for n in n_range))
     if not depths or depths[0] < 1:
         raise ValueError("depth range must contain positive depths")
@@ -314,7 +312,6 @@ class MarginalPointCheck:
 @dataclass(frozen=True)
 class MarginalBoundReport:
     bound: float
-    h_product: float
     h_symbols: float
     checks: tuple
 
@@ -344,7 +341,7 @@ def sample_points(measure, system, count, seed=0):
         return [rng.choices(measure.points, measure.weights)[0]
                 for _ in range(count)]
     g = measure.resolution
-    if measure.dimensions == 2:
+    if system.is_toral:
         centers = [((i + 0.5) / g, (j + 0.5) / g)
                    for i in range(g) for j in range(g)]
     else:
@@ -355,7 +352,7 @@ def sample_points(measure, system, count, seed=0):
 
 
 def marginal_bound_check(product, system, sample_points_list, epsilon,
-                         n_range, *, pool=None, seed=0):
+                         n_range, *, seed=0):
     """Check that the base-marginal local entropies at sampled points
     stay below the product entropy minus the symbol entropy.
 
@@ -374,12 +371,11 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
                          "diagonal family")
     h_symbols = shannon_entropy(weights)
     base_rate = lebesgue_entropy_rate(system, weights)
-    h_product = h_symbols + base_rate
-    bound = h_product - h_symbols
+    bound = (h_symbols + base_rate) - h_symbols
     checks = []
     for x in sample_points_list:
         est = local_amalgamated_entropy(product.base, system, x, epsilon,
-                                        n_range, pool=pool, seed=seed)
+                                        n_range, seed=seed)
         lows = [row[2] for row in est.sequence if not math.isinf(row[2])]
         spread = (max(lows) - min(lows)) if lows else 0.0
         tol = spread + 1e-9
@@ -387,4 +383,4 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
               and est.h_lower_local <= bound + tol)
         checks.append(MarginalPointCheck(x, est.h_exhaustive_local,
                                          est.h_lower_local, tol, ok))
-    return MarginalBoundReport(bound, h_product, h_symbols, tuple(checks))
+    return MarginalBoundReport(bound, h_symbols, tuple(checks))

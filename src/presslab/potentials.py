@@ -145,13 +145,14 @@ def coordinate_potential(m, scale=1.0):
                                 for _ in range(m)))
 
 
-def random_potential(m, seed=0, amplitude=0.25, harmonics=3):
-    """Smooth random trig potential, deterministic in (m, seed)."""
+def random_potential(m, seed=0, amplitude=0.25):
+    """Smooth random trig potential of three harmonics per component,
+    deterministic in (m, seed)."""
     rng = random.Random("potential:%d:%d" % (seed, m))
     comps = []
     for _ in range(m):
         params = []
-        for _ in range(harmonics):
+        for _ in range(3):
             p = rng.randint(0, 2)
             q = rng.randint(0, 2)
             if p == 0 and q == 0:

@@ -370,16 +370,16 @@ def _grid_engine_for(system, kind, n, epsilon, rule):
         return _grid_engine(system, n, epsilon, words=[rule.word_at(n)])
 
 
-def _solve(side, system, phi, kind, n, epsilon, pool, rule, seed, engine):
+def _solve(side, system, phi, kind, n, epsilon, rule, seed, engine):
     """One side ("cover" or "packing") of one kind: the closed form when
-    engine allows and one exists, otherwise the grid engine."""
+    engine allows and one exists, otherwise the grid engine.  Pool kinds
+    draw their words from WordPool(m, seed)."""
     _require_kind(kind)
     _require_depth(n)
     _require_radius(epsilon)
     if kind == "trajectory" and rule is None:
         raise ValueError("trajectory estimates need a word rule")
-    if pool is None:
-        pool = WordPool(system.m, seed=seed)
+    pool = WordPool(system.m, seed=seed)
     if engine != "grid":
         try:
             log_value, count, note = _closed_form(system, side)(
@@ -395,21 +395,20 @@ def _solve(side, system, phi, kind, n, epsilon, pool, rule, seed, engine):
     return eng.packing(phi, kind, rule)
 
 
-def min_cover_cost(system, phi, kind, n, epsilon, *, pool=None, rule=None,
-                   seed=0, engine="auto"):
+def min_cover_cost(system, phi, kind, n, epsilon, *, rule=None, seed=0,
+                   engine="auto"):
     """Cheapest certified weighted ball cover for one kind.
 
     engine: "auto" prefers closed forms, "analytic" requires them,
     "grid" forces the finite-universe path."""
-    return _solve("cover", system, phi, kind, n, epsilon, pool, rule, seed,
-                  engine)
+    return _solve("cover", system, phi, kind, n, epsilon, rule, seed, engine)
 
 
-def packing_bound(system, phi, kind, n, epsilon, *, pool=None, rule=None,
-                  seed=0, engine="auto"):
+def packing_bound(system, phi, kind, n, epsilon, *, rule=None, seed=0,
+                  engine="auto"):
     """Weighted packing sum certified at separation 2 eps, the lower
     counterpart of min_cover_cost."""
-    return _solve("packing", system, phi, kind, n, epsilon, pool, rule, seed,
+    return _solve("packing", system, phi, kind, n, epsilon, rule, seed,
                   engine)
 
 
@@ -422,17 +421,17 @@ def _one_engine(compute):
         return compute("grid")
 
 
-def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,
-                      seed=0, engine="auto"):
+def estimate_pressure(system, phi, kind, n, epsilon, *, rule=None, seed=0,
+                      engine="auto"):
     """Bracket one pressure kind at fixed depth and radius.
 
     upper = (1/n) log min cover cost, lower = (1/n) log packing sum.
     The lower value is clamped to the upper when grid artifacts would
     cross them (noted on the estimate)."""
-    cover = min_cover_cost(system, phi, kind, n, epsilon, pool=pool,
-                           rule=rule, seed=seed, engine=engine)
-    pack = packing_bound(system, phi, kind, n, epsilon, pool=pool,
-                         rule=rule, seed=seed, engine=engine)
+    cover = min_cover_cost(system, phi, kind, n, epsilon, rule=rule,
+                           seed=seed, engine=engine)
+    pack = packing_bound(system, phi, kind, n, epsilon, rule=rule,
+                         seed=seed, engine=engine)
     upper = cover.log_cost / n
     lower = pack.log_cost / n
     note = cover.note
@@ -443,8 +442,8 @@ def estimate_pressure(system, phi, kind, n, epsilon, *, pool=None, rule=None,
                             cover.size, cover.method, seed, note)
 
 
-def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
-                    rule=None, seed=0):
+def sweep_estimates(system, phi, kind, depths, epsilons, *, rule=None,
+                    seed=0):
     """Estimates over a (depth, radius) grid, radius-monotone by
     construction: a cover certified at a smaller radius stays valid at a
     larger one, and a separated set at a larger radius stays separated
@@ -456,7 +455,7 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, pool=None,
     for eps in eps_sorted:
         for n in reversed(depth_sorted):
             fixed[(n, eps)] = estimate_pressure(
-                system, phi, kind, n, eps, pool=pool, rule=rule, seed=seed)
+                system, phi, kind, n, eps, rule=rule, seed=seed)
     # ascending pass: a cover of eps-balls sits inside the same centers'
     # larger balls, so its cost stays an upper bound as the radius grows
     best_upper = {}
@@ -529,12 +528,11 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
     each estimate is clamped against its structural competitor exactly
     as the induced-cover argument allows, so a failure indicates a
     genuine defect rather than greedy noise."""
-    pool = WordPool(system.m, seed=seed)
     kinds = [k for k in KINDS if k != "trajectory" or rule is not None]
 
     ests = _one_engine(lambda engine: {
-        kind: estimate_pressure(system, phi, kind, n, epsilon, pool=pool,
-                                rule=rule, seed=seed, engine=engine)
+        kind: estimate_pressure(system, phi, kind, n, epsilon, rule=rule,
+                                seed=seed, engine=engine)
         for kind in kinds})
 
     def clamp_upper(kind, bound, source):
@@ -589,7 +587,6 @@ class Extrapolation:
     value: float
     error_bar: float
     converged: bool
-    depths: tuple
 
 
 def _line_fit(xs, ys):
@@ -623,8 +620,7 @@ def extrapolate(estimates):
         last = group[-1]
         drift = abs(group[-1].midpoint - group[-2].midpoint) \
             if len(group) > 1 else 0.0
-        return Extrapolation(last.midpoint, max(last.width, drift),
-                             converged, tuple(e.n for e in group))
+        return Extrapolation(last.midpoint, max(last.width, drift), converged)
     xs = [1.0 / e.n for e in group]
     ys = [e.midpoint for e in group]
     value, slope = _line_fit(xs, ys)
@@ -635,8 +631,7 @@ def extrapolate(estimates):
                          [y for i, y in enumerate(ys) if i != skip])
         drift = max(drift, abs(v - value))
     error_bar = max(0.5 * group[-1].width, 2.0 * resid, drift)
-    return Extrapolation(value, error_bar, converged,
-                         tuple(e.n for e in group))
+    return Extrapolation(value, error_bar, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +666,15 @@ def cover_cost_for(system, phi, solution):
                         for word, center in solution.atoms])
 
 
-def lipschitz_check(system, phi, psi, kind, n, epsilon, *, pool=None,
-                    rule=None, seed=0):
+def lipschitz_check(system, phi, psi, kind, n, epsilon, *, rule=None,
+                    seed=0):
     """|estimate(phi) - estimate(psi)| <= sup_j sup |phi_j - psi_j| on
     the cover side.  Grid covers are cross-costed (each potential may
     reuse the other's atoms) so the bound is structural; closed forms
     satisfy it identically.  Both estimates use one engine."""
     a, b = _one_engine(lambda engine: [
-        min_cover_cost(system, f, kind, n, epsilon, pool=pool, rule=rule,
-                       seed=seed, engine=engine) for f in (phi, psi)])
+        min_cover_cost(system, f, kind, n, epsilon, rule=rule, seed=seed,
+                       engine=engine) for f in (phi, psi)])
     cost_a = a.log_cost
     cost_b = b.log_cost
     cross = cover_cost_for(system, psi, a)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -266,17 +267,17 @@ class SemigroupSystem:
         are the base**rank digit tuples, in `itertools.product` order.
 
         A shift ball of radius epsilon along a word of total step S is
-        the cylinder of its first floor(log2(1/epsilon)) + 1 + S symbols.
-        The shift rank n*max(step) + max(1, ceil(log2(1/epsilon))) + 1
-        holds every such cylinder of a depth-n word, with 2**-rank <=
-        epsilon/2; a rank past GRID_MAX_SHIFT_LENGTH is refused."""
+        the cylinder of its first k + S symbols, with k the least integer
+        such that 2**-k < epsilon.  The shift rank n*max(step) + k holds
+        every such cylinder of a depth-n word, with 2**-rank <= epsilon/2
+        for n >= 1; a rank past GRID_MAX_SHIFT_LENGTH is refused."""
         if self.is_toral:
             return max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon))), 2
         if self.is_interval:
             return max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon))) + 1, 1
         step = max(gen.step for gen in self.generators)
-        tail = max(1, math.ceil(math.log2(1.0 / epsilon)))
-        rank = n * step + tail + 1
+        # the least k with 2**k > 1/epsilon, exact on the float's rational
+        rank = n * step + math.floor(1 / Fraction(epsilon)).bit_length()
         if rank > GRID_MAX_SHIFT_LENGTH:
             raise DepthTooLarge(
                 "a shift grid at depth %d and radius %r needs %d symbols, "

@@ -40,7 +40,6 @@ def _verdict(capsys, num, label, ok, detail):
 
 def test_diagonal_pair_entropy_triple_brackets_closed_forms(capsys):
     t0 = time.monotonic()
-    pool = WordPool(2, seed=0)
     targets = (("exhaustive-upper", math.log(4)),
                ("amalgamated", math.log(6)),
                ("condensed-upper", math.log(9)))
@@ -48,7 +47,7 @@ def test_diagonal_pair_entropy_triple_brackets_closed_forms(capsys):
     ok = True
     for kind, target in targets:
         ests = sweep_estimates(DIAG, ZERO2, kind, range(4, 13), [0.125],
-                               pool=pool, seed=0)
+                               seed=0)
         ext = extrapolate(ests)
         hit = (abs(ext.value - target) <= ext.error_bar
                and ext.error_bar <= 0.25 and ext.converged)
@@ -62,7 +61,6 @@ def test_diagonal_pair_entropy_triple_brackets_closed_forms(capsys):
 
 
 def test_random_diagonal_tuples_match_closed_forms(capsys):
-    pool = WordPool(2, seed=0)
     rng = random.Random("acceptance:tuples")
     misses = []
     for _ in range(5):
@@ -74,8 +72,7 @@ def test_random_diagonal_tuples_match_closed_forms(capsys):
         for kind, target in zip(("exhaustive-upper", "amalgamated",
                                  "condensed-upper"), forms):
             ext = extrapolate(sweep_estimates(system, ZERO2, kind,
-                                              range(4, 13), [0.0625],
-                                              pool=pool, seed=0))
+                                              range(4, 13), [0.0625], seed=0))
             if abs(ext.value - target) > ext.error_bar:
                 misses.append("%d,%d|%d,%d %s" % (a, b, c, d, kind))
     _verdict(capsys, 2, "random diagonal tuples match closed forms",
@@ -84,14 +81,13 @@ def test_random_diagonal_tuples_match_closed_forms(capsys):
 
 
 def test_inequivalent_diagonal_families_are_distinguishable(capsys):
-    pool = WordPool(2, seed=0)
 
     def interval(name):
         system = parse_system(name)
         hi = estimate_pressure(system, ZERO2, "exhaustive-upper", 6,
-                               1.0 / 24, pool=pool, seed=0)
+                               1.0 / 24, seed=0)
         lo = estimate_pressure(system, ZERO2, "exhaustive-lower", 6,
-                               1.0 / 24, pool=pool, seed=0)
+                               1.0 / 24, seed=0)
         return lo.lower, hi.upper
 
     a_lo, a_hi = interval("diag:4,5|2,6")    # rate log 10
@@ -104,16 +100,14 @@ def test_inequivalent_diagonal_families_are_distinguishable(capsys):
 
 
 def test_shear_pair_collapses_while_the_single_map_does_not(capsys):
-    pool = WordPool(2, seed=0)
     rule = periodic_rule((1, 2))
     ext = extrapolate(sweep_estimates(SHEAR, ZERO2, "trajectory",
-                                      range(8, 33, 4), [0.26], pool=pool,
-                                      rule=rule, seed=0))
-    amal = estimate_pressure(SHEAR, ZERO2, "amalgamated", 32, 0.26,
-                             pool=pool, seed=0)
+                                      range(8, 33, 4), [0.26], rule=rule,
+                                      seed=0))
+    amal = estimate_pressure(SHEAR, ZERO2, "amalgamated", 32, 0.26, seed=0)
     single = parse_system("toral:0,1,1,2")
     est = estimate_pressure(single, zero_potential(1), "amalgamated", 96,
-                            0.125, pool=WordPool(1, seed=0), seed=0)
+                            0.125, seed=0)
     target = math.log(1.0 + math.sqrt(2.0))
     ok = (ext.value <= 0.15 and amal.upper <= 0.2
           and est.lower >= target - 0.1 and est.upper <= target + 0.1)
@@ -135,10 +129,10 @@ def test_pressure_inequality_chains_hold_across_the_zoo(capsys):
             violations += ["%s#%d %s" % (system.name, pseed, c.name)
                            for c in report.checks if not c.ok]
             amal = estimate_pressure(system, phi, "amalgamated", 2, 0.25,
-                                     pool=pool, seed=0)
+                                     seed=0)
             worst = min(
                 estimate_pressure(system, phi, "trajectory", 2, 0.25,
-                                  pool=pool, rule=explicit_rule(w.symbols),
+                                  rule=explicit_rule(w.symbols),
                                   seed=0).upper
                 for w in pool.words(2))
             checks += 1
@@ -152,34 +146,30 @@ def test_pressure_inequality_chains_hold_across_the_zoo(capsys):
 
 def test_cover_frozen_perturbations_are_lipschitz(capsys):
     doubling = parse_system("cantor:2,2")
-    pool2 = WordPool(2, seed=0)
-    pool1 = WordPool(1, seed=0)
     rng = random.Random("acceptance:lipschitz")
     bad = 0
     for _ in range(60):
         phi = constant_potential([rng.uniform(-1, 1), rng.uniform(-1, 1)])
         psi = constant_potential([rng.uniform(-1, 1), rng.uniform(-1, 1)])
         bad += not lipschitz_check(DIAG, phi, psi, "amalgamated", 5, 0.125,
-                                   pool=pool2, seed=0).ok
+                                   seed=0).ok
     for i in range(40):
         phi = random_potential(1, seed=1000 + i)
         psi = random_potential(1, seed=2000 + i)
         bad += not lipschitz_check(doubling, phi, psi, "amalgamated", 5,
-                                   0.125, pool=pool1, seed=0).ok
+                                   0.125, seed=0).ok
     shift_err = 0.0
     for i in range(10):
         c = rng.uniform(-1, 1)
-        base = estimate_pressure(DIAG, ZERO2, "amalgamated", 5, 0.125,
-                                 pool=pool2, seed=0)
+        base = estimate_pressure(DIAG, ZERO2, "amalgamated", 5, 0.125, seed=0)
         moved = estimate_pressure(DIAG, ZERO2.shifted(c), "amalgamated", 5,
-                                  0.125, pool=pool2, seed=0)
+                                  0.125, seed=0)
         shift_err = max(shift_err, abs(moved.upper - base.upper - c),
                         abs(moved.lower - base.lower - c))
         phi = random_potential(1, seed=3000 + i)
-        b = estimate_pressure(doubling, phi, "free", 5, 0.125, pool=pool1,
-                              seed=0)
+        b = estimate_pressure(doubling, phi, "free", 5, 0.125, seed=0)
         s = estimate_pressure(doubling, phi.shifted(c), "free", 5, 0.125,
-                              pool=pool1, seed=0)
+                              seed=0)
         shift_err = max(shift_err, abs(s.upper - b.upper - c),
                         abs(s.lower - b.lower - c))
     ok = bad == 0 and shift_err <= 1e-9
@@ -189,12 +179,10 @@ def test_cover_frozen_perturbations_are_lipschitz(capsys):
 
 
 def test_skew_lift_interval_and_sandwich(capsys):
-    pool = WordPool(2, seed=0)
-    est = lift_pressure_estimate(DIAG, ZERO2, 9, 0.125, pool=pool, seed=0)
+    est = lift_pressure_estimate(DIAG, ZERO2, 9, 0.125, seed=0)
     inside = (est.lower >= math.log(12) - 0.3
               and est.upper <= math.log(18) + 0.3)
-    report = check_lift_inequalities(DIAG, ZERO2, 9, 0.125, pool=pool,
-                                     seed=0)
+    report = check_lift_inequalities(DIAG, ZERO2, 9, 0.125, seed=0)
     ok = inside and report.all_ok
     _verdict(capsys, 7, "skew lift interval with two-sided sandwich", ok,
              "lift [%.3f,%.3f] in [%.3f,%.3f], sandwich %s"
@@ -284,18 +272,14 @@ def test_structural_property_suite(capsys):
             check("vitali coverage", near <= 3 * eps + 1e-12)
 
     # a separated family never outnumbers a spanning one
-    pool2 = WordPool(2, seed=0)
-    pool1 = WordPool(1, seed=0)
-    for system, phi_k, pool, n, eps_k in (
-            (DIAG, ZERO2, pool2, 5, 0.125),
-            (SHEAR, random_potential(2, seed=3), pool2, 2, 0.25),
-            (doubling, random_potential(1, seed=4), pool1, 6, 0.125)):
+    for system, phi_k, n, eps_k in (
+            (DIAG, ZERO2, 5, 0.125),
+            (SHEAR, random_potential(2, seed=3), 2, 0.25),
+            (doubling, random_potential(1, seed=4), 6, 0.125)):
         for kind in ("amalgamated", "condensed-upper", "exhaustive-upper",
                      "free"):
-            cov = min_cover_cost(system, phi_k, kind, n, eps_k, pool=pool,
-                                 seed=0)
-            pak = packing_bound(system, phi_k, kind, n, eps_k, pool=pool,
-                                seed=0)
+            cov = min_cover_cost(system, phi_k, kind, n, eps_k, seed=0)
+            pak = packing_bound(system, phi_k, kind, n, eps_k, seed=0)
             check("packing<=cover %s" % kind,
                   pak.log_cost <= cov.log_cost + 1e-9)
 
@@ -305,18 +289,17 @@ def test_structural_property_suite(capsys):
     phi = constant_potential([0.2, -0.1])
     phi_sw = phi.permuted((2, 1))
     for kind in ("amalgamated", "condensed-upper", "free"):
-        a = estimate_pressure(DIAG, phi, kind, 3, 0.125, pool=pool2, seed=0)
-        b = estimate_pressure(swapped, phi_sw, kind, 3, 0.125, pool=pool2,
-                              seed=0)
+        a = estimate_pressure(DIAG, phi, kind, 3, 0.125, seed=0)
+        b = estimate_pressure(swapped, phi_sw, kind, 3, 0.125, seed=0)
         check("permutation equivariance",
               abs(a.upper - b.upper) <= 1e-12
               and abs(a.lower - b.lower) <= 1e-12)
 
     # repeated runs reproduce results bit for bit
     first = estimate_pressure(SHEAR, random_potential(2, seed=9),
-                              "amalgamated", 2, 0.25, pool=pool2, seed=0)
+                              "amalgamated", 2, 0.25, seed=0)
     second = estimate_pressure(SHEAR, random_potential(2, seed=9),
-                               "amalgamated", 2, 0.25, pool=pool2, seed=0)
+                               "amalgamated", 2, 0.25, seed=0)
     check("determinism", (first.lower, first.upper, first.cover_size)
           == (second.lower, second.upper, second.cover_size))
     r1 = bowen_root(parse_system("cantor:3,3"), 48, 0.125)

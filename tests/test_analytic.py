@@ -219,7 +219,7 @@ def test_radius_past_the_diameter_is_one_ball(spec, epsilon):
     }
     for kind in KINDS:
         cover = min_cover_cost(system, constant_potential(consts), kind, n,
-                               epsilon, pool=pool, rule=rule,
+                               epsilon, rule=rule,
                                engine="analytic")
         assert cover.size == 1, kind
         assert cover.log_cost == pytest.approx(expected[kind], abs=1e-12)

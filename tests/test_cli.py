@@ -134,10 +134,10 @@ epsilons = %s
 
 def test_radius_below_the_shift_grid_is_infeasible(tmp_path, capsys):
     # a ball along sigma**2 is a cylinder of 13 symbols at eps = 0.0009
-    # and of 12 at eps = 0.001, and the grid needs one symbol more: past
-    # its 10-symbol cap.  At 0.001 a 10-symbol grid gave every kind one
-    # ball per point (log 1024) with exit 0.
-    for epsilon, symbols in (("0.0009", 14), ("0.001", 13)):
+    # and of 12 at eps = 0.001, past the 10-symbol cap.  At 0.001 a
+    # 10-symbol grid gave every kind one ball per point (log 1024) with
+    # exit 0.
+    for epsilon, symbols in (("0.0009", 13), ("0.001", 12)):
         path = write_cfg(tmp_path, "fine.cfg", """system = shift:2
 potential = zero
 rule = periodic:1,2
@@ -151,6 +151,29 @@ epsilons = %s
         assert captured.err == (
             "infeasible: a shift grid at depth 1 and radius %s needs %d "
             "symbols, past the 10-symbol cap\n" % (epsilon, symbols))
+
+
+def test_non_dyadic_shift_radius_gets_the_exact_cylinder_count(tmp_path,
+                                                              capsys):
+    # at eps = 0.1 a ball is a cylinder of 4 symbols, so along
+    # sigma**2 sigma**2 sigma**2 it has 10: the cap, not past it.  Every
+    # ball is one grid point, and the condensed cover is all 2**10.
+    path = write_cfg(tmp_path, "shift.cfg", """system = shift:2
+potential = zero
+kinds = condensed-upper,amalgamated
+depths = 3
+epsilons = 0.1
+""")
+    assert main(["estimate", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "kind,n,epsilon,lower,upper,cover_size,method,seed\n"
+        "condensed-upper,3,0.1,2.0794415416798357,2.3104906018664844,1024,"
+        "GenericGrid,0\n"
+        "amalgamated,3,0.1,1.3862943611198906,1.617343421306539,128,"
+        "GenericGrid,0\n")
+    assert 2.3104906018664844 == math.log(2 ** 10) / 3
 
 
 def test_shift_words_past_the_grid_are_refused_before_any_point(
@@ -580,14 +603,14 @@ def test_json_format_wraps_rows(tmp_path, capsys):
 
 def test_out_file_and_thread_count_leave_bytes_unchanged(tmp_path):
     path = write_cfg(tmp_path, "est.cfg", ESTIMATE_CFG)
-    a, b, c = (str(tmp_path / n) for n in ("a.csv", "b.csv", "c.csv"))
-    assert main(["estimate", "--config", path, "--out", a]) == 0
-    assert main(["estimate", "--config", path, "--out", b]) == 0
-    assert main(["estimate", "--config", path, "--out", c,
+    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    assert main(["estimate", "--config", path, "--out", str(a)]) == 0
+    assert main(["estimate", "--config", path, "--out", str(b)]) == 0
+    assert main(["estimate", "--config", path, "--out", str(c),
                  "--threads", "4"]) == 0
-    blob = open(a, "rb").read()
-    assert blob == open(b, "rb").read()
-    assert blob == open(c, "rb").read()
+    blob = a.read_bytes()
+    assert blob == b.read_bytes()
+    assert blob == c.read_bytes()
 
 
 def test_console_entry_point_runs(tmp_path):

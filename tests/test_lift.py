@@ -9,15 +9,13 @@ from presslab.lift import check_lift_inequalities, lift_pressure_estimate
 from presslab.potentials import random_potential, zero_potential
 from presslab.pressure import estimate_pressure
 from presslab.systems import parse_system
-from presslab.words import WordPool
 
 DIAG = parse_system("diag:2,3|3,2")
 ZERO2 = zero_potential(2)
 
 
 def test_lift_estimate_diag_golden():
-    est = lift_pressure_estimate(DIAG, ZERO2, 9, 0.125,
-                                 pool=WordPool(2, seed=0), seed=0)
+    est = lift_pressure_estimate(DIAG, ZERO2, 9, 0.125, seed=0)
     assert est.lower == pytest.approx(math.log(12), abs=1e-9)
     assert est.upper == pytest.approx(2.792972063370198, abs=1e-9)
     assert est.method == "AnalyticBox"
@@ -28,9 +26,7 @@ def test_lift_on_single_generator_adds_nothing():
     pressure interval."""
     single = parse_system("toral:0,1,1,2")
     zero1 = zero_potential(1)
-    pool = WordPool(1, seed=0)
-    est = lift_pressure_estimate(single, zero1, 32, 0.125, pool=pool,
-                                 seed=0)
+    est = lift_pressure_estimate(single, zero1, 32, 0.125, seed=0)
     h = math.log(1.0 + math.sqrt(2.0))
     assert est.lower <= h + 0.1
     assert est.upper >= h - 0.1
@@ -38,15 +34,13 @@ def test_lift_on_single_generator_adds_nothing():
 
 def test_lift_doubling_pair_brackets_log4():
     db = parse_system("cantor:2,2|2,2")
-    est = lift_pressure_estimate(db, zero_potential(2), 8, 0.125,
-                                 pool=WordPool(2, seed=0), seed=0)
+    est = lift_pressure_estimate(db, zero_potential(2), 8, 0.125, seed=0)
     assert est.lower <= math.log(4.0) + 1e-9
     assert est.upper >= math.log(4.0) - 1e-9
 
 
 def test_sandwich_checks_on_diag():
-    rep = check_lift_inequalities(DIAG, ZERO2, 9, 0.125,
-                                  pool=WordPool(2, seed=0), seed=0)
+    rep = check_lift_inequalities(DIAG, ZERO2, 9, 0.125, seed=0)
     assert rep.all_ok
     assert len(rep.checks) == 2
     labels = [c.name for c in rep.checks]
@@ -61,12 +55,11 @@ def test_lift_past_the_enumeration_cap_needs_a_closed_form_average():
     """Past the word enumeration cap the lift keeps only exact word
     averages: the diagonal class sum answers, the shear pair's free
     average does not exist and the estimate refuses instead of sampling."""
-    est = lift_pressure_estimate(DIAG, ZERO2, 13, 0.125,
-                                 pool=WordPool(2, seed=0), seed=0)
+    est = lift_pressure_estimate(DIAG, ZERO2, 13, 0.125, seed=0)
     assert est.lower <= est.upper
     with pytest.raises(DepthTooLarge):
         lift_pressure_estimate(parse_system("toral:0,1,1,2;2,1,1,0"), ZERO2,
-                               13, 0.125, pool=WordPool(2, seed=0), seed=0)
+                               13, 0.125, seed=0)
 
 
 @pytest.mark.parametrize("spec,phi,n,epsilon", [
@@ -77,10 +70,8 @@ def test_lift_past_the_enumeration_cap_needs_a_closed_form_average():
 ])
 def test_lift_is_the_free_bracket_plus_log_m(spec, phi, n, epsilon):
     system = parse_system(spec)
-    lift = lift_pressure_estimate(system, phi, n, epsilon,
-                                  pool=WordPool(2, seed=0), seed=0)
-    free = estimate_pressure(system, phi, "free", n, epsilon,
-                             pool=WordPool(2, seed=0), seed=0)
+    lift = lift_pressure_estimate(system, phi, n, epsilon, seed=0)
+    free = estimate_pressure(system, phi, "free", n, epsilon, seed=0)
     assert lift.kind == "lift"
     assert lift.lower == math.log(2) + free.lower
     assert lift.upper == math.log(2) + free.upper

@@ -47,10 +47,6 @@ ZERO2 = zero_potential(2)
 ZERO1 = zero_potential(1)
 
 
-def pool2(seed=0):
-    return WordPool(2, seed=seed)
-
-
 def test_kind_names():
     assert KINDS == ("amalgamated", "condensed-lower", "condensed-upper",
                      "exhaustive-lower", "exhaustive-upper", "free",
@@ -68,7 +64,7 @@ def test_unknown_kind_rejected():
 def test_radius_must_be_positive_and_finite(epsilon):
     for solve in (min_cover_cost, packing_bound):
         with pytest.raises(ValueError, match="radius"):
-            solve(DIAG, ZERO2, "amalgamated", 3, epsilon, pool=pool2())
+            solve(DIAG, ZERO2, "amalgamated", 3, epsilon)
 
 
 def test_trajectory_requires_rule():
@@ -77,8 +73,7 @@ def test_trajectory_requires_rule():
 
 
 def test_diag_amalgamated_golden():
-    est = estimate_pressure(DIAG, ZERO2, "amalgamated", 9, 0.125,
-                            pool=pool2(), seed=0)
+    est = estimate_pressure(DIAG, ZERO2, "amalgamated", 9, 0.125, seed=0)
     # box counts are exact for the diagonal pair, so the packing side
     # lands on the closed-form value on the nose
     assert est.lower == pytest.approx(LOG(6), abs=1e-12)
@@ -87,7 +82,6 @@ def test_diag_amalgamated_golden():
 
 
 def test_doubling_all_kinds_table():
-    pool = WordPool(1, seed=0)
     expected = {
         "amalgamated": (LOG(16) / 3, LOG(32) / 3, "AnalyticBox"),
         "condensed-lower": (LOG(32) / 3, LOG(64) / 3, "GenericGrid"),
@@ -97,29 +91,24 @@ def test_doubling_all_kinds_table():
         "free": (LOG(32) / 3, LOG(32) / 3, "AnalyticBox"),
     }
     for kind, (lo, up, method) in expected.items():
-        est = estimate_pressure(DOUBLING, ZERO1, kind, 3, 0.125,
-                                pool=pool, seed=0)
+        est = estimate_pressure(DOUBLING, ZERO1, kind, 3, 0.125, seed=0)
         assert est.lower == pytest.approx(lo, abs=1e-9), kind
         assert est.upper == pytest.approx(up, abs=1e-9), kind
         assert est.method == method, kind
 
 
 def test_doubling_trajectory_counts():
-    pool = WordPool(1, seed=0)
     est = estimate_pressure(DOUBLING, ZERO1, "trajectory", 3, 0.125,
-                            pool=pool, seed=0, rule=constant_rule(1))
+                            seed=0, rule=constant_rule(1))
     assert est.cover_size == 32
     assert est.lower == pytest.approx(LOG(16) / 3, abs=1e-12)
     assert est.upper == pytest.approx(LOG(32) / 3, abs=1e-12)
 
 
 def test_single_map_interval_tightens():
-    pool = WordPool(1, seed=0)
     h = LOG(1.0 + math.sqrt(2.0))
-    est32 = estimate_pressure(SINGLE, ZERO1, "amalgamated", 32, 0.125,
-                              pool=pool, seed=0)
-    est96 = estimate_pressure(SINGLE, ZERO1, "amalgamated", 96, 0.125,
-                              pool=pool, seed=0)
+    est32 = estimate_pressure(SINGLE, ZERO1, "amalgamated", 32, 0.125, seed=0)
+    est96 = estimate_pressure(SINGLE, ZERO1, "amalgamated", 96, 0.125, seed=0)
     assert est32.lower == pytest.approx(0.919746936310, abs=1e-9)
     assert est32.upper == pytest.approx(0.966361151209, abs=1e-9)
     assert est96.lower == pytest.approx(0.894164703450, abs=1e-9)
@@ -131,40 +120,34 @@ def test_single_map_interval_tightens():
 def test_free_class_average_past_enumeration_cap():
     # 2^13 words exceed the enumeration cap; constant classes keep the
     # average exact instead of sampling
-    est = estimate_pressure(DIAG, ZERO2, "free", 13, 0.125, pool=pool2(),
-                            seed=0)
+    est = estimate_pressure(DIAG, ZERO2, "free", 13, 0.125, seed=0)
     assert est.note == "class-averaged word costs"
     assert est.lower <= est.upper
 
 
 def test_estimate_lower_never_exceeds_upper():
     rng = random.Random(3)
-    pool = pool2()
     for _ in range(12):
         kind = KINDS[rng.randrange(len(KINDS) - 1)]  # skip trajectory
         n = rng.randint(1, 5)
         eps = rng.choice([0.0625, 0.125, 0.25])
-        est = estimate_pressure(DIAG, ZERO2, kind, n, eps, pool=pool,
-                                seed=0)
+        est = estimate_pressure(DIAG, ZERO2, kind, n, eps, seed=0)
         assert est.lower <= est.upper + 1e-12
 
 
 def test_packing_stays_below_cover():
-    pool = pool2()
     for kind in ("amalgamated", "condensed-upper", "exhaustive-upper",
                  "free"):
-        cov = min_cover_cost(DIAG, ZERO2, kind, 4, 0.125, pool=pool, seed=0)
-        pack = packing_bound(DIAG, ZERO2, kind, 4, 0.125, pool=pool, seed=0)
+        cov = min_cover_cost(DIAG, ZERO2, kind, 4, 0.125, seed=0)
+        pack = packing_bound(DIAG, ZERO2, kind, 4, 0.125, seed=0)
         assert pack.log_cost <= cov.log_cost + 1e-9, kind
 
 
 def test_epsilon_monotonicity_of_upper():
-    pool = pool2()
     for kind in ("amalgamated", "condensed-upper", "free"):
         prev = None
         for eps in (0.05, 0.1, 0.2, 0.4):
-            est = estimate_pressure(DIAG, ZERO2, kind, 4, eps, pool=pool,
-                                    seed=0)
+            est = estimate_pressure(DIAG, ZERO2, kind, 4, eps, seed=0)
             if prev is not None:
                 assert est.upper <= prev + 1e-9, kind
             prev = est.upper
@@ -173,13 +156,12 @@ def test_epsilon_monotonicity_of_upper():
 def test_engine_selection():
     phi = random_potential(2, seed=4)
     with pytest.raises(AnalyticUnavailable):
-        min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                       seed=0, engine="analytic")
-    grid = min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                          seed=0, engine="grid")
+        min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, seed=0,
+                       engine="analytic")
+    grid = min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, seed=0,
+                          engine="grid")
     assert grid.method == "GenericGrid"
-    auto = min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                          seed=0)
+    auto = min_cover_cost(SHEAR, phi, "amalgamated", 2, 0.25, seed=0)
     assert auto.method == "GenericGrid"
     assert auto.log_cost == grid.log_cost
 
@@ -187,18 +169,15 @@ def test_engine_selection():
 def test_amalgamated_upper_below_every_pool_word_trajectory():
     """The defining minimization: no pool word may beat the amalgamated
     cover it was minimized over."""
-    pool = pool2()
     for system, phi, n, eps in (
         (DIAG, ZERO2, 4, 0.125),
         (DIAG, constant_potential([0.2, -0.1]), 4, 0.125),
         (SHEAR, ZERO2, 3, 0.25),
         (SHEAR, random_potential(2, seed=6), 2, 0.25),
     ):
-        amalg = estimate_pressure(system, phi, "amalgamated", n, eps,
-                                  pool=pool, seed=0)
-        for w in pool.words(n):
-            traj = estimate_pressure(system, phi, "trajectory", n, eps,
-                                     pool=pool, seed=0,
+        amalg = estimate_pressure(system, phi, "amalgamated", n, eps, seed=0)
+        for w in WordPool(2, seed=0).words(n):
+            traj = estimate_pressure(system, phi, "trajectory", n, eps, seed=0,
                                      rule=explicit_rule(w.symbols))
             assert amalg.upper <= traj.upper + 1e-12, (system.name,
                                                        w.symbols)
@@ -245,7 +224,6 @@ def test_chain_with_a_rule_on_the_grid():
 
 
 def test_constant_shift_identity():
-    pool = pool2()
     rng = random.Random(17)
     for _ in range(10):
         c = rng.uniform(-1.0, 1.0)
@@ -253,10 +231,8 @@ def test_constant_shift_identity():
                                    rng.uniform(-0.5, 0.5)])
         shifted = base.shifted(c)
         for kind in ("amalgamated", "condensed-upper", "free"):
-            a = estimate_pressure(DIAG, base, kind, 3, 0.125, pool=pool,
-                                  seed=0)
-            b = estimate_pressure(DIAG, shifted, kind, 3, 0.125, pool=pool,
-                                  seed=0)
+            a = estimate_pressure(DIAG, base, kind, 3, 0.125, seed=0)
+            b = estimate_pressure(DIAG, shifted, kind, 3, 0.125, seed=0)
             assert b.upper == pytest.approx(a.upper + c, abs=1e-9)
             assert b.lower == pytest.approx(a.lower + c, abs=1e-9)
 
@@ -264,10 +240,10 @@ def test_constant_shift_identity():
 def test_constant_shift_identity_on_grid():
     phi = random_potential(2, seed=2)
     shifted = phi.shifted(0.3)
-    a = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                          seed=0, engine="grid")
+    a = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, seed=0,
+                          engine="grid")
     b = estimate_pressure(SHEAR, shifted, "amalgamated", 2, 0.25,
-                          pool=pool2(), seed=0, engine="grid")
+                          seed=0, engine="grid")
     assert b.upper == pytest.approx(a.upper + 0.3, abs=1e-9)
     assert b.lower == pytest.approx(a.lower + 0.3, abs=1e-9)
 
@@ -276,22 +252,18 @@ def test_permutation_equivariance():
     swapped = parse_system("diag:3,2|2,3")
     phi = constant_potential([0.2, -0.1])
     phi_sw = phi.permuted((2, 1))
-    pool = pool2()
     for kind in ("amalgamated", "condensed-upper", "exhaustive-upper",
                  "free"):
-        a = estimate_pressure(DIAG, phi, kind, 3, 0.125, pool=pool, seed=0)
-        b = estimate_pressure(swapped, phi_sw, kind, 3, 0.125, pool=pool,
-                              seed=0)
+        a = estimate_pressure(DIAG, phi, kind, 3, 0.125, seed=0)
+        b = estimate_pressure(swapped, phi_sw, kind, 3, 0.125, seed=0)
         assert a.upper == pytest.approx(b.upper, abs=1e-12), kind
         assert a.lower == pytest.approx(b.lower, abs=1e-12), kind
 
 
 def test_determinism_per_seed():
     phi = random_potential(2, seed=5)
-    a = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                          seed=3)
-    b = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, pool=pool2(),
-                          seed=3)
+    a = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, seed=3)
+    b = estimate_pressure(SHEAR, phi, "amalgamated", 2, 0.25, seed=3)
     assert (a.lower, a.upper, a.cover_size) == (b.lower, b.upper,
                                                 b.cover_size)
 
@@ -304,7 +276,6 @@ def test_trajectory_shift_check():
 
 
 def test_lipschitz_check_property():
-    pool = pool2()
     rng = random.Random(23)
     for _ in range(8):
         phi = constant_potential([rng.uniform(-0.5, 0.5),
@@ -312,15 +283,14 @@ def test_lipschitz_check_property():
         psi = constant_potential([rng.uniform(-0.5, 0.5),
                                   rng.uniform(-0.5, 0.5)])
         check = lipschitz_check(DIAG, phi, psi, "amalgamated", 3, 0.125,
-                                pool=pool, seed=0)
+                                seed=0)
         assert check.ok
         assert abs(check.lhs) <= check.rhs + 1e-9
 
 
 def test_sweep_and_extrapolate_bracket_closed_form():
-    pool = pool2()
     ests = sweep_estimates(DIAG, ZERO2, "amalgamated", list(range(4, 13)),
-                           [0.125], pool=pool, seed=0)
+                           [0.125], seed=0)
     assert len(ests) == 9
     tail = extrapolate(ests)
     assert tail.error_bar <= 0.25
@@ -330,34 +300,34 @@ def test_sweep_and_extrapolate_bracket_closed_form():
 
 
 def test_sweep_carries_a_smaller_radius_cover_upward():
-    # the eps=0.1 grid cover of shift:2 is cheaper than the one the
-    # eps=0.125 grid finds, and its balls sit inside the larger ones
-    system = parse_system("shift:2")
-    phi = random_potential(2, seed=1, amplitude=0.25)
+    # on the Cantor pair the eps=0.15 grid cover is cheaper than the ones
+    # the eps=0.2 and eps=0.25 grids find, and its balls sit inside the
+    # larger ones, so its cost is carried to both
+    system = parse_system("cantor:2,2|2,2")
+    phi = random_potential(2, seed=2)
     rows = sweep_estimates(system, phi, "amalgamated", [2],
-                           [0.1, 0.125, 0.2, 0.25, 0.3])
+                           [0.1, 0.125, 0.15, 0.2, 0.25])
     by_eps = {row.epsilon: row for row in rows}
-    carried = by_eps[0.125]
-    assert carried.upper == by_eps[0.1].upper
-    assert abs(carried.upper - 2.0810999274) <= 1e-9
-    assert carried.note.endswith("carried cover")
-    fixed = estimate_pressure(system, phi, "amalgamated", 2, 0.125)
-    assert fixed.upper > carried.upper
-    assert abs(fixed.upper - 2.0817084370) <= 1e-9
+    assert by_eps[0.15].upper == 1.1685993835625104
+    assert not by_eps[0.15].note.endswith("carried cover")
+    for eps, own in ((0.2, 1.2823721053892931), (0.25, 1.1695329535349637)):
+        carried = by_eps[eps]
+        assert carried.upper == by_eps[0.15].upper
+        assert carried.note.endswith("carried cover")
+        fixed = estimate_pressure(system, phi, "amalgamated", 2, eps)
+        assert fixed.upper == own > carried.upper
 
 
 def test_sweep_multiple_epsilons_orders_covers():
-    pool = pool2()
     ests = sweep_estimates(DIAG, ZERO2, "amalgamated", [3, 4],
-                           [0.25, 0.125], pool=pool, seed=0)
+                           [0.25, 0.125], seed=0)
     assert len(ests) == 4
     for est in ests:
         assert est.lower <= est.upper + 1e-12
 
 
 def test_degenerate_radius_is_returned_not_rejected():
-    est = estimate_pressure(DIAG, ZERO2, "amalgamated", 3, 0.9,
-                            pool=pool2(), seed=0)
+    est = estimate_pressure(DIAG, ZERO2, "amalgamated", 3, 0.9, seed=0)
     assert est.cover_size <= 1
     assert est.lower <= est.upper
 
@@ -366,7 +336,7 @@ def test_degenerate_free_cover_needs_no_word_enumeration():
     # 2**13 words exceed the enumeration cap; the word mean of a product
     # of step weights is the n-th power of the mean step weight
     phi = constant_potential([0.25, -0.5])
-    est = estimate_pressure(DIAG, phi, "free", 13, 0.7, pool=pool2(), seed=0)
+    est = estimate_pressure(DIAG, phi, "free", 13, 0.7, seed=0)
     assert est.upper == pytest.approx(
         math.log((math.exp(0.25) + math.exp(-0.5)) / 2), abs=1e-12)
 
@@ -477,17 +447,18 @@ def test_greedy_cover_matches_reference_loop():
 
 def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(
         monkeypatch):
-    # at n = 1 the shift grid has ceil(log2(1/eps)) + 3 symbols: 10 at
-    # eps = 2**-7, the cap, and 11 just below it, which is refused before
-    # any grid point exists
-    eng = _GridEngine(shift_system(2), 1, 2.0 ** -7)
-    assert eng.shape == (2, 10) and len(eng.region) == 1024
-    assert all((d.diagonal() == 0).all() for d in eng.dist)
+    # at n = 1 the sigma**2 grid has k + 2 symbols, k the least integer
+    # with 2**-k < eps: 10 on (2**-8, 2**-7], the cap, and 11 at 2**-8
+    # and below, which is refused before any grid point exists
+    for epsilon in (2.0 ** -7, 0.99 * 2.0 ** -7):
+        eng = _GridEngine(shift_system(2), 1, epsilon)
+        assert eng.shape == (2, 10) and len(eng.region) == 1024
+        assert all((d.diagonal() == 0).all() for d in eng.dist)
 
     def no_points(*args):
         raise AssertionError("a refused grid builds no point")
 
     monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
-    for epsilon in (0.99 * 2.0 ** -7, 2.0 ** -8, 2.0 ** -10, 0.001):
+    for epsilon in (2.0 ** -8, 2.0 ** -10, 0.001):
         with pytest.raises(DepthTooLarge, match="10-symbol cap"):
             _GridEngine(shift_system(2), 1, epsilon)

@@ -1,12 +1,13 @@
 """System parsing, the zoo, the closed-form entropies, and the maps."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from presslab.errors import ParseError
+from presslab.errors import DepthTooLarge, ParseError
 from presslab.systems import closed_form_entropies, parse_system, zoo_systems
 from presslab.words import all_words, orbit
 
@@ -122,6 +123,25 @@ def test_apply_wraps_to_unit_square():
     assert x == pytest.approx(0.8, abs=1e-12)
     assert y == pytest.approx(0.7, abs=1e-12)
     assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0
+
+
+@pytest.mark.parametrize("epsilon", [2.0 ** -j for j in range(8)] + [
+    0.1, 0.3, 1 / 3, 0.7, 0.01, 0.99 * 2.0 ** -5, 1.01 * 2.0 ** -5, 1.5])
+def test_shift_grid_rank_is_the_ball_cylinder_length(epsilon):
+    # a strict eps-ball is the cylinder of the first k symbols, k the least
+    # integer with 2**-k < eps; along a depth-n word of largest step 2 the
+    # grid needs n*2 + k symbols, and past 10 it refuses
+    k = next(j for j in itertools.count() if 2.0 ** -j < epsilon)
+    for spec in ("shift:2", "shift:3"):
+        system = parse_system(spec)
+        for n in (1, 2, 3):
+            rank = 2 * n + k
+            if rank <= 10:
+                assert system.grid_shape(epsilon, n) == (
+                    system.generators[0].alphabet, rank), (spec, n)
+            else:
+                with pytest.raises(DepthTooLarge, match="needs %d " % rank):
+                    system.grid_shape(epsilon, n)
 
 
 def _reference_shift_pair_distances(a):
