@@ -7,9 +7,9 @@ Three engines, all exact up to integer rounding:
   the exact area of the union of the per-word boxes.
 * general toral: the no-wrap ball is a centrally symmetric polygon cut
   out by the prefix matrices, clipped exactly on homogeneous integer
-  vertices (X, Y, W) and handed out as Fraction points; covers tile the
-  torus with an inscribed diamond lattice, packings use the polygon area
-  at doubled radius.
+  vertices (X, Y, W); covers tile the torus with an inscribed diamond
+  lattice certified on those vertices in integers, packings use the
+  exact Fraction polygon area at doubled radius.
 * interval branch maps: cylinders of a word carry exact counts, the
   invariant core is refined to explicit blocks, and cover/packing numbers
   at a relative scale come from 1-d greedy sweeps over those blocks.
@@ -368,13 +368,12 @@ def _clip_halfplane(poly, a, b, p, q):
     return out
 
 
-def ball_polygon(system, word, epsilon):
+def _ball_vertices(system, word, epsilon):
     """No-wrap trajectory ball: displacements whose whole prefix orbit
     stays within epsilon in the sup metric.  Clips the square of half
-    side epsilon = p/q by the strips |r.x| <= p/q of every prefix row r
-    on homogeneous integer vertices, then returns (vertices, area) as
-    exact Fractions, vertices counter-clockwise; the polygon always
-    contains the origin."""
+    side epsilon = p/q by the strips |r.x| <= p/q of every prefix row r.
+    Vertices are reduced homogeneous integer triples (X, Y, W), W > 0,
+    counter-clockwise; the polygon always contains the origin."""
     e = Fraction(epsilon)
     p, q = e.numerator, e.denominator
     poly = [(p, p, q), (-p, p, q), (-p, -p, q), (p, -p, q)]
@@ -386,28 +385,33 @@ def ball_polygon(system, word, epsilon):
             if poly:
                 poly = _clip_halfplane(poly, -a, -b, p, q)
             if not poly:
-                return [], Fraction(0)
-    poly = [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
-    area = Fraction(0)
-    k = len(poly)
-    for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        area += x1 * y2 - x2 * y1
+                return []
+    return poly
+
+
+def ball_polygon(system, word, epsilon):
+    """The `_ball_vertices` polygon and its area, as exact Fractions."""
+    poly = [(Fraction(x, w), Fraction(y, w))
+            for x, y, w in _ball_vertices(system, word, epsilon)]
+    area = sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                in zip(poly, poly[1:] + poly[:1])), Fraction(0))
     return poly, abs(area) / 2
 
 
 def _in_polygon(poly, pt):
-    """Exact membership of a rational point in a convex polygon listed
-    counter-clockwise, as `ball_polygon` returns it."""
-    x, y = pt
-    return all((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0
-               for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
+    """Exact membership of a point in a convex polygon listed
+    counter-clockwise, all homogeneous triples with W > 0 as
+    `_ball_vertices` returns them: the determinant of an edge's ends and
+    the point is W1*W2*W times their cross product, so it has its sign."""
+    x, y, w = pt
+    return all(x1 * (y2 * w - w2 * y) - y1 * (x2 * w - w2 * x)
+               + w1 * (x2 * y - y2 * x) >= 0 for (x1, y1, w1), (x2, y2, w2)
+               in zip(poly, poly[1:] + poly[:1]))
 
 
-def _round_frac(f):
-    """Nearest integer to a Fraction, floor(f + 1/2): halves round up."""
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
+def _round_div(a, b):
+    """Nearest integer to a/b, floor(a/b + 1/2): halves round up."""
+    return (2 * a + b) // (2 * b)
 
 
 def polygon_cover_count(system, word, epsilon):
@@ -419,40 +423,38 @@ def polygon_cover_count(system, word, epsilon):
     the inverse of the best inscribed diamond's edge matrix; the cell
     corners are certified inside the exact ball polygon, hence each cell
     sits inside the ball of its own lattice point and |det W| balls
-    cover."""
-    poly, area = ball_polygon(system, word, epsilon)
-    if area <= 0:
+    cover.  All in integers, on the homogeneous vertices."""
+    poly = _ball_vertices(system, word, epsilon)
+    # the first vertex pair of largest |det(p, q)| = |N| / (Wp Wq); as the
+    # polygon holds the origin, all N are 0 only when its area is
+    best = (0, 1, None, None)
+    for i, (x1, y1, w1) in enumerate(poly):
+        for x2, y2, w2 in poly[i + 1:]:
+            num = x1 * y2 - y1 * x2
+            if abs(num) * best[1] > abs(best[0]) * w1 * w2:
+                best = (num, w1 * w2, poly[i], (x2, y2, w2))
+    num, _, p, q = best
+    if num == 0:
         raise AnalyticUnavailable("ball polygon degenerate at this depth")
-    best = None
-    k = len(poly)
-    for i in range(k):
-        for j in range(i + 1, k):
-            det = poly[i][0] * poly[j][1] - poly[i][1] * poly[j][0]
-            if best is None or abs(det) > abs(best[0]):
-                best = (det, poly[i], poly[j])
-    if best is None or best[0] == 0:
-        raise AnalyticUnavailable("no spanning vertex pair")
-    _, p, q = best
-    for shrink in (Fraction(97, 100), Fraction(9, 10), Fraction(3, 4),
-                   Fraction(1, 2)):
-        u = ((p[0] + q[0]) * shrink, (p[1] + q[1]) * shrink)
-        v = ((p[0] - q[0]) * shrink, (p[1] - q[1]) * shrink)
-        det = u[0] * v[1] - u[1] * v[0]
-        if det == 0:
-            continue
-        wa = _round_frac(v[1] / det)
-        wb = _round_frac(-v[0] / det)
-        wc = _round_frac(-u[1] / det)
-        wd = _round_frac(u[0] / det)
+    (xp, yp, wp), (xq, yq, wq) = p, q
+    # diamond edges u, v = (p + q) s, (p - q) s at shrink s = a/b have
+    # det(u, v) = -2 s^2 N / (Wp Wq); W is (u v)^-1 rounded entrywise
+    ux, uy = xp * wq + xq * wp, yp * wq + yq * wp
+    vx, vy = xp * wq - xq * wp, yp * wq - yq * wp
+    for a, b in ((97, 100), (9, 10), (3, 4), (1, 2)):
+        den = 2 * a * num
+        wa = _round_div(-vy * b, den)
+        wb = _round_div(vx * b, den)
+        wc = _round_div(uy * b, den)
+        wd = _round_div(-ux * b, den)
         dw = wa * wd - wb * wc
         if dw == 0:
             continue
-        cu = (Fraction(wd, dw), Fraction(-wc, dw))
-        cv = (Fraction(-wb, dw), Fraction(wa, dw))
-        corners = (((cu[0] + cv[0]) / 2, (cu[1] + cv[1]) / 2),
-                   ((cu[0] - cv[0]) / 2, (cu[1] - cv[1]) / 2))
-        # corners span the centered fundamental cell; the other two are
-        # their mirror images and the polygon is symmetric
+        # corners (cu +- cv)/2 of the centered fundamental cell, cu and cv
+        # the columns of W^-1, up to a sign, over the weight 2|dw|; the
+        # other two are their mirror images and the polygon is symmetric
+        corners = ((wd - wb, wa - wc, 2 * abs(dw)),
+                   (wd + wb, -wa - wc, 2 * abs(dw)))
         if all(_in_polygon(poly, c) for c in corners):
             return abs(dw)
     raise AnalyticUnavailable("could not certify a lattice tiling")

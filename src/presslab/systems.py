@@ -5,36 +5,19 @@ Three domain families are supported: integer-matrix endomorphisms of the
 [0,1], and full shifts acted on by powers of the shift map.  A system is
 a tuple of generator maps plus the metric of its domain; everything else
 in the package (ball geometry, cover costs, pressure estimates) is built
-on top of the `apply` / `distance` pair defined here.  The grid engine
-uses that pair too: `grid_points` is its finite universe and
-`grid_metrics` its word metrics.  On intervals those are distances of
-orbit points.  Torus and shift generators are endomorphisms of the
-grid's finite digit group (the g x g lattice, and length-L words with
-zero padding), so the word distance of two grid points depends on their
-difference alone, and both read one integer difference table.
+on top of the `apply` / `distance` pair defined here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .errors import DepthTooLarge, ParseError
-from .words import orbit
+from .errors import ParseError
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
 SHIFT = "full-shift"
-
-# caps of grid_points: torus lattice side and interval cells, to which a
-# finer radius is rounded up, and shift length, past which a word is refused
-GRID_MAX_TORUS = 40
-GRID_MAX_LINE = 1024
-GRID_MAX_SHIFT_LENGTH = 10
 
 
 def circle_dist(a, b):
@@ -261,90 +244,6 @@ class SemigroupSystem:
             if a != b:
                 return 2.0 ** (-i)
         return 2.0 ** (-min(len(p), len(q)))
-
-    def grid_shape(self, epsilon, n):
-        """(base, rank) of the depth-n grid at radius epsilon: its points
-        are the base**rank digit tuples, in `itertools.product` order.
-
-        A shift ball of radius epsilon along a word of total step S is
-        the cylinder of its first k + S symbols, with k the least integer
-        such that 2**-k < epsilon.  The shift rank n*max(step) + k holds
-        every such cylinder of a depth-n word, with 2**-rank <= epsilon/2
-        for n >= 1; a rank past GRID_MAX_SHIFT_LENGTH is refused."""
-        if self.is_toral:
-            return max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon))), 2
-        if self.is_interval:
-            return max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon))) + 1, 1
-        step = max(gen.step for gen in self.generators)
-        # the least k with 2**k > 1/epsilon, exact on the float's rational
-        rank = n * step + math.floor(1 / Fraction(epsilon)).bit_length()
-        if rank > GRID_MAX_SHIFT_LENGTH:
-            raise DepthTooLarge(
-                "a shift grid at depth %d and radius %r needs %d symbols, "
-                "past the %d-symbol cap" % (n, epsilon, rank,
-                                            GRID_MAX_SHIFT_LENGTH))
-        return self.generators[0].alphabet, rank
-
-    def grid_points(self, base, rank):
-        """Digit i is i/base on the torus, i/(base - 1) on intervals and
-        symbol i on the shift."""
-        if self.is_interval:
-            return [i / (base - 1) for i in range(base)]
-        digits = [i / base for i in range(base)] if self.is_toral \
-            else range(base)
-        return list(itertools.product(digits, repeat=rank))
-
-    def grid_metrics(self, points, words, base, rank):
-        """The region of a grid (its points whose orbit is defined along
-        every word) and one float32 region x region word metric per word:
-        the largest step distance along the two orbits.  Torus and shift
-        maps are endomorphisms of the digit group, so d_w(p, q) =
-        D_w(p - q): each word runs the base**rank differences through its
-        steps in integers, and D_w is the running max of their norm."""
-        if self.is_interval:
-            orbits = [[orbit(self, x, word) for x in points] for word in words]
-            alive = [i for i in range(len(points))
-                     if all(o[i] is not None for o in orbits)]
-            dist = []
-            for paths in orbits:
-                d = np.zeros((len(alive), len(alive)))
-                for step in zip(*(paths[i] for i in alive)):
-                    gap = np.abs(np.subtract.outer(step, step))
-                    if self.wrap:
-                        gap = np.minimum(gap, 1.0 - gap)
-                    np.maximum(d, gap, out=d)
-                dist.append(d.astype(np.float32))
-            return [points[i] for i in alive], dist
-        # a difference's norm: the max of sizes[c, digit c] over digits c
-        v = np.arange(base)
-        if self.is_toral:
-            # entries reduced mod base first: exact, and no int64 overflow
-            mats = [np.array(gen.matrix) % base for gen in self.generators]
-            sizes = np.tile(np.minimum(v, base - v) / base, (rank, 1))
-        else:
-            # sigma^s moves digit i + s to i, padding zeros; 2**-j at the
-            # first nonzero digit j, 0 at none
-            mats = [np.eye(rank, k=gen.step, dtype=int)
-                    for gen in self.generators]
-            sizes = np.outer(np.ldexp(1.0, -np.arange(rank)), v > 0)
-        # idx[p, q]: the index of the digit-wise difference p - q, built
-        # one digit at a time, as point p*base + a is p with a appended
-        step = np.subtract.outer(v, v) % base
-        idx = np.zeros((1, 1), dtype=np.intp)
-        for _ in range(rank):
-            idx = (idx[:, None, :, None] * base + step[:, None]).reshape(
-                len(idx) * base, -1)
-        rows = np.arange(rank)[:, None]
-        diffs = np.indices((base,) * rank).reshape(rank, -1)
-        dist = []
-        for word in words:
-            diff = diffs
-            d_w = sizes[rows, diff].max(axis=0)
-            for j in word:
-                diff = mats[j - 1] @ diff % base
-                np.maximum(d_w, sizes[rows, diff].max(axis=0), out=d_w)
-            dist.append(d_w.astype(np.float32)[idx])
-        return points, dist
 
 
 def toral_system(matrices, name=""):

@@ -183,14 +183,13 @@ def test_shift_words_past_the_grid_are_refused_before_any_point(
     exits 3 from the grid's shape, where a truncated grid printed
     [1.7329, 1.7329] against an exact cover rate of log(2**11)/4 =
     1.9062."""
-    import presslab.pressure as pressure
-    from presslab.systems import SemigroupSystem
+    import presslab.grid as grid
 
-    def no_points(self, base, rank):
+    def no_points(system, base, rank):
         raise AssertionError("grid points were built for a refused shape")
 
-    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
-    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(grid, "grid_points", no_points)
+    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
     path = write_cfg(tmp_path, "deep.cfg", """system = shift:2
 potential = zero
 kinds = condensed-upper
@@ -637,13 +636,13 @@ def test_estimate_refuses_past_the_grid_budget_before_any_grid(
         tmp_path, monkeypatch, capsys):
     """The n=9 grid needs 512 x 1600^2 pair entries: the request exits 3
     before the n=2 and n=5 grids are built."""
-    import presslab.pressure as pressure
+    import presslab.grid as grid
 
     def no_metrics(self):
         raise AssertionError("a grid was built before the budget check")
 
-    monkeypatch.setattr(pressure._GridEngine, "_build_metrics", no_metrics)
-    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(grid._GridEngine, "_build_metrics", no_metrics)
+    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
     path = write_cfg(tmp_path, "budget.cfg", BUDGET_CFG)
     assert main(["estimate", "--config", path]) == 3
     assert "512 x 1600^2 pair entries" in capsys.readouterr().err
@@ -653,14 +652,13 @@ def test_estimate_sizes_the_grid_before_building_its_points(
         tmp_path, monkeypatch, capsys):
     """shift:5 at n=3, eps=1/8 has 5**10 grid points: the budget is read
     from the grid's shape, so the request exits 3 before one exists."""
-    import presslab.pressure as pressure
-    from presslab.systems import SemigroupSystem
+    import presslab.grid as grid
 
-    def no_points(self, base, rank):
+    def no_points(system, base, rank):
         raise AssertionError("grid points were built before the budget check")
 
-    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
-    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(grid, "grid_points", no_points)
+    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
     path = write_cfg(tmp_path, "shift5.cfg", """system = shift:5
 potential = zero
 kinds = amalgamated
@@ -686,13 +684,13 @@ def test_verify_refuses_bad_check_inputs_before_any_grid(
         tmp_path, monkeypatch, capsys, checks, key, err):
     """The shear pair's lipschitz and shift checks build grids: a bad
     `system_b` or `measure` exits 4 before the first of them."""
-    import presslab.pressure as pressure
+    import presslab.grid as grid
 
     def no_metrics(self):
         raise AssertionError("a grid was built before the inputs parsed")
 
-    monkeypatch.setattr(pressure._GridEngine, "_build_metrics", no_metrics)
-    monkeypatch.setattr(pressure, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(grid._GridEngine, "_build_metrics", no_metrics)
+    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
     path = write_cfg(tmp_path, "ver.cfg", """system = toral:0,1,1,2;2,1,1,0
 potential = random:1,0.25
 checks = %s

@@ -4,11 +4,14 @@ from the package stay deleted."""
 import argparse
 import dataclasses
 import inspect
+import pathlib
+import re
 
 import presslab
 import presslab.cli
 import presslab.dimension
 import presslab.errors
+import presslab.grid
 import presslab.lift
 import presslab.localent
 import presslab.pressure
@@ -61,3 +64,20 @@ def test_unread_knobs_and_fields_are_gone():
             (presslab.localent.MarginalBoundReport, "h_product")):
         assert field not in [f.name for f in dataclasses.fields(record)]
     assert not hasattr(presslab.dimension.ExpansionField, "log_lambda")
+
+
+def test_numpy_is_imported_by_the_grid_module_alone():
+    """Closed-form requests never load numpy: the grid engine is its one
+    user, and `pressure` names only the `_GridEngine` alias from it."""
+    package = pathlib.Path(presslab.__file__).parent
+    importers = {path.name for path in package.glob("*.py")
+                 if re.search(r"^\s*(import|from) numpy\b",
+                              path.read_text(encoding="utf-8"), re.M)}
+    assert importers == {"grid.py"}
+    assert presslab.pressure._GridEngine is presslab.grid._GridEngine
+    for name in ("_grid_engine", "_grid_engine_for", "_ENGINE_CACHE",
+                 "GRID_BUDGET", "np"):
+        assert not hasattr(presslab.pressure, name), name
+    for name in ("grid_shape", "grid_points", "grid_metrics"):
+        assert not hasattr(presslab.systems.SemigroupSystem, name), name
+    assert not hasattr(presslab.systems, "GRID_MAX_TORUS")

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from presslab import grid
 from presslab.analytic import log_sum_exp
 from presslab.errors import AnalyticUnavailable, DepthTooLarge
+from presslab.grid import _grid_engine, _GridEngine
 from presslab.potentials import (
     constant_potential,
     coordinate_potential,
@@ -16,8 +18,6 @@ from presslab.potentials import (
 )
 from presslab.pressure import (
     KINDS,
-    _grid_engine,
-    _GridEngine,
     estimate_pressure,
     extrapolate,
     lipschitz_check,
@@ -27,7 +27,7 @@ from presslab.pressure import (
     trajectory_shift_check,
     verify_inequality_chain,
 )
-from presslab.systems import SemigroupSystem, parse_system, shift_system
+from presslab.systems import parse_system, shift_system
 from presslab.words import (
     WordPool,
     consecutive_sum,
@@ -458,7 +458,7 @@ def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(
     def no_points(*args):
         raise AssertionError("a refused grid builds no point")
 
-    monkeypatch.setattr(SemigroupSystem, "grid_points", no_points)
+    monkeypatch.setattr(grid, "grid_points", no_points)
     for epsilon in (2.0 ** -8, 2.0 ** -10, 0.001):
         with pytest.raises(DepthTooLarge, match="10-symbol cap"):
             _GridEngine(shift_system(2), 1, epsilon)

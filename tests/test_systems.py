@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from presslab.errors import DepthTooLarge, ParseError
+from presslab.grid import grid_metrics, grid_points, grid_shape
 from presslab.systems import closed_form_entropies, parse_system, zoo_systems
 from presslab.words import all_words, orbit
 
@@ -137,11 +138,11 @@ def test_shift_grid_rank_is_the_ball_cylinder_length(epsilon):
         for n in (1, 2, 3):
             rank = 2 * n + k
             if rank <= 10:
-                assert system.grid_shape(epsilon, n) == (
+                assert grid_shape(system, epsilon, n) == (
                     system.generators[0].alphabet, rank), (spec, n)
             else:
                 with pytest.raises(DepthTooLarge, match="needs %d " % rank):
-                    system.grid_shape(epsilon, n)
+                    grid_shape(system, epsilon, n)
 
 
 def _reference_shift_pair_distances(a):
@@ -165,10 +166,10 @@ def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
     # the digit-difference stencil gives the dense P x P orbit metric bit
     # for bit, on 4- to 10-symbol grids; every grid point is 0 from itself
     system = parse_system(spec)
-    shape = system.grid_shape(epsilon, n)
-    points = system.grid_points(*shape)
+    shape = grid_shape(system, epsilon, n)
+    points = grid_points(system, *shape)
     words = list(all_words(system.m, n))
-    region, dist = system.grid_metrics(points, words, *shape)
+    region, dist = grid_metrics(system, points, words, *shape)
     assert region == points
     for word, d in zip(words, dist):
         want = np.zeros((len(points), len(points)))
