@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from presslab import grid
 from presslab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -34,3 +35,34 @@ def test_json_output_is_byte_identical(case, tmp_path):
     assert main([command, "--config", str(GOLDEN / (case + ".cfg")),
                  "--format", "json", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / (case + ".json")).read_bytes()
+
+
+# (calls, candidate atoms, picked atoms) of the cover greedy per grid case
+GREEDY_COUNTS = {
+    "estimate-torus-grid": (13, 5120, 1078),
+    "estimate-shift-grid": (13, 10240, 2944),
+    "estimate-shift3-grid": (16, 9396, 3348),
+    "estimate-cantor-grid": (13, 1600, 1040),
+}
+
+
+@pytest.mark.parametrize("case", list(GREEDY_COUNTS))
+def test_cover_greedy_counts_are_unchanged(case, tmp_path, monkeypatch):
+    # the greedy sees the same atoms and picks as many as the dense-mask
+    # greedy did, so per-layer counters stay comparable across versions
+    counts = [0, 0, 0]
+    greedy = grid._GridEngine._greedy_cover_matrix
+
+    def counted(self, balls, lw):
+        log_cost, picked = greedy(self, balls, lw)
+        counts[0] += 1
+        counts[1] += len(balls)
+        counts[2] += len(picked)
+        return log_cost, picked
+
+    monkeypatch.setattr(grid._GridEngine, "_greedy_cover_matrix", counted)
+    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    assert main(["estimate", "--config", str(GOLDEN / (case + ".cfg")),
+                 "--format", "json", "--out",
+                 str(tmp_path / "out.json")]) == 0
+    assert tuple(counts) == GREEDY_COUNTS[case]

@@ -354,28 +354,52 @@ def test_grid_weights_are_consecutive_sums_at_region_points():
             assert s[w, i] == consecutive_sum(system, phi, x, word)
 
 
-@pytest.mark.parametrize("spec", ["toral:0,1,1,2;2,1,1,0", "diag:2,3|3,2",
-                                  "toral:3,-1,2,5;1,2,-1,3", "cantor:2,2",
-                                  "cantor:3,3", "shift:2"])
+# (depth, radius) per system: coarse grids, and one finer grid per
+# family: the non-dyadic 20 x 20 torus lattice, 41 interval points, a
+# 7-symbol shift:2 grid and a 5-symbol shift:3 grid
+BALL_CASES = {
+    "toral:0,1,1,2;2,1,1,0": ((2, 0.5), (1, 0.2)),
+    "diag:2,3|3,2": ((2, 0.5),),
+    "toral:3,-1,2,5;1,2,-1,3": ((2, 0.5),),
+    "cantor:2,2": ((2, 0.5), (2, 0.2)),
+    "cantor:3,3": ((2, 0.5), (2, 0.2)),
+    "shift:2": ((2, 0.5), (2, 0.2)),
+    "shift:3": ((1, 0.5), (1, 0.2)),
+}
+
+
+@pytest.mark.parametrize("spec", list(BALL_CASES))
 def test_grid_metric_is_the_word_distance(spec):
-    # the grid metric is the library's own orbit distance: every region
-    # pair of a coarse grid, and 20 rows of a finer one (the non-dyadic
-    # 20 x 20 torus lattice), diagonal included
+    # every ball the engine builds is the set of region points within the
+    # radius in the library's own orbit distance, taken point by point:
+    # for each word, for the largest and the smallest word distance, and
+    # for all words' balls at once, at radii eps and 2 eps.  The grid
+    # metric is float32, as float64 orbits round: on the 20 x 20 torus
+    # a distance of exactly 0.2 comes out as 0.19999999999999996
     system = parse_system(spec)
-    for epsilon, rows in ((0.5, None), (0.2, 20)):
-        eng = _GridEngine(system, 2, epsilon)
-        npts = len(eng.region)
+    for n, epsilon in BALL_CASES[spec]:
+        eng = _GridEngine(system, n, epsilon)
         if not system.is_interval:
             assert eng.region == eng.points
-        picked = range(npts) if rows is None else \
-            np.random.default_rng(3).choice(npts, rows, replace=False)
-        for w, word in enumerate(eng.words):
-            for p in picked:
-                x = eng.region[p]
-                for q, y in enumerate(eng.region):
-                    want = dn_distance(system, x, y, word)
-                    assert eng.dist[w][p, q] == np.float32(want), \
-                        (word, x, y)
+        dist = np.array([[[dn_distance(system, x, y, word)
+                           for y in eng.region] for x in eng.region]
+                          for word in eng.words], dtype=np.float32)
+        metrics = [*enumerate(dist), ("max", dist.max(axis=0)),
+                   ("min", dist.min(axis=0))]
+        for r in (epsilon, 2.0 * epsilon):
+            for which, d in metrics:
+                balls = eng.balls(which, r)
+                assert len(balls) == len(eng.region)
+                for p, row in enumerate(d):
+                    got = balls.members[balls.indptr[p]:balls.indptr[p + 1]]
+                    assert got.tolist() == np.flatnonzero(row < r).tolist(), \
+                        (n, epsilon, r, which, eng.region[p])
+            every = eng.balls("all", r)
+            parts = [eng.balls(w, r) for w in range(len(eng.words))]
+            assert np.array_equal(every.members, np.concatenate(
+                [b.members for b in parts]))
+            assert np.array_equal(np.diff(every.indptr), np.concatenate(
+                [np.diff(b.indptr) for b in parts]))
 
 
 def test_grid_engine_cache_is_keyed_by_system_value():
@@ -387,15 +411,39 @@ def test_grid_engine_cache_is_keyed_by_system_value():
     assert _grid_engine(a, 2, 0.25) is not _grid_engine(a, 2, 0.125)
 
 
-def test_toral_engine_holds_one_metric_matrix_per_word():
-    # toral regions are the whole grid, so the engine keeps no second,
-    # region-restricted copy of the P x P word metrics
-    eng = _GridEngine(SHEAR, 2, 0.25)
-    held = [a for v in vars(eng).values()
-            for a in (v if isinstance(v, list) else [v])
-            if isinstance(a, np.ndarray) and a.dtype == np.float32]
+def _held_arrays(obj, seen):
+    """Every numpy array an engine holds, through its caches."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _held_arrays(key, seen)
+            yield from _held_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif isinstance(obj, (_GridEngine, grid._Balls)):
+        yield from _held_arrays(vars(obj), seen)
+
+
+def test_toral_engine_holds_no_pair_matrix():
+    # after every kind's cover and packing, a torus engine holds one
+    # float32 difference table per word and sparse balls, and no array
+    # of P x P entries or more
+    phi = random_potential(2, seed=6)
+    for kind in KINDS:
+        estimate_pressure(SHEAR, phi, kind, 3, 0.125, seed=0,
+                          rule=periodic_rule((1, 2)), engine="grid")
+    eng = _grid_engine(SHEAR, 3, 0.125)
+    assert eng._balls and eng._word_covers and eng._phi_cache
     npts = len(eng.points)
-    assert sum(a.nbytes for a in held) == len(eng.words) * npts * npts * 4
+    held = list(_held_arrays(eng, set()))
+    assert max(a.size for a in held) < npts * npts
+    assert sum(a.nbytes for a in held if a.dtype == np.float32) \
+        == len(eng.words) * npts * 4
 
 
 def _reference_greedy_cover(masks, lw, need):
@@ -430,18 +478,27 @@ def _reference_greedy_cover(masks, lw, need):
 
 
 def test_greedy_cover_matches_reference_loop():
-    # coarse weights force ties, sparse masks reach the one-point tail
+    # coarse weights force ties, sparse masks reach the one-point tail;
+    # weights nudged inside the 1e-12 score window and duplicate balls
+    # leave the pick to the rounded weight, the ball order and the index
     rng = np.random.default_rng(5)
-    for trial in range(60):
+    for trial in range(240):
         atoms, points = rng.integers(1, 40), rng.integers(1, 30)
         masks = rng.random((atoms, points)) < rng.choice([0.05, 0.2, 0.5])
         lw = rng.integers(-3, 3, atoms) / 2.0
+        if trial % 3 == 1:
+            copies = rng.integers(0, atoms, rng.integers(1, atoms + 1))
+            masks = np.concatenate([masks, masks[copies]])
+            lw = np.concatenate([lw, lw[copies]])
         # one singleton atom per point, as every grid point is the centre
         # of a ball holding it, so every point can be covered
         masks = np.concatenate([masks, np.eye(points, dtype=bool)])
         lw = np.concatenate([lw, rng.integers(-3, 3, points) / 2.0])
+        if trial % 4 >= 2:
+            lw = lw + rng.choice([0.0, 1e-13, 5e-13], len(lw))
         need = np.ones(points, dtype=bool)
-        got = _GridEngine._greedy_cover_matrix(None, masks, lw)
+        got = _GridEngine._greedy_cover_matrix(
+            None, grid._Balls.from_mask(masks), lw)
         assert got == _reference_greedy_cover(masks, lw, need), trial
 
 
@@ -453,7 +510,9 @@ def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(
     for epsilon in (2.0 ** -7, 0.99 * 2.0 ** -7):
         eng = _GridEngine(shift_system(2), 1, epsilon)
         assert eng.shape == (2, 10) and len(eng.region) == 1024
-        assert all((d.diagonal() == 0).all() for d in eng.dist)
+        # the all-zero difference, first in point order: each point is 0
+        # from itself, so it lies in its own ball
+        assert all(t[0] == 0 for t in eng.tables)
 
     def no_points(*args):
         raise AssertionError("a refused grid builds no point")

@@ -163,18 +163,24 @@ def _reference_shift_pair_distances(a):
        ("shift:2", 3, 2.0 ** -3)] + [
     ("shift:3", 1, 0.5), ("shift:3", 1, 0.125), ("shift:3", 2, 0.5)])
 def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
-    # the digit-difference stencil gives the dense P x P orbit metric bit
-    # for bit, on 4- to 10-symbol grids; every grid point is 0 from itself
+    # the digit-difference table, read at the index of p - q, gives the
+    # dense P x P orbit metric bit for bit, on 4- to 10-symbol grids;
+    # every grid point is 0 from itself
     system = parse_system(spec)
-    shape = grid_shape(system, epsilon, n)
+    base, rank = shape = grid_shape(system, epsilon, n)
     points = grid_points(system, *shape)
     words = list(all_words(system.m, n))
-    region, dist = grid_metrics(system, points, words, *shape)
+    region, tables = grid_metrics(system, points, words, *shape)
     assert region == points
-    for word, d in zip(words, dist):
+    digits = np.array(points)
+    diff = np.zeros((len(points), len(points)), dtype=int)
+    for c in range(rank):
+        diff = diff * base + np.subtract.outer(digits[:, c], digits[:, c]) \
+            % base
+    for word, table in zip(words, tables):
         want = np.zeros((len(points), len(points)))
         for step in zip(*(orbit(system, x, word) for x in points)):
             np.maximum(want, _reference_shift_pair_distances(step), out=want)
         np.fill_diagonal(want, 0.0)
-        assert d.dtype == np.float32
-        assert np.array_equal(d, want.astype(np.float32)), word
+        assert table.dtype == np.float32 and table.shape == (len(points),)
+        assert np.array_equal(table[diff], want.astype(np.float32)), word
