@@ -11,8 +11,9 @@ Three engines, all exact up to integer rounding:
   lattice certified on those vertices in integers, packings use the
   exact Fraction polygon area at doubled radius.
 * interval branch maps: cylinders of a word carry exact counts, the
-  invariant core is refined to explicit blocks, and cover/packing numbers
-  at a relative scale come from 1-d greedy sweeps over those blocks.
+  invariant core is refined to explicit blocks in one pass that builds
+  each depth once, and cover/packing numbers at a relative scale come
+  from 1-d greedy sweeps over the levels of that pass.
 
 Each cover engine reduces a word to its (log cost, ball count) and hands
 that to one helper, `_word_kinds`, which turns it into the trajectory
@@ -38,6 +39,7 @@ contained in the true ball.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -371,21 +373,18 @@ def _clip_halfplane(poly, a, b, p, q):
 def _ball_vertices(system, word, epsilon):
     """No-wrap trajectory ball: displacements whose whole prefix orbit
     stays within epsilon in the sup metric.  Clips the square of half
-    side epsilon = p/q by the strips |r.x| <= p/q of every prefix row r.
-    Vertices are reduced homogeneous integer triples (X, Y, W), W > 0,
-    counter-clockwise; the polygon always contains the origin."""
+    side epsilon = p/q > 0 by the strips |r.x| <= p/q of every prefix
+    row r.  Vertices are reduced homogeneous integer triples (X, Y, W),
+    W > 0, counter-clockwise.  No row is zero, as generators of det 0 are
+    rejected; the square and every strip hold a neighbourhood of the
+    origin, so the polygon always keeps one and has an interior."""
     e = Fraction(epsilon)
     p, q = e.numerator, e.denominator
     poly = [(p, p, q), (-p, p, q), (-p, -p, q), (p, -p, q)]
     for mat in prefix_matrices(system, word):
         for a, b in mat:
-            if a == 0 and b == 0:
-                continue
             poly = _clip_halfplane(poly, a, b, p, q)
-            if poly:
-                poly = _clip_halfplane(poly, -a, -b, p, q)
-            if not poly:
-                return []
+            poly = _clip_halfplane(poly, -a, -b, p, q)
     return poly
 
 
@@ -425,18 +424,16 @@ def polygon_cover_count(system, word, epsilon):
     sits inside the ball of its own lattice point and |det W| balls
     cover.  All in integers, on the homogeneous vertices."""
     poly = _ball_vertices(system, word, epsilon)
-    # the first vertex pair of largest |det(p, q)| = |N| / (Wp Wq); as the
-    # polygon holds the origin, all N are 0 only when its area is
+    # the first vertex pair of largest |det(p, q)| = |N| / (Wp Wq); the
+    # polygon has an interior, so two of its vertices are independent
+    # and N != 0
     best = (0, 1, None, None)
     for i, (x1, y1, w1) in enumerate(poly):
         for x2, y2, w2 in poly[i + 1:]:
             num = x1 * y2 - y1 * x2
             if abs(num) * best[1] > abs(best[0]) * w1 * w2:
                 best = (num, w1 * w2, poly[i], (x2, y2, w2))
-    num, _, p, q = best
-    if num == 0:
-        raise AnalyticUnavailable("ball polygon degenerate at this depth")
-    (xp, yp, wp), (xq, yq, wq) = p, q
+    num, _, (xp, yp, wp), (xq, yq, wq) = best
     # diamond edges u, v = (p + q) s, (p - q) s at shrink s = a/b have
     # det(u, v) = -2 s^2 N / (Wp Wq); W is (u v)^-1 rounded entrywise
     ux, uy = xp * wq + xq * wp, yp * wq + yq * wp
@@ -463,15 +460,15 @@ def polygon_cover_count(system, word, epsilon):
 def polygon_packing_count(system, words, epsilon, lipschitz):
     """Volume-bound packing count at separation 2 eps: a maximal packing
     separated along every word covers the torus with unions of the
-    words' 2 eps balls, whose area is at most the summed areas."""
+    words' 2 eps balls, whose area is at most the summed areas.  Every
+    word polygon has an interior (`_ball_vertices`), so the sum is
+    positive."""
     rho = 2.0 * epsilon
     count = _packing_guard(rho, lipschitz)
     if count is not None:
         return count
     total = sum(ball_polygon(system, word, rho)[1] for word in words)
-    if total <= 0:
-        raise AnalyticUnavailable("packing polygons degenerate")
-    return max(frac_ceil(1 / total), 1)
+    return frac_ceil(1 / total)
 
 
 def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
@@ -527,12 +524,14 @@ def _interval_weight_table(system, phi):
     return table
 
 
-def joint_core_blocks(system, depth):
-    """Intervals of the depth-`depth` refinement of the set of points
+def _core_levels(system):
+    """Blocks of the depth-1, 2, ... refinements of the set of points
     whose orbits along all words of that length stay inside the branch
-    domains."""
+    domains, each level built once from the one before.  The pass ends
+    at CORE_DEPTH_CAP, after the first empty level, or after the first
+    level past CORE_BLOCK_CAP blocks."""
     blocks = [(0.0, 1.0)]
-    for _ in range(depth):
+    for _ in range(CORE_DEPTH_CAP):
         per_gen = []
         for gen in system.generators:
             pulled = []
@@ -545,15 +544,12 @@ def joint_core_blocks(system, depth):
                         pulled.append((a, b))
             pulled.sort()
             per_gen.append(pulled)
-        new = per_gen[0]
+        blocks = per_gen[0]
         for pulled in per_gen[1:]:
-            new = _intersect_interval_lists(new, pulled)
-        if not new:
-            return []
-        blocks = new
-        if len(blocks) > CORE_BLOCK_CAP:
-            break
-    return blocks
+            blocks = _intersect_interval_lists(blocks, pulled)
+        yield blocks
+        if not blocks or len(blocks) > CORE_BLOCK_CAP:
+            return
 
 
 def _intersect_interval_lists(xs, ys):
@@ -573,9 +569,9 @@ def _intersect_interval_lists(xs, ys):
 
 def interval_cover_number(blocks, scale):
     """Minimal number of length-`scale` intervals covering the union of
-    blocks (greedy left-to-right sweep, exact in one dimension)."""
-    if not blocks:
-        return 1
+    nonempty blocks (greedy left-to-right sweep, exact in one
+    dimension).  Every block is wider than the 1e-15 slack, so the first
+    one always counts."""
     count = 0
     i = 0
     cursor = None
@@ -589,43 +585,35 @@ def interval_cover_number(blocks, scale):
         cursor = start + scale
         if cursor >= hi - 1e-15:
             i += 1
-    return max(count, 1)
+    return count
 
 
 def interval_packing_number(blocks, scale):
-    """Greedy count of block left endpoints pairwise >= scale apart."""
+    """Greedy count of block left endpoints pairwise >= scale apart; the
+    first of the nonempty blocks always counts."""
     count = 0
     last = None
     for lo, _ in blocks:
         if last is None or lo - last >= scale - 1e-15:
             count += 1
             last = lo
-    return max(count, 1)
+    return count
 
 
 def _single_core_numbers(system, epsilon):
     """Relative-scale cover and packing counts of the invariant core of
-    a single-generator system, computed on an explicit refinement deep
-    enough that blocks are narrower than the scale."""
+    a single-generator system, computed on the first refinement level
+    deep enough that blocks are narrower than the scale (or the last
+    level the pass reaches)."""
     s_min = min(system.generators[0].slopes)
-    depth = 1
-    while s_min ** depth < 4.0 / (2.0 * epsilon) and depth < CORE_DEPTH_CAP:
-        depth += 1
-    blocks = joint_core_blocks(system, depth)
+    for depth, blocks in enumerate(_core_levels(system), start=1):
+        if s_min ** depth >= 4.0 / (2.0 * epsilon):
+            break
     if not blocks:
         raise AnalyticUnavailable("empty invariant core refinement")
     ncov = interval_cover_number(blocks, 2.0 * epsilon)
     npack = interval_packing_number(blocks, 2.0 * epsilon)
     return ncov, npack
-
-
-def _relative_cover_number(system, epsilon):
-    """Balls per cylinder: single-generator systems use the sharp core
-    count, multi-generator systems cover the whole relative interval."""
-    if system.m == 1:
-        ncov, _ = _single_core_numbers(system, epsilon)
-        return ncov
-    return frac_ceil(1 / (2 * Fraction(epsilon)))
 
 
 def _uniform_circle_slopes(system):
@@ -661,7 +649,12 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
             count = frac_ceil(prod * inv2eps)
             return log_big(count) + weight, count
     else:
-        ncov = _relative_cover_number(system, epsilon)
+        # balls per cylinder: a single generator takes the sharp core
+        # count, several generators cover the whole relative interval
+        if system.m == 1:
+            ncov, _ = _single_core_numbers(system, epsilon)
+        else:
+            ncov = frac_ceil(1 / (2 * Fraction(epsilon)))
 
         def word_cost(word):
             log_cost = math.log(ncov)
@@ -723,14 +716,13 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             count = npack * system.generators[0].branch_count ** n
             w = n * math.log(min(table[0]))
             return (math.log(count) + w, count, "per-cylinder core packing")
-        # multi-generator: pack the explicit joint-core blocks, keeping
-        # only refinement depths whose adjacent block gaps still expand
+        # multi-generator: pack the joint-core blocks of the deepest level,
+        # from 2 on, up to which every level's adjacent block gaps expand
         # past 2 eps within n same-branch steps
         s_min = min(min(g.slopes) for g in system.generators)
         need = 2.0 * epsilon / s_min ** n
         blocks = None
-        for depth in range(2, CORE_DEPTH_CAP + 1):
-            cand = joint_core_blocks(system, depth)
+        for cand in itertools.islice(_core_levels(system), 1, None):
             if not cand:
                 break
             if all(cand[i + 1][0] - cand[i][0] >= need

@@ -312,7 +312,6 @@ class MarginalPointCheck:
 @dataclass(frozen=True)
 class MarginalBoundReport:
     bound: float
-    h_symbols: float
     checks: tuple
 
     @property
@@ -354,7 +353,8 @@ def sample_points(measure, system, count, seed=0):
 def marginal_bound_check(product, system, sample_points_list, epsilon,
                          n_range, *, seed=0):
     """Check that the base-marginal local entropies at sampled points
-    stay below the product entropy minus the symbol entropy.
+    stay below the bound: the base rate `lebesgue_entropy_rate`, which
+    equals the product entropy minus the symbol entropy.
 
     Only the statistically self-consistent configurations are accepted:
     identical generators, or uniform symbol weights over commuting
@@ -369,9 +369,7 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
         raise ValueError("rejected as non-ergodic: generators differ and "
                          "weights are not uniform over a commuting "
                          "diagonal family")
-    h_symbols = shannon_entropy(weights)
-    base_rate = lebesgue_entropy_rate(system, weights)
-    bound = (h_symbols + base_rate) - h_symbols
+    bound = lebesgue_entropy_rate(system, weights)
     checks = []
     for x in sample_points_list:
         est = local_amalgamated_entropy(product.base, system, x, epsilon,
@@ -383,4 +381,4 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
               and est.h_lower_local <= bound + tol)
         checks.append(MarginalPointCheck(x, est.h_exhaustive_local,
                                          est.h_lower_local, tol, ok))
-    return MarginalBoundReport(bound, h_symbols, tuple(checks))
+    return MarginalBoundReport(bound, tuple(checks))

@@ -103,8 +103,8 @@ def all_words(m, n):
 class WordRule:
     """How the trajectory kind picks its length-n word.
 
-    mode 'constant': the fixed symbol repeated.
-    mode 'periodic': the pattern cycled.
+    mode 'periodic': the pattern cycled; a constant rule is the periodic
+    rule of one symbol.
     mode 'explicit': a fixed word, truncated or rejected by length.
     """
 
@@ -114,8 +114,6 @@ class WordRule:
     def word_at(self, n):
         if n < 1:
             raise ValueError("word length must be at least 1")
-        if self.mode == "constant":
-            return Word((self.data[0],) * n)
         if self.mode == "periodic":
             reps = (n + len(self.data) - 1) // len(self.data)
             return Word((self.data * reps)[:n])
@@ -127,8 +125,6 @@ class WordRule:
 
     def shifted(self):
         """Rule for the shifted trajectory (drop the first symbol)."""
-        if self.mode == "constant":
-            return self
         if self.mode == "periodic":
             rotated = self.data[1:] + self.data[:1]
             return WordRule("periodic", rotated)
@@ -136,7 +132,7 @@ class WordRule:
 
 
 def constant_rule(j):
-    return WordRule("constant", (j,))
+    return WordRule("periodic", (j,))
 
 def periodic_rule(pattern):
     return WordRule("periodic", tuple(pattern))

@@ -270,6 +270,16 @@ def test_deep_prefixes_stay_exact():
         math.log(1.0 + math.sqrt(2.0)), abs=0.05)
 
 
+def test_box_model_needs_diagonal_entries_of_two_or_more():
+    # an entry of 1 does not expand its axis, so its boxes do not shrink
+    system = parse_system("diag:1,3|3,2")
+    phi = constant_potential([0.1, 0.1])
+    for kind in KINDS:
+        with pytest.raises(AnalyticUnavailable, match="entries >= 2"):
+            min_cover_cost(system, phi, kind, 2, 0.125,
+                           rule=periodic_rule((1, 2)), engine="analytic")
+
+
 def test_constant_word_needs_valid_symbols():
     with pytest.raises((IndexError, ValueError)):
         prefix_matrices(SINGLE, Word((2,)))

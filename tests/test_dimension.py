@@ -50,6 +50,21 @@ def test_conformality_rejection_on_anisotropic_torus():
         bowen_root(diag, 8, 0.125)
 
 
+def test_expansion_field_on_a_conformal_torus():
+    field = expansion_field(parse_system("diag:2,2|3,3"))
+    assert field.per_generator == (((0.0, 2.0),), ((0.0, 3.0),))
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("toral:0,1,1,2", "non-diagonal toral generator"),
+    ("shift:2", "for this domain"),
+])
+def test_expansion_field_missing_derivative_data(spec, reason):
+    with pytest.raises(AnalyticUnavailable,
+                       match="missing derivative data.*" + reason):
+        expansion_field(parse_system(spec))
+
+
 def test_ternary_root_near_log2_over_log3():
     res = bowen_root(TERNARY, 96, 0.125)
     assert res.t_uA == pytest.approx(0.64404296875, abs=1e-12)

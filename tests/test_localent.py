@@ -187,11 +187,22 @@ def test_marginal_bound_doubling_pair():
     pts = sample_points(prod.base, PAIR, 4, seed=11)
     rep = marginal_bound_check(prod, PAIR, pts, 0.125, (8, 24), seed=0)
     assert rep.bound == pytest.approx(math.log(2), abs=1e-12)
-    assert rep.h_symbols == pytest.approx(math.log(2), abs=1e-12)
     assert rep.all_ok
     assert rep.failed() == []
     for check in rep.checks:
         assert check.h_plus <= rep.bound + check.tolerance
+
+
+def test_marginal_bound_is_the_base_rate():
+    # the bound is the base rate itself, not the product entropy less the
+    # symbol entropy worked out in floats, which lands one ulp off here
+    system = parse_system("diag:2,2|2,2")
+    prod = parse_measure("bernoulli:0.3,0.7 x lebesgue", system,
+                         resolution=64)
+    rep = marginal_bound_check(prod, system, [(0.3, 0.4)], 0.125, (2, 4),
+                               seed=0)
+    assert rep.bound == lebesgue_entropy_rate(system, (0.3, 0.7))
+    assert rep.bound == 1.3862943611198906
 
 
 def test_marginal_bound_rejects_non_ergodic():

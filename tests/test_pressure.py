@@ -318,6 +318,43 @@ def test_sweep_carries_a_smaller_radius_cover_upward():
         assert fixed.upper == own > carried.upper
 
 
+def test_sweep_carries_a_larger_radius_packing_downward():
+    # on the shear pair 2 eps = 0.3 fails the wrap guard, so eps = 0.15
+    # packs the 3x3 base-metric grid; at eps = 0.125 the volume bound of
+    # the word (1) polygon at 2 eps gives 8 points, and takes the 9
+    phi = constant_potential([0.1, 0.1])
+    rule = periodic_rule((1, 2))
+    rows = sweep_estimates(SHEAR, phi, "trajectory", [1], [0.125, 0.15],
+                           rule=rule)
+    by_eps = {row.epsilon: row for row in rows}
+    assert by_eps[0.15].lower == pytest.approx(LOG(9) + 0.1, abs=1e-12)
+    assert "carried packing" not in by_eps[0.15].note
+    carried = by_eps[0.125]
+    assert carried.lower == by_eps[0.15].lower
+    assert carried.note.endswith("carried packing")
+    fixed = estimate_pressure(SHEAR, phi, "trajectory", 1, 0.125, rule=rule)
+    assert fixed.lower == pytest.approx(LOG(8) + 0.1, abs=1e-12)
+    assert fixed.lower < carried.lower <= carried.upper == fixed.upper
+
+
+def test_interval_packing_declines_fall_back_to_the_grid():
+    # a gapped pair has per-cylinder packings for one generator only, and
+    # no interval packing for free; the cover stays closed-form
+    system = parse_system("cantor:3,3|3,3")
+    phi = constant_potential([0.1, 0.1])
+    rule = periodic_rule((1, 2))
+    for kind, reason in (("trajectory", "needs a single generator"),
+                         ("free", "no interval packing")):
+        with pytest.raises(AnalyticUnavailable, match=reason):
+            packing_bound(system, phi, kind, 2, 0.125, rule=rule,
+                          engine="analytic")
+        assert packing_bound(system, phi, kind, 2, 0.125,
+                             rule=rule).method == "GenericGrid"
+    est = estimate_pressure(system, phi, "trajectory", 2, 0.125, rule=rule)
+    assert est.method == "AnalyticBox"
+    assert est.lower == est.upper == pytest.approx(LOG(4) + 0.1, abs=1e-12)
+
+
 def test_sweep_multiple_epsilons_orders_covers():
     ests = sweep_estimates(DIAG, ZERO2, "amalgamated", [3, 4],
                            [0.25, 0.125], seed=0)
