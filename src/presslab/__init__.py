@@ -25,8 +25,8 @@ from .pressure import KINDS, Extrapolation, PressureEstimate, \
     verify_inequality_chain
 from .systems import SemigroupSystem, closed_form_entropies, \
     parse_system, zoo_systems
-from .words import Word, WordPool, all_words, consecutive_sum, \
-    constant_rule, dn_distance, explicit_rule, orbit, periodic_rule
+from .words import Word, all_words, consecutive_sum, constant_rule, \
+    dn_distance, explicit_rule, orbit, periodic_rule, pool_words
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "DimensionResult", "Extrapolation", "KINDS", "LocalEntropyEstimate",
     "MeasureModel", "MultiPotential", "ParseError", "PresslabError",
     "PressureEstimate", "ProductMeasureModel", "SemigroupSystem",
-    "Word", "WordPool", "all_words", "ball_contains", "ball_measure",
+    "Word", "all_words", "ball_contains", "ball_measure",
     "bowen_root", "check_lift_inequalities", "closed_form_entropies",
     "consecutive_sum", "constant_potential", "constant_rule",
     "coordinate_potential", "dirac_measure", "dn_distance",
@@ -44,7 +44,7 @@ __all__ = [
     "lift_pressure_estimate", "lipschitz_check",
     "local_amalgamated_entropy", "marginal_bound_check",
     "min_cover_cost", "orbit", "packing_bound", "parse_measure",
-    "parse_potential", "parse_system", "periodic_rule",
+    "parse_potential", "parse_system", "periodic_rule", "pool_words",
     "random_potential", "separation_distance", "sweep_estimates",
     "trajectory_shift_check", "unstable_multipotential",
     "vitali_disjointify", "verify_inequality_chain", "zero_potential",

@@ -7,9 +7,10 @@ Three engines, all exact up to integer rounding:
   the exact area of the union of the per-word boxes.
 * general toral: the no-wrap ball is a centrally symmetric polygon cut
   out by the prefix matrices, clipped exactly on homogeneous integer
-  vertices (X, Y, W); covers tile the torus with an inscribed diamond
-  lattice certified on those vertices in integers, packings use the
-  exact Fraction polygon area at doubled radius.
+  vertices (X, Y, W); each word's ball is clipped once at radius 1 and
+  scaled to every radius.  Covers tile the torus with an inscribed
+  diamond lattice certified on those vertices in integers, packings use
+  the exact Fraction polygon area at doubled radius.
 * interval branch maps: cylinders of a word carry exact counts, the
   invariant core is refined to explicit blocks in one pass that builds
   each depth once, and cover/packing numbers at a relative scale come
@@ -39,6 +40,7 @@ contained in the true ball.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -135,7 +137,7 @@ def _word_kinds(kind, n, m, pool, rule, word_cost, label):
         return (cost, count, label)
     if kind == "amalgamated":
         best = None
-        for word in pool.words(n):
+        for word in pool:
             try:
                 cost, count = word_cost(word)
             except AnalyticUnavailable:
@@ -341,14 +343,14 @@ def prefix_matrices(system, word):
     return mats
 
 
-def _clip_halfplane(poly, a, b, p, q):
-    """Keep the part of poly with a*x + b*y <= p/q (one Sutherland-Hodgman
-    pass).  Vertices are reduced homogeneous integer triples (X, Y, W)
-    with W > 0 for the point (X/W, Y/W), so the side test is the integer
-    v = q*(a*X + b*Y) - p*W and a crossing is v1*P2 - v2*P1 divided by
-    its gcd: exact at depths where the matrix entries dwarf float
-    precision, with no rational arithmetic in the loop."""
-    side = [q * (a * x + b * y) - p * w for x, y, w in poly]
+def _clip_halfplane(poly, a, b):
+    """Keep the part of poly with a*x + b*y <= 1 (one Sutherland-Hodgman
+    pass).  Vertices are homogeneous integer triples (X, Y, W) with
+    W > 0 for the point (X/W, Y/W), so the side test is the integer
+    v = a*X + b*Y - W and a crossing is v1*P2 - v2*P1 divided by its
+    gcd: exact at depths where the matrix entries dwarf float precision,
+    with no rational arithmetic in the loop."""
+    side = [a * x + b * y - w for x, y, w in poly]
     out = []
     k = len(poly)
     for i in range(k):
@@ -370,22 +372,30 @@ def _clip_halfplane(poly, a, b, p, q):
     return out
 
 
-def _ball_vertices(system, word, epsilon):
-    """No-wrap trajectory ball: displacements whose whole prefix orbit
-    stays within epsilon in the sup metric.  Clips the square of half
-    side epsilon = p/q > 0 by the strips |r.x| <= p/q of every prefix
-    row r.  Vertices are reduced homogeneous integer triples (X, Y, W),
-    W > 0, counter-clockwise.  No row is zero, as generators of det 0 are
-    rejected; the square and every strip hold a neighbourhood of the
-    origin, so the polygon always keeps one and has an interior."""
-    e = Fraction(epsilon)
-    p, q = e.numerator, e.denominator
-    poly = [(p, p, q), (-p, p, q), (-p, -p, q), (p, -p, q)]
+@functools.lru_cache(maxsize=None)
+def _unit_ball(system, word):
+    """The no-wrap trajectory ball at radius 1: the unit square clipped by
+    the strips |r.x| <= 1 of every prefix row r, as a tuple of reduced
+    homogeneous integer triples (X, Y, W), W > 0, counter-clockwise.  No
+    row is zero, as generators of det 0 are rejected; the square and
+    every strip hold a neighbourhood of the origin, so the polygon
+    always keeps one and has an interior."""
+    poly = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]
     for mat in prefix_matrices(system, word):
         for a, b in mat:
-            poly = _clip_halfplane(poly, a, b, p, q)
-            poly = _clip_halfplane(poly, -a, -b, p, q)
-    return poly
+            poly = _clip_halfplane(poly, a, b)
+            poly = _clip_halfplane(poly, -a, -b)
+    return tuple(poly)
+
+
+def _ball_vertices(system, word, epsilon):
+    """No-wrap trajectory ball: displacements whose whole prefix orbit
+    stays within epsilon in the sup metric.  Every constraint is linear
+    in epsilon, so every clip decision and vertex scales with it: the
+    unit ball's triples as (pX, pY, qW) for epsilon = p/q, unreduced."""
+    e = Fraction(epsilon)
+    p, q = e.numerator, e.denominator
+    return [(p * x, p * y, q * w) for x, y, w in _unit_ball(system, word)]
 
 
 def ball_polygon(system, word, epsilon):
@@ -457,14 +467,14 @@ def polygon_cover_count(system, word, epsilon):
     raise AnalyticUnavailable("could not certify a lattice tiling")
 
 
-def polygon_packing_count(system, words, epsilon, lipschitz):
+def polygon_packing_count(system, words, epsilon):
     """Volume-bound packing count at separation 2 eps: a maximal packing
     separated along every word covers the torus with unions of the
     words' 2 eps balls, whose area is at most the summed areas.  Every
     word polygon has an interior (`_ball_vertices`), so the sum is
     positive."""
     rho = 2.0 * epsilon
-    count = _packing_guard(rho, lipschitz)
+    count = _packing_guard(rho, system.L_max)
     if count is not None:
         return count
     total = sum(ball_polygon(system, word, rho)[1] for word in words)
@@ -493,11 +503,11 @@ def toral_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         words = [rule.word_at(n)]
         weight = _word_weight_log(consts, words[0])
     elif kind == "amalgamated":
-        words = pool.words(n)
+        words = pool
         weight = n * min(consts)
     else:
         raise AnalyticUnavailable("kind %r has no polygon packing" % kind)
-    count = polygon_packing_count(system, words, epsilon, system.L_max)
+    count = polygon_packing_count(system, words, epsilon)
     return (log_big(count) + weight, count,
             "volume bound via summed word polygons at 2eps")
 
@@ -600,11 +610,13 @@ def interval_packing_number(blocks, scale):
     return count
 
 
+@functools.lru_cache(maxsize=None)
 def _single_core_numbers(system, epsilon):
     """Relative-scale cover and packing counts of the invariant core of
     a single-generator system, computed on the first refinement level
     deep enough that blocks are narrower than the scale (or the last
-    level the pass reaches)."""
+    level the pass reaches).  A pure function of (system, epsilon), so
+    one refinement pass serves every potential, kind and side."""
     s_min = min(system.generators[0].slopes)
     for depth, blocks in enumerate(_core_levels(system), start=1):
         if s_min ** depth >= 4.0 / (2.0 * epsilon):

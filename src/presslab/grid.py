@@ -453,7 +453,7 @@ class _GridEngine:
         # any one-word cover is an admissible amalgamated cover, so the
         # greedy over mixed atoms must never report worse than the best
         # pool word; this keeps the induced-cover comparison exact
-        for word in pool.words(self.n):
+        for word in pool:
             cand = self.word_cover(phi, self.words.index(word))
             if cand.log_cost < sol.log_cost:
                 sol = CoverSolution(cand.log_cost, cand.size, cand.method,

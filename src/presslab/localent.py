@@ -23,13 +23,13 @@ from fractions import Fraction
 from . import analytic
 from .balls import BallSpec, ball_contains
 from .errors import AnalyticUnavailable, ParseError
-from .words import WordPool
+from .words import pool_words
 
 __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
     "lebesgue_measure", "empirical_measure",
     "dirac_measure", "parse_measure", "ball_measure",
-    "local_amalgamated_entropy", "shannon_entropy",
+    "local_amalgamated_entropy",
     "lebesgue_entropy_rate", "MarginalPointCheck", "MarginalBoundReport",
     "marginal_bound_check", "sample_points",
 ]
@@ -240,7 +240,6 @@ def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
     """Ball-mass decay rates at x: sup and inf over the words of the
     (m, seed) pool plus the exhaustive union ball, minimized over the
     depth range."""
-    pool = WordPool(system.m, seed=seed)
     depths = sorted(set(int(n) for n in n_range))
     if not depths or depths[0] < 1:
         raise ValueError("depth range must contain positive depths")
@@ -248,7 +247,7 @@ def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
     flags = []
     for n in depths:
         rates = []
-        for word in pool.words(n):
+        for word in pool_words(system.m, seed, n):
             spec = BallSpec("trajectory", x, n, epsilon, word)
             rates.append(_rate(ball_measure(measure, system, spec), n))
         exh_spec = BallSpec("exhaustive", x, n, epsilon, None)
@@ -271,10 +270,6 @@ def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
 
 # ---------------------------------------------------------------------------
 # marginal bound
-
-
-def shannon_entropy(weights):
-    return -sum(p * math.log(p) for p in weights if p > 0.0)
 
 
 def lebesgue_entropy_rate(system, symbol_weights):
@@ -317,9 +312,6 @@ class MarginalBoundReport:
     @property
     def all_ok(self):
         return all(c.ok for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.ok]
 
 
 def _generators_equal(system):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
-from .words import WordPool, consecutive_sum
+from .words import consecutive_sum, pool_words
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -124,13 +124,13 @@ def _closed_form(system, side):
 def _solve(side, system, phi, kind, n, epsilon, rule, seed, engine):
     """One side ("cover" or "packing") of one kind: the closed form when
     engine allows and one exists, otherwise the grid engine.  Pool kinds
-    draw their words from WordPool(m, seed)."""
+    take their words from pool_words(m, seed, n)."""
     _require_kind(kind)
     _require_depth(n)
     _require_radius(epsilon)
     if kind == "trajectory" and rule is None:
         raise ValueError("trajectory estimates need a word rule")
-    pool = WordPool(system.m, seed=seed)
+    pool = pool_words(system.m, seed, n)
     if engine != "grid":
         try:
             log_value, count, note = _closed_form(system, side)(
@@ -260,9 +260,6 @@ class Report:
     @property
     def all_ok(self):
         return all(c.ok for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.ok]
 
 
 def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,

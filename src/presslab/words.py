@@ -9,6 +9,7 @@ usually just skip such centers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .errors import DepthTooLarge
 
 ENUM_CAP = 4096
-# seeded random words a WordPool adds at each depth
+# seeded random words the pool adds at each depth
 POOL_RANDOM_WORDS = 32
 
 
@@ -141,34 +142,16 @@ def explicit_rule(symbols):
     return WordRule("explicit", tuple(symbols))
 
 
-class WordPool:
-    """Deterministic candidate words per depth: all constants, all ordered
-    period-2 patterns, plus POOL_RANDOM_WORDS seeded random words."""
-
-    def __init__(self, m, seed=0):
-        self.m = m
-        self.seed = seed
-
-    def words(self, n):
-        out = []
-        seen = set()
-        for j in range(1, self.m + 1):
-            w = constant_rule(j).word_at(n)
-            if w.symbols not in seen:
-                seen.add(w.symbols)
-                out.append(w)
-        for i in range(1, self.m + 1):
-            for j in range(1, self.m + 1):
-                if i == j:
-                    continue
-                w = periodic_rule((i, j)).word_at(n)
-                if w.symbols not in seen:
-                    seen.add(w.symbols)
-                    out.append(w)
-        rng = random.Random("pool:%d:%d:%d" % (self.seed, n, self.m))
-        for _ in range(POOL_RANDOM_WORDS):
-            tup = tuple(rng.randrange(1, self.m + 1) for _ in range(n))
-            if tup not in seen:
-                seen.add(tup)
-                out.append(Word(tup))
-        return out
+@functools.lru_cache(maxsize=None)
+def pool_words(m, seed, n):
+    """The deterministic candidate words of length n over m symbols: all
+    constants, all ordered period-2 patterns, plus POOL_RANDOM_WORDS
+    seeded random words, each at its first occurrence in that order.  A
+    pure function of (m, seed, n), so each pool is drawn once."""
+    rng = random.Random("pool:%d:%d:%d" % (seed, n, m))
+    words = [constant_rule(j).word_at(n) for j in range(1, m + 1)]
+    words += [periodic_rule((i, j)).word_at(n)
+              for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    words += [Word(tuple(rng.randrange(1, m + 1) for _ in range(n)))
+              for _ in range(POOL_RANDOM_WORDS)]
+    return tuple(dict.fromkeys(words))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from presslab import analytic
 from presslab.analytic import (
     _ball_vertices,
     _in_polygon,
@@ -19,10 +20,12 @@ from presslab.analytic import (
     prefix_matrices,
 )
 from presslab.errors import AnalyticUnavailable
-from presslab.potentials import constant_potential
-from presslab.pressure import KINDS, min_cover_cost
+from presslab.dimension import unstable_multipotential
+from presslab.potentials import constant_potential, zero_potential
+from presslab.pressure import KINDS, estimate_pressure, min_cover_cost, \
+    packing_bound
 from presslab.systems import parse_system
-from presslab.words import Word, WordPool, periodic_rule
+from presslab.words import Word, constant_rule, periodic_rule, pool_words
 
 
 SINGLE = parse_system("toral:0,1,1,2")
@@ -104,9 +107,8 @@ def test_integer_clip_matches_fraction_clip(epsilon):
     """The homogeneous integer clip returns the Fraction clip's vertex
     list, in order, and its area; the float radii give p/q with
     denominators near 2**54."""
-    pool = WordPool(2, seed=1)
     cases = [(SHEAR, w) for n in list(range(1, 13)) + [16, 24]
-             for w in pool.words(n)]
+             for w in pool_words(2, 1, n)]
     cases += [(SINGLE, Word((1,) * n)) for n in range(1, 33)]
     for system, word in cases:
         assert ball_polygon(system, word, epsilon) == \
@@ -189,8 +191,8 @@ def test_integer_cover_count_matches_fraction_cover_count():
     """The integer vertex-pair determinants, diamond corners and corner
     tests give the Fraction version's count, or its decline, on every
     shear pool word to n = 64 and on the single map to n = 96."""
-    pool = WordPool(2, seed=1)
-    cases = [(SHEAR, w, 0.26) for n in range(8, 65) for w in pool.words(n)]
+    cases = [(SHEAR, w, 0.26) for n in range(8, 65)
+             for w in pool_words(2, 1, n)]
     cases += [(SINGLE, Word((1,) * n), Fraction(1, 8))
               for n in range(16, 97)]
     for case in cases:
@@ -233,17 +235,15 @@ def test_polygon_membership_matches_the_strip_inequalities():
 
 
 def test_polygon_packing_counts():
-    assert polygon_packing_count(SINGLE, [Word((1,))], 0.125,
-                                 SINGLE.L_max) == 8
-    assert polygon_packing_count(SINGLE, [Word((1, 1))], 0.125,
-                                 SINGLE.L_max) == 20
+    assert polygon_packing_count(SINGLE, [Word((1,))], 0.125) == 8
+    assert polygon_packing_count(SINGLE, [Word((1, 1))], 0.125) == 20
 
 
 def test_packing_count_below_cover_count():
     for n in range(1, 14):
         w = Word((1,) * n)
         cov = polygon_cover_count(SINGLE, w, 0.125)
-        pack = polygon_packing_count(SINGLE, [w], 0.125, SINGLE.L_max)
+        pack = polygon_packing_count(SINGLE, [w], 0.125)
         assert pack <= cov
 
 
@@ -300,7 +300,6 @@ def test_radius_past_the_diameter_is_one_ball(spec, epsilon):
     consts = (0.3, -0.2)
     n = 3
     rule = periodic_rule((1, 2))
-    pool = WordPool(2, seed=0)
 
     def weight(word):
         return sum(consts[j - 1] for j in word)
@@ -312,7 +311,7 @@ def test_radius_past_the_diameter_is_one_ball(spec, epsilon):
         "exhaustive-upper": n * max(consts),
         "free": n * math.log(sum(math.exp(c) for c in consts) / 2),
         "trajectory": weight(rule.word_at(n)),
-        "amalgamated": min(weight(w) for w in pool.words(n)),
+        "amalgamated": min(weight(w) for w in pool_words(2, 0, n)),
     }
     for kind in KINDS:
         cover = min_cover_cost(system, constant_potential(consts), kind, n,
@@ -321,3 +320,33 @@ def test_radius_past_the_diameter_is_one_ball(spec, epsilon):
         assert cover.size == 1, kind
         assert cover.log_cost == pytest.approx(expected[kind], abs=1e-12)
         assert cover.note == "degenerate: radius covers the domain"
+
+
+def test_each_ball_polygon_is_clipped_once_per_word():
+    # the cover at eps and the packing at 2 eps scale one unit polygon per
+    # pool word, so the 33 words of the pool clip 33 polygons, not 66
+    analytic._unit_ball.cache_clear()
+    estimate_pressure(SHEAR, zero_potential(2), "amalgamated", 8,
+                      Fraction(1, 8), seed=0, engine="analytic")
+    assert len(pool_words(2, 0, 8)) == 33
+    assert analytic._unit_ball.cache_info().misses == 33
+
+
+def test_expansion_weights_on_a_mixed_slope_map():
+    # slopes 2 and 4 weigh 1/2 + 1/4 per step under the unstable
+    # potential, and the core takes 3 balls of radius 1/8 per cylinder
+    system = parse_system("cantor:2,4")
+    phi = unstable_multipotential(system).scale(1.0)
+    cover = min_cover_cost(system, phi, "trajectory", 3, 0.125,
+                           rule=constant_rule(1), engine="analytic")
+    assert cover.log_cost == pytest.approx(math.log(3) + 3 * math.log(0.75),
+                                           abs=1e-12)
+    assert cover.size == 24
+
+
+def test_circle_packing_past_the_wrap_guard_is_one_point():
+    # (L + 1) 2 eps = 1.5 > 1 on the doubling circle map
+    pack = packing_bound(parse_system("cantor:2,2"), zero_potential(1),
+                         "amalgamated", 3, 0.25, engine="analytic")
+    assert pack.size == 1
+    assert pack.log_cost == 0.0

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from presslab.dimension import bowen_root, expansion_field, unstable_multipotential
+from presslab import analytic
+from presslab.dimension import _bisect_root, bowen_root, expansion_field, \
+    unstable_multipotential
 from presslab.errors import AnalyticUnavailable
 from presslab.systems import parse_system
 
@@ -104,3 +106,36 @@ def test_root_determinism():
     b = bowen_root(TERNARY, 48, 0.125)
     assert a.t_uA == b.t_uA
     assert a.bracket == b.bracket
+
+
+def test_one_core_pass_per_system_and_radius(monkeypatch):
+    # every bisection step reads the memoized core of the family and of
+    # its one-generator subsystem
+    passes = []
+    levels = analytic._core_levels
+
+    def counted(system):
+        passes.append(system.name)
+        return levels(system)
+
+    monkeypatch.setattr(analytic, "_core_levels", counted)
+    analytic._single_core_numbers.cache_clear()
+    bowen_root(TERNARY, 48, 0.125)
+    assert passes == ["cantor:3,3", "cantor:3,3-single"]
+
+
+def test_a_signless_bracket_is_widened_once():
+    seen = []
+
+    def pressure(t):
+        seen.append(t)
+        return 0.6573 - t
+
+    root, _, _ = _bisect_root(pressure, (0.7, 0.9))
+    # p(0.7) < 0 already, so the bracket widens to (0.5, 1.1)
+    assert seen[:3] == pytest.approx([0.7, 0.5, 1.1], abs=1e-12)
+    assert root == pytest.approx(0.6573, abs=1e-3)
+    res = bowen_root(TERNARY, 48, 0.125, (0.7, 0.9))
+    assert res.t_uA == pytest.approx(0.6573, abs=1e-3)
+    with pytest.raises(ValueError, match="even widened once"):
+        bowen_root(TERNARY, 48, 0.125, (2.0, 3.0))

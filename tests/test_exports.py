@@ -21,7 +21,7 @@ import presslab.words
 DELETED = ("BerendVerdict", "berend_check", "_commute",
            "single_generator_entropy", "conjugacy_example_report",
            "UnderResolved", "LiftPoint", "skew_apply", "lifted_potential",
-           "lift_birkhoff_sum")
+           "lift_birkhoff_sum", "WordPool", "shannon_entropy")
 
 
 def test_every_exported_name_resolves():
@@ -34,16 +34,18 @@ def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in presslab.__all__
         for module in (presslab, presslab.systems, presslab.errors,
-                       presslab.lift):
+                       presslab.lift, presslab.words, presslab.localent):
             assert not hasattr(module, name), (module.__name__, name)
     for attr in ("eigenvalues", "char_poly_irreducible_over_z", "trace"):
         assert not hasattr(presslab.systems.ToralGenerator, attr), attr
-    assert "random_count" not in vars(presslab.words.WordPool(2))
     assert not hasattr(presslab.pressure.PressureEstimate, "replaced")
+    for record in (presslab.pressure.Report,
+                   presslab.localent.MarginalBoundReport):
+        assert not hasattr(record, "failed"), record
 
 
 def test_no_entry_point_takes_a_word_pool():
-    """The word pool is a function of (m, seed), so no public function
+    """The word pool is a function of (m, seed, n), so no public function
     takes one beside the seed, and the CLI keeps none."""
     for name in presslab.__all__:
         obj = getattr(presslab, name)
@@ -52,7 +54,7 @@ def test_no_entry_point_takes_a_word_pool():
     setup = presslab.cli.RunSetup({"system": ("diag:2,3|3,2", 1)},
                                   argparse.Namespace(out=None, format="csv"))
     assert not hasattr(setup, "pool")
-    assert "WordPool" not in vars(presslab.cli)
+    assert "pool_words" not in vars(presslab.cli)
 
 
 def test_unread_knobs_and_fields_are_gone():

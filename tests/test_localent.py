@@ -15,10 +15,9 @@ from presslab.localent import (
     marginal_bound_check,
     parse_measure,
     sample_points,
-    shannon_entropy,
 )
 from presslab.systems import parse_system
-from presslab.words import Word
+from presslab.words import Word, pool_words
 
 DIAG = parse_system("diag:2,3|3,2")
 PAIR = parse_system("cantor:2,2|2,2")
@@ -163,11 +162,6 @@ def test_estimate_ordering_is_enforced():
                              sequence=(), flags=())
 
 
-def test_shannon_entropy_values():
-    assert shannon_entropy((0.5, 0.5)) == pytest.approx(math.log(2), abs=1e-12)
-    assert shannon_entropy((1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_lebesgue_entropy_rate_diag():
     rate = lebesgue_entropy_rate(DIAG, (0.5, 0.5))
     assert rate == pytest.approx(math.log(6), abs=1e-12)
@@ -188,7 +182,6 @@ def test_marginal_bound_doubling_pair():
     rep = marginal_bound_check(prod, PAIR, pts, 0.125, (8, 24), seed=0)
     assert rep.bound == pytest.approx(math.log(2), abs=1e-12)
     assert rep.all_ok
-    assert rep.failed() == []
     for check in rep.checks:
         assert check.h_plus <= rep.bound + check.tolerance
 
@@ -217,3 +210,20 @@ def test_marginal_bound_uniform_diagonal_family():
     rep = marginal_bound_check(prod, DIAG, pts, 0.125, (2, 8), seed=0)
     assert rep.bound == pytest.approx(math.log(6), abs=1e-12)
     assert rep.all_ok
+
+
+def test_marginal_check_draws_each_pool_once():
+    # 20 points at depths 4..8 read the 5 pools (m, seed, n)
+    prod = parse_measure("bernoulli:0.5,0.5 x lebesgue", PAIR, resolution=64)
+    pts = sample_points(prod.base, PAIR, 20, seed=0)
+    pool_words.cache_clear()
+    marginal_bound_check(prod, PAIR, pts, 0.125, range(4, 9), seed=0)
+    assert pool_words.cache_info().misses == 5
+
+
+@pytest.mark.parametrize("other, mass", [(0.52, 1.0), (0.9, 0.25)])
+def test_off_centre_samples_count_by_ball_membership(other, mass):
+    single = parse_system("cantor:2,2")
+    emp = empirical_measure([0.5, other], [0.25, 0.75])
+    spec = BallSpec("trajectory", 0.5, 1, 0.1, Word((1,)))
+    assert ball_measure(emp, single, spec) == mass

@@ -17,8 +17,9 @@ import presslab
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = str(pathlib.Path(presslab.__file__).resolve().parent.parent)
 # the golden configs that no grid engine serves
-NUMPY_FREE = ("dimension", "estimate-diagonal", "localent-lebesgue",
-              "localent-product", "sweep-diagonal", "sweep-shear")
+NUMPY_FREE = ("dimension", "dimension-pair", "estimate-diagonal",
+              "localent-lebesgue", "localent-product", "sweep-diagonal",
+              "sweep-shear")
 BLOCK = "import sys; sys.modules['numpy'] = None\n"
 CLI = "from presslab.cli import main\nstatus = main(sys.argv[1:])\n"
 

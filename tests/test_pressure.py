@@ -18,6 +18,7 @@ from presslab.potentials import (
 )
 from presslab.pressure import (
     KINDS,
+    PressureEstimate,
     estimate_pressure,
     extrapolate,
     lipschitz_check,
@@ -29,12 +30,12 @@ from presslab.pressure import (
 )
 from presslab.systems import parse_system, shift_system
 from presslab.words import (
-    WordPool,
     consecutive_sum,
     constant_rule,
     dn_distance,
     explicit_rule,
     periodic_rule,
+    pool_words,
 )
 
 LOG = math.log
@@ -176,7 +177,7 @@ def test_amalgamated_upper_below_every_pool_word_trajectory():
         (SHEAR, random_potential(2, seed=6), 2, 0.25),
     ):
         amalg = estimate_pressure(system, phi, "amalgamated", n, eps, seed=0)
-        for w in WordPool(2, seed=0).words(n):
+        for w in pool_words(2, 0, n):
             traj = estimate_pressure(system, phi, "trajectory", n, eps, seed=0,
                                      rule=explicit_rule(w.symbols))
             assert amalg.upper <= traj.upper + 1e-12, (system.name,
@@ -558,3 +559,20 @@ def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(
     for epsilon in (2.0 ** -8, 2.0 ** -10, 0.001):
         with pytest.raises(DepthTooLarge, match="10-symbol cap"):
             _GridEngine(shift_system(2), 1, epsilon)
+
+
+def test_extrapolate_reads_off_fewer_than_three_depths():
+    def est(n, lower, upper):
+        return PressureEstimate("amalgamated", n, 0.125, lower, upper, 1,
+                                "AnalyticBox", 0)
+
+    one = extrapolate([est(2, 0.1, 0.3)])
+    assert one.value == pytest.approx(0.2, abs=1e-12)
+    assert one.error_bar == pytest.approx(0.2, abs=1e-12)
+    assert one.converged
+    # the last midpoint, its bracket width or the drift from the one
+    # before, whichever is larger
+    two = extrapolate([est(2, 0.0, 0.4), est(4, 0.45, 0.55)])
+    assert two.value == pytest.approx(0.5, abs=1e-12)
+    assert two.error_bar == pytest.approx(0.3, abs=1e-12)
+    assert two.converged

@@ -184,3 +184,11 @@ def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
         np.fill_diagonal(want, 0.0)
         assert table.dtype == np.float32 and table.shape == (len(points),)
         assert np.array_equal(table[diff], want.astype(np.float32)), word
+
+
+@pytest.mark.parametrize("spec, count", [("cantor:3,3,3|2,2", 3),
+                                         ("shift:3", 9)])
+def test_max_preimage_count_off_the_torus(spec, count):
+    # the most branches of one interval generator; alphabet ** step for
+    # the shift powers sigma, sigma^2 on three symbols
+    assert parse_system(spec).max_preimage_count == count

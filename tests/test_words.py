@@ -8,7 +8,6 @@ import pytest
 from presslab.systems import parse_system
 from presslab.words import (
     Word,
-    WordPool,
     all_words,
     consecutive_sum,
     constant_rule,
@@ -16,6 +15,7 @@ from presslab.words import (
     explicit_rule,
     orbit,
     periodic_rule,
+    pool_words,
 )
 from presslab.potentials import constant_potential, random_potential
 
@@ -69,8 +69,7 @@ def test_rules():
 
 
 def test_pool_contains_constants_and_period_two():
-    pool = WordPool(3, seed=0)
-    ws = pool.words(4)
+    ws = pool_words(3, 0, 4)
     symbols = {w.symbols for w in ws}
     for j in (1, 2, 3):
         assert (j, j, j, j) in symbols
@@ -81,16 +80,21 @@ def test_pool_contains_constants_and_period_two():
 
 
 def test_pool_deduplicates_and_is_seed_stable():
-    pool = WordPool(2, seed=5)
-    ws = pool.words(3)
+    ws = pool_words(2, 5, 3)
     assert len({w.symbols for w in ws}) == len(ws)
     # m=2, n=3 has only 8 words so the pool saturates
     assert len(ws) == 8
-    again = WordPool(2, seed=5).words(3)
+    again = pool_words(2, 5, 3)
     assert [w.symbols for w in again] == [w.symbols for w in ws]
-    other = WordPool(2, seed=6).words(12)
+    other = pool_words(2, 6, 12)
     assert [w.symbols for w in other] != [w.symbols for w in
-                                          WordPool(2, seed=5).words(12)]
+                                          pool_words(2, 5, 12)]
+
+
+def test_pool_is_drawn_once_per_value():
+    # an immutable tuple, memoized on (m, seed, n)
+    assert isinstance(pool_words(2, 0, 5), tuple)
+    assert pool_words(2, 0, 5) is pool_words(2, 0, 5)
 
 
 def test_consecutive_sum_matches_manual_walk():
