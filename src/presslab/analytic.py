@@ -59,14 +59,6 @@ def log_big(x):
     return math.log2(x) * LN2
 
 
-def frac_ceil(f):
-    return -((-f.numerator) // f.denominator)
-
-
-def frac_floor(f):
-    return f.numerator // f.denominator
-
-
 def wrap_guard_ok(rho, lipschitz):
     """Strict balls at radius rho have no wrap component when
     (L + 1) * rho <= 1."""
@@ -177,7 +169,7 @@ def _degenerate_cover(kind, n, m, pool, rule, step_weights, lo, hi):
 
 def _box_tiling_count(px, py, inv2eps):
     """Boxes of half sides eps/px, eps/py tile the torus in this many."""
-    return frac_ceil(px * inv2eps) * frac_ceil(py * inv2eps)
+    return math.ceil(px * inv2eps) * math.ceil(py * inv2eps)
 
 
 def _diag_class_iter(m, n):
@@ -296,11 +288,11 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         word = rule.word_at(n)
         px, py = _axis_products(entries, word)
         area = 4 * min(rho / px, Fraction(1, 2)) * min(rho / py, Fraction(1, 2))
-        count = frac_ceil(1 / area)
+        count = math.ceil(1 / area)
         return (log_big(count) + _word_weight_log(consts, word), count,
                 "volume bound, word box at 2eps")
     if kind == "amalgamated":
-        count = frac_ceil(1 / _star_area(entries, n, rho))
+        count = math.ceil(1 / _star_area(entries, n, rho))
         return (log_big(count) + n * min(consts), count,
                 "volume bound, union of word boxes at 2eps")
     if kind in ("condensed-lower", "condensed-upper"):
@@ -308,19 +300,19 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         ly = max(e[1] for e in entries)
         area = 4 * min(rho / lx ** n, Fraction(1, 2)) \
             * min(rho / ly ** n, Fraction(1, 2))
-        count = frac_ceil(1 / area)
+        count = math.ceil(1 / area)
         return (log_big(count) + _side(consts, kind, n), count,
                 "volume bound, condensed box")
     if kind in ("exhaustive-lower", "exhaustive-upper"):
         lx = min(e[0] for e in entries)
         ly = min(e[1] for e in entries)
-        count = max(frac_floor(lx ** n * inv2eps)
-                    * frac_floor(ly ** n * inv2eps), 1)
+        count = max(math.floor(lx ** n * inv2eps)
+                    * math.floor(ly ** n * inv2eps), 1)
         return (log_big(count) + _side(consts, kind, n), count,
                 "touching grid of outer exhaustive boxes")
     # free: one set separated in the min-over-words metric works for
     # every word at once, so the star count carries the averaged weights
-    count = frac_ceil(1 / _star_area(entries, n, rho))
+    count = math.ceil(1 / _star_area(entries, n, rho))
     terms = _diag_weight_terms(system, entries, consts, n, False, None)
     log_mean = log_sum_exp(terms) - n * math.log(system.m)
     return (log_big(count) + log_mean, count,
@@ -478,7 +470,7 @@ def polygon_packing_count(system, words, epsilon):
     if count is not None:
         return count
     total = sum(ball_polygon(system, word, rho)[1] for word in words)
-    return frac_ceil(1 / total)
+    return math.ceil(1 / total)
 
 
 def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
@@ -658,7 +650,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
             for j in word:
                 prod *= Fraction(slopes[j - 1])
                 weight += math.log(table[j - 1][0])
-            count = frac_ceil(prod * inv2eps)
+            count = math.ceil(prod * inv2eps)
             return log_big(count) + weight, count
     else:
         # balls per cylinder: a single generator takes the sharp core
@@ -666,7 +658,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         if system.m == 1:
             ncov, _ = _single_core_numbers(system, epsilon)
         else:
-            ncov = frac_ceil(1 / (2 * Fraction(epsilon)))
+            ncov = math.ceil(1 / (2 * Fraction(epsilon)))
 
         def word_cost(word):
             log_cost = math.log(ncov)
@@ -706,7 +698,7 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             weight = n * math.log(min(min(t) for t in table))
         else:
             raise AnalyticUnavailable("kind %r has no circle packing" % kind)
-        count = max(frac_floor(prod / (4 * Fraction(epsilon))), 1)
+        count = max(math.floor(prod / (4 * Fraction(epsilon))), 1)
         return (log_big(count) + weight, count, "circle grid packing")
     if system.min_gap < 2.0 * epsilon - 1e-12:
         raise AnalyticUnavailable("2eps exceeds the branch gap")

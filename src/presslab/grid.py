@@ -518,27 +518,18 @@ def _log_mean_exp(s):
     return peak + np.log(np.exp(s - peak).mean(axis=0))
 
 
-_ENGINE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=7)
 def _grid_engine(system, n, epsilon, words=None):
-    words_key = None if words is None else tuple(w.symbols for w in words)
-    key = (system.domain, system.generators, n, float(epsilon), words_key)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        if len(_ENGINE_CACHE) > 6:
-            _ENGINE_CACHE.clear()
-        engine = _GridEngine(system, n, epsilon, words=words)
-        _ENGINE_CACHE[key] = engine
-    return engine
+    return _GridEngine(system, n, epsilon, words=words)
 
 
 def _grid_engine_for(system, kind, n, epsilon, rule):
     """Full-word engine, or a single-word engine when only a trajectory
     query is asked and full enumeration is out of reach."""
     try:
-        return _grid_engine(system, n, epsilon)
+        return _grid_engine(system, n, float(epsilon))
     except DepthTooLarge:
         if kind != "trajectory":
             raise
-        return _grid_engine(system, n, epsilon, words=[rule.word_at(n)])
+        return _grid_engine(system, n, float(epsilon),
+                            words=(rule.word_at(n),))

@@ -252,11 +252,7 @@ def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
             rates.append(_rate(ball_measure(measure, system, spec), n))
         exh_spec = BallSpec("exhaustive", x, n, epsilon, None)
         exh = _rate(ball_measure(measure, system, exh_spec), n)
-        lo = min(rates)
-        up = max(rates)
-        # the union ball dominates every word ball, so its rate can only
-        # fall below the per-word ones; numerical floor keeps order
-        exh = min(exh, lo)
+        lo, up = min(rates), max(rates)
         if math.isinf(up) or math.isinf(exh):
             flags.append("zero-mass ball at depth %d" % n)
         rows.append((n, exh, lo, up))
@@ -369,8 +365,7 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
         lows = [row[2] for row in est.sequence if not math.isinf(row[2])]
         spread = (max(lows) - min(lows)) if lows else 0.0
         tol = spread + 1e-9
-        ok = (est.h_exhaustive_local <= est.h_lower_local + 1e-9
-              and est.h_lower_local <= bound + tol)
         checks.append(MarginalPointCheck(x, est.h_exhaustive_local,
-                                         est.h_lower_local, tol, ok))
+                                         est.h_lower_local, tol,
+                                         est.h_lower_local <= bound + tol))
     return MarginalBoundReport(bound, tuple(checks))

@@ -11,7 +11,7 @@ on top of the `apply` / `distance` pair defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -177,9 +177,13 @@ class ShiftGenerator:
 
 @dataclass(frozen=True)
 class SemigroupSystem:
+    """A domain and its generator maps.  The name is a label: it is
+    outside equality and hashing, so every cache keyed on a system keys
+    on its dynamics."""
+
     domain: str
     generators: tuple
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     @property
     def m(self):
@@ -246,23 +250,8 @@ class SemigroupSystem:
         return 2.0 ** (-min(len(p), len(q)))
 
 
-def toral_system(matrices, name=""):
-    return SemigroupSystem(TORUS, tuple(ToralGenerator(m) for m in matrices),
-                           name=name)
-
-
-def diagonal_system(pairs, name=""):
-    mats = [((int(a), 0), (0, int(b))) for a, b in pairs]
-    return toral_system(mats, name=name)
-
-
-def cantor_system(slope_lists, name=""):
-    gens = tuple(IntervalGenerator.from_slopes(s) for s in slope_lists)
-    return SemigroupSystem(INTERVAL, gens, name=name)
-
-
-def shift_system(alphabet=2, steps=(1, 2), name=""):
-    gens = tuple(ShiftGenerator(s, alphabet) for s in steps)
+def shift_system(alphabet=2, name=""):
+    gens = tuple(ShiftGenerator(s, alphabet) for s in (1, 2))
     return SemigroupSystem(SHIFT, gens, name=name or "shift:%d" % alphabet)
 
 
@@ -287,69 +276,54 @@ def parse_system(spec, line=None):
     family, _, body = spec.partition(":")
     family = family.strip()
     body = body.strip()
-    if family == "toral":
-        mats = []
-        for tok in body.split(";"):
-            vals = _parse_int_list(tok, line)
-            if len(vals) == 4:
-                mats.append(((vals[0], vals[1]), (vals[2], vals[3])))
-            elif len(vals) == 2:
+    try:
+        if family == "toral":
+            mats = []
+            for tok in body.split(";"):
+                vals = _parse_int_list(tok, line)
+                if len(vals) == 4:
+                    mats.append(((vals[0], vals[1]), (vals[2], vals[3])))
+                elif len(vals) == 2:
+                    mats.append(((vals[0], 0), (0, vals[1])))
+                else:
+                    raise ParseError("toral generator needs 2 or 4 integers",
+                                     line)
+            gens = tuple(ToralGenerator(m) for m in mats)
+            return SemigroupSystem(TORUS, gens, name=spec)
+        if family == "diag":
+            mats = []
+            for tok in body.split("|"):
+                vals = _parse_int_list(tok, line)
+                if len(vals) != 2:
+                    raise ParseError("diag generator needs 2 integers", line)
                 mats.append(((vals[0], 0), (0, vals[1])))
-            else:
-                raise ParseError("toral generator needs 2 or 4 integers", line)
-        try:
-            return toral_system(mats, name=spec)
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
-    if family == "diag":
-        pairs = []
-        for tok in body.split("|"):
-            vals = _parse_int_list(tok, line)
-            if len(vals) != 2:
-                raise ParseError("diag generator needs 2 integers", line)
-            pairs.append((vals[0], vals[1]))
-        try:
-            return diagonal_system(pairs, name=spec)
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
-    if family == "cantor":
-        lists = []
-        for tok in body.split("|"):
-            try:
-                lists.append([float(v) for v in tok.split(",") if v != ""])
-            except ValueError:
-                raise ParseError("bad slope list %r" % tok, line)
-        try:
-            return cantor_system(lists, name=spec)
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
-    if family == "shift":
-        vals = _parse_int_list(body, line)
-        if len(vals) != 1:
-            raise ParseError("shift spec takes one alphabet size", line)
-        try:
+            gens = tuple(ToralGenerator(m) for m in mats)
+            return SemigroupSystem(TORUS, gens, name=spec)
+        if family == "cantor":
+            lists = []
+            for tok in body.split("|"):
+                try:
+                    lists.append([float(v) for v in tok.split(",") if v != ""])
+                except ValueError:
+                    raise ParseError("bad slope list %r" % tok, line)
+            gens = tuple(IntervalGenerator.from_slopes(s) for s in lists)
+            return SemigroupSystem(INTERVAL, gens, name=spec)
+        if family == "shift":
+            vals = _parse_int_list(body, line)
+            if len(vals) != 1:
+                raise ParseError("shift spec takes one alphabet size", line)
             return shift_system(vals[0], name=spec)
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
+    except ValueError as exc:
+        raise ParseError(str(exc), line)
     raise ParseError("unknown system family %r" % family, line)
 
 
 def zoo_systems():
     """Named menagerie used by the cross-system property suites."""
-    shear_a = ((0, 1), (1, 2))
-    shear_b = ((2, 1), (1, 0))
-    fib = ((2, 1), (1, 1))
-    fib_sq = ((5, 3), (3, 2))
-    return [
-        diagonal_system([(2, 3), (3, 2)], name="diag:2,3|3,2"),
-        toral_system([shear_a, shear_b], name="toral:0,1,1,2;2,1,1,0"),
-        diagonal_system([(4, 5), (2, 6)], name="diag:4,5|2,6"),
-        diagonal_system([(2, 10), (3, 4)], name="diag:2,10|3,4"),
-        toral_system([fib, fib_sq], name="toral:2,1,1,1;5,3,3,2"),
-        cantor_system([[3.0, 3.0], [5.0, 5.0]], name="cantor:3,3|5,5"),
-        cantor_system([[2.0, 2.0], [2.0, 2.0]], name="cantor:2,2|2,2"),
-        shift_system(2, steps=(1, 2), name="shift:2"),
-    ]
+    return [parse_system(spec) for spec in (
+        "diag:2,3|3,2", "toral:0,1,1,2;2,1,1,0", "diag:4,5|2,6",
+        "diag:2,10|3,4", "toral:2,1,1,1;5,3,3,2", "cantor:3,3|5,5",
+        "cantor:2,2|2,2", "shift:2")]
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_shift_words_past_the_grid_are_refused_before_any_point(
         raise AssertionError("grid points were built for a refused shape")
 
     monkeypatch.setattr(grid, "grid_points", no_points)
-    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    grid._grid_engine.cache_clear()
     path = write_cfg(tmp_path, "deep.cfg", """system = shift:2
 potential = zero
 kinds = condensed-upper
@@ -642,7 +642,7 @@ def test_estimate_refuses_past_the_grid_budget_before_any_grid(
         raise AssertionError("a grid was built before the budget check")
 
     monkeypatch.setattr(grid._GridEngine, "_build_metrics", no_metrics)
-    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    grid._grid_engine.cache_clear()
     path = write_cfg(tmp_path, "budget.cfg", BUDGET_CFG)
     assert main(["estimate", "--config", path]) == 3
     assert "512 x 1600^2 pair entries" in capsys.readouterr().err
@@ -658,7 +658,7 @@ def test_estimate_sizes_the_grid_before_building_its_points(
         raise AssertionError("grid points were built before the budget check")
 
     monkeypatch.setattr(grid, "grid_points", no_points)
-    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    grid._grid_engine.cache_clear()
     path = write_cfg(tmp_path, "shift5.cfg", """system = shift:5
 potential = zero
 kinds = amalgamated
@@ -690,7 +690,7 @@ def test_verify_refuses_bad_check_inputs_before_any_grid(
         raise AssertionError("a grid was built before the inputs parsed")
 
     monkeypatch.setattr(grid._GridEngine, "_build_metrics", no_metrics)
-    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    grid._grid_engine.cache_clear()
     path = write_cfg(tmp_path, "ver.cfg", """system = toral:0,1,1,2;2,1,1,0
 potential = random:1,0.25
 checks = %s

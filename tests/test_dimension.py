@@ -109,8 +109,8 @@ def test_root_determinism():
 
 
 def test_one_core_pass_per_system_and_radius(monkeypatch):
-    # every bisection step reads the memoized core of the family and of
-    # its one-generator subsystem
+    # the one-generator subsystem equals the family, whatever its name,
+    # so every bisection step of both roots reads one memoized core
     passes = []
     levels = analytic._core_levels
 
@@ -121,7 +121,7 @@ def test_one_core_pass_per_system_and_radius(monkeypatch):
     monkeypatch.setattr(analytic, "_core_levels", counted)
     analytic._single_core_numbers.cache_clear()
     bowen_root(TERNARY, 48, 0.125)
-    assert passes == ["cantor:3,3", "cantor:3,3-single"]
+    assert passes == ["cantor:3,3"]
 
 
 def test_a_signless_bracket_is_widened_once():

@@ -8,6 +8,7 @@ import pathlib
 import re
 
 import presslab
+import presslab.analytic
 import presslab.cli
 import presslab.dimension
 import presslab.errors
@@ -83,3 +84,16 @@ def test_numpy_is_imported_by_the_grid_module_alone():
     for name in ("grid_shape", "grid_points", "grid_metrics"):
         assert not hasattr(presslab.systems.SemigroupSystem, name), name
     assert not hasattr(presslab.systems, "GRID_MAX_TORUS")
+
+
+def test_one_system_constructor_and_one_engine_cache():
+    """`parse_system` builds every system, the grid engines live in one
+    `lru_cache`, and the stdlib rounds Fractions."""
+    assert not hasattr(presslab.grid, "_ENGINE_CACHE")
+    assert presslab.grid._grid_engine.cache_info().maxsize == 7
+    for name in ("toral_system", "diagonal_system", "cantor_system"):
+        assert not hasattr(presslab.systems, name), name
+    for name in ("frac_ceil", "frac_floor"):
+        assert not hasattr(presslab.analytic, name), name
+    assert "steps" not in \
+        inspect.signature(presslab.systems.shift_system).parameters

@@ -61,7 +61,7 @@ def test_cover_greedy_counts_are_unchanged(case, tmp_path, monkeypatch):
         return log_cost, picked
 
     monkeypatch.setattr(grid._GridEngine, "_greedy_cover_matrix", counted)
-    monkeypatch.setattr(grid, "_ENGINE_CACHE", {})
+    grid._grid_engine.cache_clear()
     assert main(["estimate", "--config", str(GOLDEN / (case + ".cfg")),
                  "--format", "json", "--out",
                  str(tmp_path / "out.json")]) == 0

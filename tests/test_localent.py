@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from presslab import localent
 from presslab.balls import BallSpec, ball_contains
 from presslab.errors import AnalyticUnavailable, ParseError
 from presslab.localent import (
@@ -160,6 +161,25 @@ def test_estimate_ordering_is_enforced():
                              h_exhaustive_local=0.5, x=(0.5, 0.5),
                              n_range=(2, 4), epsilon=0.125,
                              sequence=(), flags=())
+
+
+def test_an_exhaustive_rate_above_the_lower_rate_is_refused(monkeypatch):
+    """The union ball holds every word ball, so its mass is the largest
+    and its rate the smallest.  A fault that shrinks the union masses by
+    4 crosses the rates, and the estimate refuses it instead of flooring
+    the exhaustive rate at the lower one."""
+    exact = localent._uniform_exact_mass
+
+    def quartered(system, spec):
+        mass = exact(system, spec)
+        return mass / 4 if spec.kind == "exhaustive" else mass
+
+    monkeypatch.setattr(localent, "_uniform_exact_mass", quartered)
+    leb = lebesgue_measure(DIAG, resolution=64)
+    with pytest.raises(ValueError,
+                       match="exhaustive rate above the lower rate"):
+        local_amalgamated_entropy(leb, DIAG, (0.37, 0.61), 0.125,
+                                  range(2, 7))
 
 
 def test_lebesgue_entropy_rate_diag():

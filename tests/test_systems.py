@@ -7,10 +7,12 @@ import random
 import numpy as np
 import pytest
 
+from presslab import analytic, grid
 from presslab.errors import DepthTooLarge, ParseError
 from presslab.grid import grid_metrics, grid_points, grid_shape
-from presslab.systems import closed_form_entropies, parse_system, zoo_systems
-from presslab.words import all_words, orbit
+from presslab.systems import TORUS, SemigroupSystem, closed_form_entropies, \
+    parse_system, zoo_systems
+from presslab.words import Word, all_words, orbit
 
 LOG = math.log
 
@@ -85,7 +87,34 @@ def test_zoo_contents():
         "shift:2",
     ]
     for s in zoo_systems():
-        assert parse_system(s.name).m == s.m
+        assert parse_system(s.name) == s
+
+
+def test_a_system_is_its_dynamics_whatever_its_name():
+    """The name is a label: systems with equal domain and generators are
+    equal, hash alike and share the grid engine, the unit ball polygons
+    and the interval core."""
+    spec = "toral:0,1,1,2;2,1,1,0"
+    named = SemigroupSystem(TORUS, parse_system(spec).generators,
+                            name="shear pair")
+    assert named == parse_system(spec) and named.name == "shear pair"
+    assert hash(named) == hash(parse_system(spec))
+    assert parse_system("diag:2,3|3,2") == parse_system("toral:2,3;3,2")
+    grid._grid_engine.cache_clear()
+    assert grid._grid_engine(named, 2, 0.25) \
+        is grid._grid_engine(parse_system(spec), 2, 0.25)
+    assert grid._grid_engine.cache_info().misses == 1
+    analytic._unit_ball.cache_clear()
+    for system in (named, parse_system(spec)):
+        analytic._unit_ball(system, Word((1, 2, 1)))
+    assert analytic._unit_ball.cache_info().misses == 1
+    analytic._single_core_numbers.cache_clear()
+    ternary = parse_system("cantor:3,3")
+    for name in ("cantor:3,3", "ternary"):
+        analytic._single_core_numbers(
+            SemigroupSystem(ternary.domain, ternary.generators, name=name),
+            0.125)
+    assert analytic._single_core_numbers.cache_info().misses == 1
 
 
 def test_closed_form_reference_pair():

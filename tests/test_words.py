@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,45 @@ def test_dn_distance_circle_wraps():
     db = parse_system("cantor:2,2")
     d = dn_distance(db, 0.01, 0.99, Word((1,)))
     assert d <= 0.04 + 1e-12
+
+
+def _exact_step(system, j, p):
+    """Generator j on exact rationals: a torus matrix mod 1, or a
+    one-slope circle map x -> s x mod 1."""
+    gen = system.generators[j - 1]
+    if system.is_toral:
+        (a, b), (c, d) = gen.matrix
+        return ((a * p[0] + b * p[1]) % 1, (c * p[0] + d * p[1]) % 1)
+    return (int(gen.slopes[0]) * p[0] % 1,)
+
+
+def _exact_circle(a, b):
+    d = abs(a - b) % 1
+    return min(d, 1 - d)
+
+
+@pytest.mark.parametrize("spec, x, y, word, exact", [
+    # the float 0.9 is 0.9000000000000000222..., so the second orbit
+    # point is 1.8000000000000000444... mod 1, at distance
+    # 900719925474099 / 2**52 from 0: the grid's 0.2 is the lattice
+    # point 18/20, not the float 0.9
+    ("toral:0,1,1,2;2,1,1,0", (0.0, 0.0), (0.0, 0.9), (1,),
+     Fraction(900719925474099, 2 ** 52)),
+    ("cantor:2,2", 0.025, 0.075, (1, 1),
+     Fraction(7205759403792793, 2 ** 55)),
+])
+def test_dn_distance_is_exact_on_its_float_inputs(spec, x, y, word, exact):
+    """A distance just below 0.2 is the exact distance of the float
+    points, not a rounding of 0.2."""
+    system = parse_system(spec)
+    p, q = ((tuple(map(Fraction, v)) if system.is_toral else (Fraction(v),))
+            for v in (x, y))
+    ref = max(_exact_circle(a, b) for a, b in zip(p, q))
+    for j in word:
+        p, q = _exact_step(system, j, p), _exact_step(system, j, q)
+        ref = max(ref, max(_exact_circle(a, b) for a, b in zip(p, q)))
+    assert ref == exact
+    assert Fraction(dn_distance(system, x, y, Word(word))) == exact
 
 
 def test_word_count_and_enumeration():
