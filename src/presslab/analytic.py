@@ -620,14 +620,16 @@ def _single_core_numbers(system, epsilon):
     return ncov, npack
 
 
+@functools.lru_cache(maxsize=None)
 def _uniform_circle_slopes(system):
+    """The one slope of each generator, computed once per system."""
     slopes = []
     for j, gen in enumerate(system.generators, start=1):
         if len(set(gen.slopes)) > 1:
             raise AnalyticUnavailable(
                 "generator %d mixes slopes on the circle: no closed form" % j)
         slopes.append(gen.slopes[0])
-    return slopes
+    return tuple(slopes)
 
 
 def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):

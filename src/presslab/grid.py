@@ -1,20 +1,20 @@
 """The grid engine: certificates on an explicit finite universe.
 
-The one module that imports numpy.  `pressure._solve` imports it at its
-grid fallback, so a request served by closed forms never loads numpy.
-A grid is sized by `grid_shape` before any point exists; `grid_points`
-lists its points and `grid_metrics` gives one metric table per word:
-one integer difference table on torus and shift, whose generators are
-endomorphisms of the grid's digit group (the g x g lattice, and
-length-L words with zero padding), so a word distance depends on the
-difference alone, and the region x region distances of orbit points on
-intervals.
+Standard library only.  `pressure._solve` imports it at its grid
+fallback.  A grid is sized by `grid_shape` before any point exists;
+`grid_points` lists its points and `grid_metrics` gives the region and
+one metric table per word: a float32 difference table on torus and
+shift, whose generators are endomorphisms of the grid's digit group
+(the g x g lattice, and length-L words with zero padding), so a word
+distance depends on the difference alone, and the orbits of the region
+points on intervals.
 
-The covers and packings run on sparse balls (`_Balls`).  On torus and
-shift grids every ball of radius r is a translate p - S of one support
-S = {d : D(d) < r} of a table D, so no pair matrix exists there.
-Interval grids keep their region x region metric, and read their balls
-off its rows, until the cylinder engines of ROADMAP item 9 replace them.
+The covers and packings run on ball sets (`_Balls`).  On torus and
+shift grids every ball of radius r is a translate p + S of one support
+S = {d : D(d) < r} of a table D, and S = -S, as every map and norm is
+odd; the engine keeps S alone and lays the translates out when a greedy
+asks.  Interval balls are read off a window of the sorted points,
+filtered by the later orbit steps.
 
 Invariant: every region point lies in its own ball along every word, as
 its distance to itself is 0, and has a finite weight.  The greedies rely
@@ -26,13 +26,15 @@ refuses them with a `ValueError`.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import heapq
 import itertools
 import math
+import operator
+from array import array
 from fractions import Fraction
-
-import numpy as np
 
 from .analytic import log_sum_exp
 from .errors import DepthTooLarge
@@ -84,135 +86,113 @@ def grid_points(system, base, rank):
 
 def grid_metrics(system, points, words, base, rank):
     """The region of a grid (its points whose orbit is defined along
-    every word) and one float32 word metric table per word: the largest
-    step distance along the two orbits.
+    every word) and one metric table per word.
 
     Torus and shift maps are endomorphisms of the digit group, so
-    d_w(p, q) = D_w(p - q), and the table is D_w itself, one entry per
-    difference in point order: each word runs the base**rank differences
-    through its steps in integers, and D_w is the running max of their
-    norm.  Interval grids have no difference, and their table is the
-    region x region matrix of orbit distances."""
+    d_w(p, q) = D_w(p - q), and the table is D_w itself, one float32
+    entry per difference in point order: each word prefix runs the
+    base**rank differences through one more step in integers, and D_w
+    is the running max of their norm.  Interval grids have no
+    difference, and their table is the orbit of every region point."""
     if system.is_interval:
         orbits = [[orbit(system, x, word) for x in points] for word in words]
         alive = [i for i in range(len(points))
                  if all(o[i] is not None for o in orbits)]
-        dist = []
-        for paths in orbits:
-            d = np.zeros((len(alive), len(alive)))
-            for step in zip(*(paths[i] for i in alive)):
-                gap = np.abs(np.subtract.outer(step, step))
-                if system.wrap:
-                    gap = np.minimum(gap, 1.0 - gap)
-                np.maximum(d, gap, out=d)
-            dist.append(d.astype(np.float32))
-        return [points[i] for i in alive], dist
-    # a difference's norm: the max of sizes[c, digit c] over digits c
-    v = np.arange(base)
+        return ([points[i] for i in alive],
+                [[o[i] for i in alive] for o in orbits])
+    digits = list(itertools.product(range(base), repeat=rank))
     if system.is_toral:
-        # entries reduced mod base first: exact, and no int64 overflow
-        mats = [np.array(gen.matrix) % base for gen in system.generators]
-        sizes = np.tile(np.minimum(v, base - v) / base, (rank, 1))
+        # the norm in units of 1/base: the larger circle distance of the
+        # two digits; a step's matrix acts on the digits mod base
+        units = [max(min(v, base - v) for v in d) for d in digits]
+        value = [k / base for k in range(base // 2 + 1)]
+        steps = [[(a * u + b * v) % base * base + (c * u + d * v) % base
+                  for u, v in digits]
+                 for (a, b), (c, d) in (gen.matrix
+                                        for gen in system.generators)]
     else:
-        # sigma^s moves digit i + s to i, padding zeros; 2**-j at the
-        # first nonzero digit j, 0 at none
-        mats = [np.eye(rank, k=gen.step, dtype=int)
-                for gen in system.generators]
-        sizes = np.outer(np.ldexp(1.0, -np.arange(rank)), v > 0)
-    rows = np.arange(rank)[:, None]
-    diffs = _digits(base, rank)
+        # 2**-j at the first nonzero digit j, held as rank - j, and 0 at
+        # none; sigma^s moves digit i + s to i, padding zeros
+        units = [rank - next((j for j, v in enumerate(d) if v), rank)
+                 for d in digits]
+        value = [0.0] + [math.ldexp(1.0, k - rank)
+                         for k in range(1, rank + 1)]
+        steps = [[d * base ** gen.step % len(digits)
+                  for d in range(len(digits))]
+                 for gen in system.generators]
+    # (image of every difference, running max of its norm) after each
+    # step of the current word; words that share a prefix share its steps
+    path = [(range(len(digits)), units)]
+    prev = ()
     tables = []
     for word in words:
-        diff = diffs
-        d_w = sizes[rows, diff].max(axis=0)
-        for j in word:
-            diff = mats[j - 1] @ diff % base
-            np.maximum(d_w, sizes[rows, diff].max(axis=0), out=d_w)
-        tables.append(d_w.astype(np.float32))
+        keep = next((k for k, (i, j) in enumerate(zip(word, prev)) if i != j),
+                    min(len(word), len(prev)))
+        del path[keep + 1:]
+        for j in word.symbols[keep:]:
+            image, run = path[-1]
+            image = list(map(steps[j - 1].__getitem__, image))
+            path.append((image, list(map(max, run,
+                                         map(units.__getitem__, image)))))
+        tables.append(array("f", map(value.__getitem__, path[-1][1])))
+        prev = word.symbols
     return points, tables
 
 
-def _digits(base, rank):
-    """(rank, base**rank): the digits of every grid point, first digit
-    most significant, in point order."""
-    return np.indices((base,) * rank).reshape(rank, -1)
+def _f32(x):
+    """x rounded to float32.  A float32 table entry d is inside radius r
+    iff d < _f32(r): the radius is rounded as the table is, so an entry
+    equal to _f32(r) stays out even where _f32(r) < r."""
+    return array("f", (x,))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _translation(t, width, base):
+    """A getter of the entries x + t, digit by digit mod base, from a
+    sequence of all width-digit x in point order (width >= 1)."""
+    perm = [0]
+    for j in reversed(range(width)):
+        ring = [(v + t // base ** j) % base for v in range(base)]
+        perm = [q * base + v for q in perm for v in ring]
+    return operator.itemgetter(*perm)
+
+
+def _window(xs, lo, hi):
+    """Indices of the sorted xs in [lo, hi], one more on each side: a
+    superset that rounding at the ends cannot shrink."""
+    return range(max(bisect.bisect_left(xs, lo) - 1, 0),
+                 min(bisect.bisect_right(xs, hi) + 1, len(xs)))
 
 
 class _Balls:
-    """One sparse ball per atom: atom i holds the points
-    members[indptr[i]:indptr[i + 1]], in increasing order, out of npts.
+    """A ball set on npts points, one ball per atom: atom a holds the
+    points members(a), and point q lies in the balls of the atoms
+    holders(q); sizes[a] is atom a's point count.  Without holders, the
+    balls are those of one symmetric metric, one centred at each point:
+    q lies in p's ball iff p lies in q's, so q's holders are the members
+    of q's ball."""
 
-    The tie rank and the point -> atom index are built on first use and
-    kept with the arrays, so every greedy run on the same balls shares
-    them."""
-
-    def __init__(self, indptr, members, npts):
-        self.indptr = indptr
+    def __init__(self, members, sizes, holders=None, npts=None):
         self.members = members
-        self.npts = npts
-        self._rank = None
-        self._holders = None
-
-    @classmethod
-    def from_mask(cls, mask):
-        """The balls of an (A, R) bool mask, one per row."""
-        return cls(np.r_[0, np.cumsum(mask.sum(axis=1))],
-                   np.nonzero(mask)[1], mask.shape[1])
-
-    @classmethod
-    def concat(cls, parts):
-        """The atoms of every part in turn, on the same points."""
-        sizes = np.concatenate([np.diff(b.indptr) for b in parts])
-        return cls(np.r_[0, np.cumsum(sizes)],
-                   np.concatenate([b.members for b in parts]), parts[0].npts)
+        self.sizes = sizes
+        self.holders = members if holders is None else holders
+        self.npts = len(sizes) if npts is None else npts
 
     def __len__(self):
-        return len(self.indptr) - 1
-
-    def rank(self):
-        """Rank of each atom in the order of its mask row's bytes, equal
-        rows ranked equal.  At the least point two balls differ in, the
-        ball without it sorts first, and so it does in the order of the
-        negated sorted member lists, padded below every member."""
-        if self._rank is None:
-            sizes = np.diff(self.indptr)
-            width = max(int(sizes.max()), 1)
-            # padded with -npts, below every negated member
-            keys = np.full((len(self), width), -self.npts, dtype=np.intp)
-            keys[np.repeat(np.arange(len(self)), sizes),
-                 np.arange(len(self.members))
-                 - np.repeat(self.indptr[:-1], sizes)] = -self.members
-            order = np.lexsort(keys.T[::-1])
-            keys = keys[order]
-            self._rank = np.empty(len(self), dtype=np.intp)
-            self._rank[order] = np.cumsum(
-                np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-        return self._rank
-
-    def holders(self):
-        """(indptr, atoms): the atoms holding point q, in increasing
-        order, are atoms[indptr[q]:indptr[q + 1]]."""
-        if self._holders is None:
-            atom = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-            self._holders = (
-                np.r_[0, np.cumsum(np.bincount(self.members,
-                                               minlength=self.npts))],
-                atom[np.argsort(self.members, kind="stable")])
-        return self._holders
+        return len(self.sizes)
 
 
 class _GridEngine:
     """Certificates for one (system, n, epsilon), all on its grid: the
     metric table of every length-n word is precomputed, then cover and
-    packing queries are answered per kind on sparse balls.
+    packing queries are answered per kind on ball sets.
 
-    On torus and shift grids every ball of a table D at radius r is a
-    translate p - S of its support S = {d : D(d) < r}, and the engine
-    holds no pair matrix: P points cost one length-P table per word,
-    and each ball set (a word's balls, all words' balls, or the balls of
-    the largest or smallest word distance) is built from S and cached.
-    Interval grids keep their region x region metric per word and read
-    the balls off its rows."""
+    On torus and shift grids the engine holds one length-P float32
+    table per word and, per radius and metric (a word, or the largest
+    or smallest word distance), the support S of its balls: the balls
+    p + S of a greedy are laid out from S for that greedy alone.
+    Interval grids hold their region orbits, and per radius and metric
+    the member list of every ball."""
 
     def __init__(self, system, n, epsilon, words=None):
         # given words restrict the universe: certificates for them only
@@ -230,7 +210,7 @@ class _GridEngine:
         self.points = grid_points(system, *self.shape)
         self._phi_cache = {}
         self._word_covers = {}
-        self._balls = {}
+        self._held = {}
         self._build_metrics()
 
     # -- construction
@@ -247,79 +227,132 @@ class _GridEngine:
         # once the allocator reuses an address
         key = phi.components
         if key not in self._phi_cache:
-            # built per point and transposed: each point's words are
-            # contiguous, which fixes the summation order of the word mean;
             # orbits revisit points, so each (generator, point) step is
             # evaluated once
             steps = {}
-            arr = np.array(
-                [[consecutive_sum(self.system, phi, x, word, steps)
-                  for word in self.words] for x in self.region]).T
+            sums = [[consecutive_sum(self.system, phi, x, word, steps)
+                     for word in self.words] for x in self.region]
             # finite step values can still sum past the float range
-            if not np.isfinite(arr).all():
+            if not all(map(math.isfinite, itertools.chain(*sums))):
                 raise ValueError(
                     "the potential's consecutive sums overflow at depth %d"
                     % self.n)
-            self._phi_cache[key] = arr
+            self._phi_cache[key] = [array("d", [row[w] for row in sums])
+                                    for w in range(len(self.words))]
         return self._phi_cache[key]
 
     def balls(self, which, r):
         """The balls of radius r (strict) around every region point under
-        one metric, cached: `which` is a word index, "max" or "min" (the
-        largest or smallest word distance), or "all" (every word's
-        balls, word-major, one atom per (word, centre))."""
-        key = (which, r)
-        if key not in self._balls:
-            if which == "all":
-                balls = _Balls.concat([self.balls(w, r)
-                                       for w in range(len(self.words))])
-            else:
-                if which in ("max", "min"):
-                    op = np.maximum if which == "max" else np.minimum
-                    table = functools.reduce(op, self.tables)
-                else:
-                    table = self.tables[which]
-                # a float32 table against the float radius, as `d < r`
-                # compares it
-                balls = _Balls.from_mask(table < r) if table.ndim == 2 \
-                    else self._stencil_balls(np.flatnonzero(table < r))
-            self._balls[key] = balls
-        return self._balls[key]
+        one metric: `which` is a word index, "max" or "min" (the largest
+        or smallest word distance), or "all" (every word's balls,
+        word-major, one atom per (word, centre))."""
+        if which == "all":
+            parts = [self.balls(w, r) for w in range(len(self.words))]
+            npts = len(self.region)
+            return _Balls(
+                lambda a: parts[a // npts].members(a % npts),
+                [k for part in parts for k in part.sizes],
+                lambda q: [w * npts + b for w, part in enumerate(parts)
+                           for b in part.holders(q)], npts)
+        held = self._ball_data(which, r)
+        if self.system.is_interval:
+            return _Balls(held.__getitem__, list(map(len, held)))
+        return self._translates(held)
 
-    def _stencil_balls(self, support):
-        """The balls p - S of every grid point p, for the differences
-        S: each member's digits are p's minus S's, mod base."""
+    def _ball_data(self, which, r):
+        """What the engine keeps of one ball set, cached: the support on
+        torus and shift, each ball's members on intervals.  A point lies
+        within r of p in the largest word distance iff it does in every
+        word's, and in the smallest iff it does in some word's."""
+        key = (which, r)
+        if key not in self._held:
+            r32 = _f32(r)
+            if not self.system.is_interval:
+                table = self.tables[which] if isinstance(which, int) else \
+                    map(max if which == "max" else min, zip(*self.tables))
+                held = [d for d, x in enumerate(table) if x < r32]
+            elif isinstance(which, int):
+                held = self._interval_rows(self.tables[which], r32)
+            else:
+                joint = set.intersection if which == "max" else set.union
+                held = [sorted(joint(*map(set, rows))) for rows in zip(
+                    *(self._ball_data(w, r) for w in range(len(self.words))))]
+            self._held[key] = held
+        return self._held[key]
+
+    def _interval_rows(self, orbits, r32):
+        """The members of every region point's ball along one word, in
+        increasing order: the points whose float32 orbit distance is
+        below r32.  The first orbit coordinate is the point itself,
+        increasing in region order, so the candidates are a window of
+        it, or three on the circle.  Each pair is checked once, from the
+        last step back as the steps expand: a gap of r32 or more rounds
+        to r32 or more, so it rejects at once."""
+        wrap = self.system.wrap
+        xs = [o[0] for o in orbits]
+        backward = [o[::-1] for o in orbits]
+        rows = [[] for _ in orbits]
+        for p, (x, op) in enumerate(zip(xs, backward)):
+            rows[p].append(p)
+            cand = _window(xs, x - r32, x + r32)
+            if wrap:
+                cand = sorted({*cand, *_window(xs, x - r32 + 1, x + r32 + 1),
+                               *_window(xs, x - r32 - 1, x + r32 - 1)})
+            for q in cand:
+                if q <= p:
+                    continue
+                d = 0.0
+                for a, b in zip(op, backward[q]):
+                    gap = abs(a - b)
+                    d = max(d, min(gap, 1.0 - gap) if wrap else gap)
+                    if d >= r32:
+                        break
+                else:
+                    if _f32(d) < r32:
+                        rows[p].append(q)
+                        rows[q].append(p)
+        return rows
+
+    def _translates(self, support):
+        """The balls p + S of every grid point p, laid out row-major with
+        stride |S| over one shared list of point indices.  Each column
+        p -> p + s is gathered block by block: the high digits of p + s
+        pick a block of the low-digit points, and the low digits a
+        position in it."""
         base, rank = self.shape
-        digits = _digits(base, rank)
-        members = np.zeros((len(self.points), len(support)), dtype=np.intp)
-        for row in digits:
-            members *= base
-            members += np.subtract.outer(row, row[support]) % base
-        members.sort(axis=1)
-        return _Balls(np.arange(len(self.points) + 1) * len(support),
-                      members.reshape(-1), len(self.points))
+        ids = list(range(len(self.points)))
+        low = rank - rank // 2
+        size = base ** low
+        blocks = [ids[i:i + size] for i in range(0, len(ids), size)]
+        columns = []
+        for s in support:
+            high, s = divmod(s, size)
+            columns.append(itertools.chain.from_iterable(map(
+                _translation(s, low, base),
+                _translation(high, rank - low, base)(blocks))))
+        flat = list(itertools.chain.from_iterable(zip(*columns)))
+        k = len(support)
+        return _Balls(lambda a: flat[a * k:a * k + k], [k] * len(ids))
 
     # -- greedy primitives
 
     def _greedy_cover_matrix(self, balls, lw):
         """Weighted greedy set cover of every point.  balls: a _Balls of
-        A atoms, lw: (A,); every point lies in some atom.  Returns (log
-        cost, picked indices).
+        A atoms, lw: A weights; every point lies in some atom.  Returns
+        (log cost, picked indices).
 
         Each round picks the atom of least score lw - log(gain), gain
         its count of uncovered points; scores within 1e-12 of the least
-        tie, and the tie goes to the least (lw to 12 places, rank of the
-        ball, index).  Lazy (Minoux 1978): a heap holds stale scores,
-        and a score only rises as its gain falls, so refreshing every
-        entry within 1e-12 of the least gives every tied atom."""
-        lws = lw.tolist()
-        members, indptr = balls.members.tolist(), balls.indptr.tolist()
-        h_indptr, h_atoms = balls.holders()
-        h_ptr, h_list = h_indptr.tolist(), h_atoms.tolist()
-        sizes = np.diff(balls.indptr)
-        # logs[g] = log g, from one numpy table
-        logs = [0.0] + np.log(np.arange(1, sizes.max() + 1)).tolist()
-        gains = sizes.tolist()
+        tie, and the tie goes to the least (lw to 12 places, ball, index),
+        balls ordered as their membership rows: at the least point two
+        balls differ in, the ball without it first.  Lazy (Minoux 1978):
+        a heap holds stale scores, and a score only rises as its gain
+        falls, so refreshing every entry within 1e-12 of the least gives
+        every tied atom."""
+        lws = list(lw)
+        members, holders = balls.members, balls.holders
+        gains = list(balls.sizes)
+        logs = [0.0] + [math.log(g) for g in range(1, max(gains) + 1)]
         heap = [(lws[i] - logs[g], i, g) for i, g in enumerate(gains) if g]
         heapq.heapify(heap)
         # atoms that still hold two or more uncovered points
@@ -328,7 +361,8 @@ class _GridEngine:
         left = balls.npts
         log_terms = []
         picked = []
-        rank = None
+        # each atom's place in the tie order, set at the first tie
+        place = None
         while left and multi:
             # refresh the top until it is current: then it is the least
             while True:
@@ -353,56 +387,56 @@ class _GridEngine:
                         heapq.heappush(heap, (s, i, g))
                         continue
                 cand.append((s, i, g))
-            if len(cand) == 1:
-                a = cand[0][1]
-            else:
-                if rank is None:
-                    rank = balls.rank().tolist()
-                a = min((i for _, i, _ in cand),
-                        key=lambda i: (round(lws[i], 12), rank[i], i))
+            a = cand[0][1]
+            if len(cand) > 1:
+                if place is None:
+                    # a membership row sorts as its negated member list,
+                    # read only where rounded weights are equal; the
+                    # stable sort leaves equal keys in index order
+                    rounded = [round(x, 12) for x in lws]
+                    shared = collections.Counter(rounded)
+                    order = sorted(range(len(lws)), key=lambda i: (
+                        rounded[i], [-q for q in sorted(members(i))]
+                        if shared[rounded[i]] > 1 else ()))
+                    place = [0] * len(lws)
+                    for k, i in enumerate(order):
+                        place[i] = k
+                a = min((i for _, i, _ in cand), key=place.__getitem__)
             for entry in cand:
                 if entry[1] != a:
                     heapq.heappush(heap, entry)
             log_terms.append(lws[a])
             picked.append(a)
-            for q in members[indptr[a]:indptr[a + 1]]:
+            for q in members(a):
                 if uncovered[q]:
                     uncovered[q] = False
                     left -= 1
-                    for b in h_list[h_ptr[q]:h_ptr[q + 1]]:
+                    for b in holders(q):
                         g = gains[b]
                         if g == 2:
                             multi -= 1
                         gains[b] = g - 1
         if left:
             # tail: every live atom holds one uncovered point, and each
-            # point takes its cheapest atom (the least index on ties, as
-            # lexsort is stable), in point order
-            points = np.flatnonzero(uncovered)
-            starts = h_indptr[points]
-            counts = h_indptr[points + 1] - starts
-            offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            atoms = h_atoms[offsets + np.arange(len(offsets))]
-            points = np.repeat(points, counts)
-            order = np.lexsort((lw[atoms], points))
-            atoms, points = atoms[order], points[order]
-            first = np.r_[True, points[1:] != points[:-1]]
-            log_terms.extend(lw[atoms[first]].tolist())
-            picked.extend(atoms[first].tolist())
+            # point takes its cheapest atom (the least index on ties), in
+            # point order
+            for q in itertools.compress(range(balls.npts), uncovered):
+                a = min(holders(q), key=lambda b: (lws[b], b))
+                log_terms.append(lws[a])
+                picked.append(a)
         return log_sum_exp(log_terms), picked
 
     def _greedy_packing(self, balls, w_log):
         """Greedy separated set maximizing weights: each kept point drops
         the points of its ball, of radius 2 epsilon."""
-        members, indptr = balls.members.tolist(), balls.indptr.tolist()
         far = [True] * len(w_log)
         kept = []
-        for i in np.argsort(-w_log, kind="stable").tolist():
+        for i in _heaviest_first(w_log):
             if far[i]:
                 kept.append(i)
-                for q in members[indptr[i]:indptr[i + 1]]:
+                for q in balls.members(i):
                     far[q] = False
-        return log_sum_exp(w_log[kept].tolist()), len(kept)
+        return log_sum_exp([w_log[i] for i in kept]), len(kept)
 
     # -- kind plumbing
 
@@ -444,7 +478,7 @@ class _GridEngine:
                                  "grid-certified greedy cover")
         # one atom per (word, centre), word-major
         log_cost, picked = self._greedy_cover_matrix(
-            self.balls("all", self.epsilon), s.reshape(-1))
+            self.balls("all", self.epsilon), itertools.chain(*s))
         npts = len(self.region)
         atoms = tuple((self.words[i // npts], self.region[i % npts])
                       for i in picked)
@@ -484,7 +518,7 @@ class _GridEngine:
             if kind == "free":
                 w_log = _log_mean_exp(s)
             elif kind == "amalgamated":
-                w_log = s.min(axis=0)
+                w_log = list(map(min, zip(*s)))
             else:
                 w_log = _side_weight(s, kind)
             log_sum, count = self._greedy_packing(
@@ -495,27 +529,54 @@ class _GridEngine:
     def _mask_packing(self, balls, w_log):
         """Exhaustive separation: keep points whose some-word grid balls
         are pairwise disjoint."""
-        members, indptr = balls.members.tolist(), balls.indptr.tolist()
         taken = [False] * len(w_log)
         kept = []
-        for i in np.argsort(-w_log, kind="stable").tolist():
-            ball = members[indptr[i]:indptr[i + 1]]
+        for i in _heaviest_first(w_log):
+            ball = balls.members(i)
             if not any(taken[q] for q in ball):
                 kept.append(i)
                 for q in ball:
                     taken[q] = True
-        return log_sum_exp(w_log[kept].tolist()), len(kept)
+        return log_sum_exp([w_log[i] for i in kept]), len(kept)
+
+
+def _heaviest_first(w_log):
+    """Point indices by decreasing weight, the least index first on ties."""
+    return sorted(range(len(w_log)), key=w_log.__getitem__, reverse=True)
 
 
 def _side_weight(s, kind):
     """Per-point smallest sum over words for lower kinds, else largest."""
-    return s.min(axis=0) if kind.endswith("lower") else s.max(axis=0)
+    return list(map(min if kind.endswith("lower") else max, zip(*s)))
 
 
 def _log_mean_exp(s):
     """Per-point log of the mean over words of exp(S)."""
-    peak = s.max(axis=0)
-    return peak + np.log(np.exp(s - peak).mean(axis=0))
+    out = []
+    for sums in zip(*s):
+        peak = max(sums)
+        total = _pairwise_sum([math.exp(v - peak) for v in sums])
+        out.append(peak + math.log(total / len(sums)))
+    return out
+
+
+def _pairwise_sum(a):
+    """sum(a) in pairwise order, as numpy's `pairwise_sum` adds a
+    contiguous run: left to right below 8 terms, eight running sums up
+    to 128, halves (a multiple of 8 first) above.  The word means of
+    the free packing weights are summed in this order; `sum` is not,
+    as it compensates from Python 3.12."""
+    n = len(a)
+    if n < 8:
+        return functools.reduce(operator.add, a, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    end = n - n % 8
+    r = [functools.reduce(operator.add, a[j + 8:end:8], a[j])
+         for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, a[end:], total)
 
 
 @functools.lru_cache(maxsize=7)

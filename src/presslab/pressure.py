@@ -16,7 +16,7 @@ kinds
 Closed-form counts from the analytic module are used whenever the
 system and potential admit them (method "AnalyticBox"); otherwise the
 quantities are certified on an explicit finite grid ("GenericGrid") by
-the `grid` module, which is imported only then, with numpy.
+the `grid` module, which is imported only then.
 Grid estimates bound grid-restricted quantities only; their value is
 that every comparison theorem is enforced structurally, by reusing and
 re-weighting the competitor's cover, so inequality reports hold at any
@@ -140,7 +140,7 @@ def _solve(side, system, phi, kind, n, epsilon, rule, seed, engine):
         except AnalyticUnavailable:
             if engine == "analytic":
                 raise
-    from . import grid  # numpy loads here, at the first grid request
+    from . import grid
     eng = grid._grid_engine_for(system, kind, n, epsilon, rule)
     if side == "cover":
         return eng.cover(phi, kind, rule, pool)

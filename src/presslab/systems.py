@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError
 
@@ -65,10 +66,18 @@ class ToralGenerator:
         return ((a * x + b * y) % 1.0, (c * x + d * y) % 1.0)
 
 
+def _check_slope(slope):
+    """A branch slope, refused unless finite and above 1 (NaN is not)."""
+    if not 1.0 < slope < math.inf:
+        raise ValueError("branch slopes must be finite and exceed 1")
+    return slope
+
+
 @dataclass(frozen=True)
 class IntervalGenerator:
     """Piecewise affine expanding map.  Each branch is (left, slope) and
-    maps [left, left + 1/slope] onto [0, 1] increasingly."""
+    maps [left, left + 1/slope] onto [0, 1] increasingly.  Its slopes,
+    total width and gap test are computed once, on first use."""
 
     branches: tuple
 
@@ -77,8 +86,7 @@ class IntervalGenerator:
             raise ValueError("at least one branch required")
         prev_right = None
         for left, slope in self.branches:
-            if slope <= 1.0:
-                raise ValueError("branch slopes must exceed 1")
+            _check_slope(slope)
             right = left + 1.0 / slope
             if left < -1e-12 or right > 1.0 + 1e-12:
                 raise ValueError("branch outside [0, 1]")
@@ -90,7 +98,7 @@ class IntervalGenerator:
     def from_slopes(cls, slopes):
         """Branches of widths 1/s_i: first starts at 0, last ends at 1,
         interior gaps all equal."""
-        slopes = [float(s) for s in slopes]
+        slopes = [_check_slope(float(s)) for s in slopes]
         if len(slopes) < 2:
             # a single branch cannot start at 0 and end at 1 unless slope 1
             raise ValueError("need at least two branch slopes")
@@ -109,15 +117,15 @@ class IntervalGenerator:
     def branch_count(self):
         return len(self.branches)
 
-    @property
+    @cached_property
     def slopes(self):
         return tuple(s for _, s in self.branches)
 
-    @property
+    @cached_property
     def total_width(self):
         return sum(1.0 / s for _, s in self.branches)
 
-    @property
+    @cached_property
     def has_gaps(self):
         return self.total_width < 1.0 - 1e-9
 
@@ -179,7 +187,7 @@ class ShiftGenerator:
 class SemigroupSystem:
     """A domain and its generator maps.  The name is a label: it is
     outside equality and hashing, so every cache keyed on a system keys
-    on its dynamics."""
+    on its dynamics.  `wrap` is computed once, on first use."""
 
     domain: str
     generators: tuple
@@ -205,7 +213,7 @@ class SemigroupSystem:
     def all_diagonal(self):
         return self.is_toral and all(g.is_diagonal for g in self.generators)
 
-    @property
+    @cached_property
     def wrap(self):
         """Interval systems with no gaps are circle maps; gapped Cantor
         systems live on the real interval where branch separation is a

@@ -240,6 +240,25 @@ epsilons = 0.25
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("slopes", ["nan,nan", "inf,2", "-inf,2", "1,2",
+                                    "0.5,2"])
+def test_slopes_not_finite_or_not_above_one_are_parse_errors(
+        tmp_path, capsys, slopes):
+    # NaN fails every comparison, so only `1 < slope < inf` refuses it;
+    # an inf slope had the condensed grid greedy fail on an empty ball set
+    path = write_cfg(tmp_path, "bad.cfg", """system = cantor:%s
+potential = zero
+kinds = condensed-upper
+depths = 2
+epsilons = 0.125
+""" % slopes)
+    assert main(["estimate", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "parse error: line 1: branch slopes must be finite and exceed 1\n"
+
+
 @pytest.mark.parametrize("measure", ["lebesgue",
                                      "bernoulli:0.5,0.5 x lebesgue"])
 def test_shift_systems_take_no_measure(tmp_path, capsys, measure):

@@ -69,14 +69,14 @@ def test_unread_knobs_and_fields_are_gone():
     assert not hasattr(presslab.dimension.ExpansionField, "log_lambda")
 
 
-def test_numpy_is_imported_by_the_grid_module_alone():
-    """Closed-form requests never load numpy: the grid engine is its one
-    user, and `pressure` names only the `_GridEngine` alias from it."""
-    package = pathlib.Path(presslab.__file__).parent
-    importers = {path.name for path in package.glob("*.py")
+def test_no_module_imports_numpy():
+    """The package is standard library only, and `pressure` names only
+    the `_GridEngine` alias from the grid module."""
+    src = pathlib.Path(presslab.__file__).parent.parent
+    importers = {path.name for path in src.rglob("*.py")
                  if re.search(r"^\s*(import|from) numpy\b",
                               path.read_text(encoding="utf-8"), re.M)}
-    assert importers == {"grid.py"}
+    assert importers == set()
     assert presslab.pressure._GridEngine is presslab.grid._GridEngine
     for name in ("_grid_engine", "_grid_engine_for", "_ENGINE_CACHE",
                  "GRID_BUDGET", "np"):

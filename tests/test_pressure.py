@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -386,10 +387,11 @@ def test_grid_weights_are_consecutive_sums_at_region_points():
     phi = coordinate_potential(2)
     eng = _GridEngine(system, 3, 0.2)
     s = eng.weights(phi)
-    assert s.shape == (len(eng.words), len(eng.region)) == (8, 400)
+    assert (len(s), len(s[0])) == (len(eng.words), len(eng.region)) \
+        == (8, 400)
     for w, word in enumerate(eng.words):
         for i, x in enumerate(eng.region):
-            assert s[w, i] == consecutive_sum(system, phi, x, word)
+            assert s[w][i] == consecutive_sum(system, phi, x, word)
 
 
 # (depth, radius) per system: coarse grids, and one finer grid per
@@ -429,15 +431,25 @@ def test_grid_metric_is_the_word_distance(spec):
                 balls = eng.balls(which, r)
                 assert len(balls) == len(eng.region)
                 for p, row in enumerate(d):
-                    got = balls.members[balls.indptr[p]:balls.indptr[p + 1]]
-                    assert got.tolist() == np.flatnonzero(row < r).tolist(), \
+                    assert sorted(balls.members(p)) \
+                        == np.flatnonzero(row < r).tolist(), \
                         (n, epsilon, r, which, eng.region[p])
+                    assert sorted(balls.holders(p)) == sorted(balls.members(p))
+                    assert balls.sizes[p] == len(balls.members(p))
+            # atom (w, p) of the "all" set is p's ball along word w, and
+            # the atoms holding q are q's balls, offset by word
             every = eng.balls("all", r)
-            parts = [eng.balls(w, r) for w in range(len(eng.words))]
-            assert np.array_equal(every.members, np.concatenate(
-                [b.members for b in parts]))
-            assert np.array_equal(np.diff(every.indptr), np.concatenate(
-                [np.diff(b.indptr) for b in parts]))
+            npts = len(eng.region)
+            assert len(every) == len(eng.words) * npts
+            for w in range(len(eng.words)):
+                part = eng.balls(w, r)
+                for p in range(npts):
+                    assert every.members(w * npts + p) == part.members(p)
+                    assert every.sizes[w * npts + p] == part.sizes[p]
+            for q in range(npts):
+                assert sorted(every.holders(q)) == sorted(
+                    w * npts + p for w in range(len(eng.words))
+                    for p in eng.balls(w, r).holders(q))
 
 
 def test_grid_engine_cache_is_keyed_by_system_value():
@@ -449,39 +461,53 @@ def test_grid_engine_cache_is_keyed_by_system_value():
     assert _grid_engine(a, 2, 0.25) is not _grid_engine(a, 2, 0.125)
 
 
-def _held_arrays(obj, seen):
-    """Every numpy array an engine holds, through its caches."""
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _held_arrays(key, seen)
-            yield from _held_arrays(value, seen)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _held_arrays(item, seen)
-    elif isinstance(obj, (_GridEngine, grid._Balls)):
-        yield from _held_arrays(vars(obj), seen)
+ENGINE_FIELDS = {"words", "system", "n", "epsilon", "shape", "points",
+                 "region", "tables", "_phi_cache", "_word_covers", "_held"}
 
 
 def test_toral_engine_holds_no_pair_matrix():
     # after every kind's cover and packing, a torus engine holds one
-    # float32 difference table per word and sparse balls, and no array
-    # of P x P entries or more
+    # P-entry float32 difference table per word and one support per
+    # (metric, radius), and nothing per atom: the balls p + S, their
+    # holders, sizes and tie order live only as long as one greedy
     phi = random_potential(2, seed=6)
     for kind in KINDS:
         estimate_pressure(SHEAR, phi, kind, 3, 0.125, seed=0,
                           rule=periodic_rule((1, 2)), engine="grid")
     eng = _grid_engine(SHEAR, 3, 0.125)
-    assert eng._balls and eng._word_covers and eng._phi_cache
+    assert set(vars(eng)) == ENGINE_FIELDS
+    assert eng._held and eng._word_covers and eng._phi_cache
     npts = len(eng.points)
-    held = list(_held_arrays(eng, set()))
-    assert max(a.size for a in held) < npts * npts
-    assert sum(a.nbytes for a in held if a.dtype == np.float32) \
-        == len(eng.words) * npts * 4
+    assert len(eng.tables) == len(eng.words)
+    for table in eng.tables:
+        assert isinstance(table, array) and table.typecode == "f"
+        assert len(table) == npts
+    assert {which for which, _ in eng._held} \
+        == {*range(len(eng.words)), "max", "min"}
+    for (which, r), support in eng._held.items():
+        assert r in (eng.epsilon, 2 * eng.epsilon)
+        # a set of differences, closed under negation, with 0 in it
+        assert support == sorted(set(support)) and 0 in support
+        assert len(support) < npts
+        assert all(type(d) is int and 0 <= d < npts for d in support)
+    for sums in eng._phi_cache.values():
+        assert [len(row) for row in sums] == [npts] * len(eng.words)
+
+
+def test_a_table_entry_at_the_float32_radius_is_outside_the_ball():
+    # the 20 x 20 lattice difference (7, 0) is 7/20 from 0 along word
+    # (1,), whose matrix sends it to (0, 7); its float32 entry is below
+    # 0.35, so a float64 comparison would put it inside radius 0.35, but
+    # the radius is rounded to float32 too, as numpy compares a float32
+    # table with a Python float, and the point stays out
+    eng = _GridEngine(SHEAR, 1, 0.2)
+    assert eng.shape == (20, 2) and eng.words[0].symbols == (1,)
+    table = eng.tables[0]
+    for q in (7 * 20, 13 * 20):
+        assert table[q] == float(np.float32(0.35)) < 0.35
+        assert not np.array(table, dtype=np.float32)[q] < 0.35
+        assert q not in eng.balls(0, 0.35).members(0)
+    assert 6 * 20 in eng.balls(0, 0.35).members(0)
 
 
 def _reference_greedy_cover(masks, lw, need):
@@ -535,8 +561,11 @@ def test_greedy_cover_matches_reference_loop():
         if trial % 4 >= 2:
             lw = lw + rng.choice([0.0, 1e-13, 5e-13], len(lw))
         need = np.ones(points, dtype=bool)
-        got = _GridEngine._greedy_cover_matrix(
-            None, grid._Balls.from_mask(masks), lw)
+        rows = [np.flatnonzero(row).tolist() for row in masks]
+        cols = [np.flatnonzero(col).tolist() for col in masks.T]
+        balls = grid._Balls(rows.__getitem__, [len(row) for row in rows],
+                            cols.__getitem__, points)
+        got = _GridEngine._greedy_cover_matrix(None, balls, lw.tolist())
         assert got == _reference_greedy_cover(masks, lw, need), trial
 
 

@@ -1,5 +1,6 @@
 """System parsing, the zoo, the closed-form entropies, and the maps."""
 
+import functools
 import itertools
 import math
 import random
@@ -10,8 +11,8 @@ import pytest
 from presslab import analytic, grid
 from presslab.errors import DepthTooLarge, ParseError
 from presslab.grid import grid_metrics, grid_points, grid_shape
-from presslab.systems import TORUS, SemigroupSystem, closed_form_entropies, \
-    parse_system, zoo_systems
+from presslab.systems import TORUS, IntervalGenerator, SemigroupSystem, \
+    closed_form_entropies, parse_system, zoo_systems
 from presslab.words import Word, all_words, orbit
 
 LOG = math.log
@@ -117,6 +118,47 @@ def test_a_system_is_its_dynamics_whatever_its_name():
     assert analytic._single_core_numbers.cache_info().misses == 1
 
 
+def _count_calls(monkeypatch, cls, name):
+    """Replace the cached property cls.name by one that counts the calls
+    of its function."""
+    calls = []
+    func = cls.__dict__[name].func
+
+    def counted(self):
+        calls.append(self)
+        return func(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+def test_generator_and_system_invariants_are_computed_once(monkeypatch):
+    # every apply reads has_gaps, and the closed forms read wrap and the
+    # circle slopes per ball; each is computed once per object
+    calls = {name: _count_calls(monkeypatch, IntervalGenerator, name)
+             for name in ("slopes", "total_width", "has_gaps")}
+    calls["wrap"] = _count_calls(monkeypatch, SemigroupSystem, "wrap")
+    for spec in ("cantor:3,3|3,3", "cantor:2,2|3,3,3"):
+        system = parse_system(spec)
+        for x in [i / 97 for i in range(98)]:
+            for j in (1, 2):
+                system.apply(j, x)
+        for _ in range(50):
+            assert system.wrap == (spec == "cantor:2,2|3,3,3")
+            assert system.generators[0].slopes[0] == float(spec[7])
+    # once per generator (slopes of the first ones alone are read) and
+    # once per system, however many reads
+    assert [len(c) for c in calls.values()] == [2, 4, 4, 2]
+    assert all(len({id(obj) for obj in c}) == len(c) for c in calls.values())
+    circle = parse_system("cantor:2,2|3,3,3")
+    analytic._uniform_circle_slopes.cache_clear()
+    for _ in range(50):
+        assert analytic._uniform_circle_slopes(circle) == (2.0, 3.0)
+    assert analytic._uniform_circle_slopes.cache_info().misses == 1
+
+
 def test_closed_form_reference_pair():
     h_plus, h_a, h_cond = closed_form_entropies(2, 3, 3, 2)
     assert h_plus == pytest.approx(LOG(4), abs=1e-12)
@@ -211,8 +253,9 @@ def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
         for step in zip(*(orbit(system, x, word) for x in points)):
             np.maximum(want, _reference_shift_pair_distances(step), out=want)
         np.fill_diagonal(want, 0.0)
-        assert table.dtype == np.float32 and table.shape == (len(points),)
-        assert np.array_equal(table[diff], want.astype(np.float32)), word
+        assert table.typecode == "f" and len(table) == len(points)
+        assert np.array_equal(np.array(table, dtype=np.float32)[diff],
+                              want.astype(np.float32)), word
 
 
 @pytest.mark.parametrize("spec, count", [("cantor:3,3,3|2,2", 3),
