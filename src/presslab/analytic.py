@@ -14,7 +14,7 @@ Three engines, all exact up to integer rounding:
 * interval branch maps: cylinders of a word carry exact counts, the
   invariant core is refined to explicit blocks in one pass that builds
   each depth once, and cover/packing numbers at a relative scale come
-  from 1-d greedy sweeps over the levels of that pass.
+  from 1-d greedy sweeps over the levels of that pass; weights are logs.
 
 Each cover engine reduces a word to its (log cost, ball count) and hands
 that to one helper, `_word_kinds`, which turns it into the trajectory
@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 
 from .errors import AnalyticUnavailable
-from .words import all_words
+from .words import add_floats, all_words
 
 LN2 = math.log(2.0)
 # joint-core refinements stop past this many blocks or at this depth
@@ -82,7 +82,7 @@ def _side(consts, kind, n):
 
 def log_sum_exp(terms):
     peak = max(terms)
-    return peak + math.log(sum(math.exp(t - peak) for t in terms))
+    return peak + math.log(add_floats(math.exp(t - peak) for t in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def _axis_products(entries, word):
 
 
 def _word_weight_log(constants, word):
-    return sum(constants[j - 1] for j in word)
+    return add_floats(constants[j - 1] for j in word)
 
 
 def _constants(phi):
@@ -159,7 +159,7 @@ def _degenerate_cover(kind, n, m, pool, rule, step_weights, lo, hi):
         # the mean over all m**n words of a product of step weights is
         # the n-th power of the mean step weight
         peak = max(step_weights)
-        mean = sum(math.exp(c - peak) for c in step_weights) / m
+        mean = add_floats(math.exp(c - peak) for c in step_weights) / m
         return (n * (peak + math.log(mean)), 1, note)
     cost, _, _ = _word_kinds(
         kind, n, m, pool, rule,
@@ -229,7 +229,7 @@ def _diag_weight_terms(system, entries, consts, n, with_counts, inv2eps):
     """Per-class log terms: log(class size) + [log count] + class weight."""
     terms = []
     for counts, size in _diag_class_iter(system.m, n):
-        w = sum(consts[idx] * c for idx, c in enumerate(counts))
+        w = add_floats(consts[idx] * c for idx, c in enumerate(counts))
         t = math.log(size) + w
         if with_counts:
             px, py = _class_products(entries, counts)
@@ -509,16 +509,16 @@ def toral_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
 
 
 def _interval_weight_table(system, phi):
-    """Per (generator, branch) multiplicative weights when every
-    component is constant or an expansion component tied to this
-    system's branches; a list over generators of per-branch tuples."""
+    """Log weights per generator, a tuple over its branches: the offset,
+    less scale * log s on a branch of slope s for an expansion component
+    tied to this system's branches; other non-constant parts decline."""
     table = []
     for j, gen in enumerate(system.generators, start=1):
         kind, params, scale, offset = phi.components[j - 1]
         if kind == "zero" or scale == 0.0:
-            table.append(tuple(math.exp(offset) for _ in gen.branches))
+            table.append(tuple(offset for _ in gen.branches))
         elif kind == "expansion":
-            table.append(tuple(math.exp(offset) * s ** (-scale)
+            table.append(tuple(offset - scale * math.log(s)
                                for _, s in gen.branches))
         else:
             raise AnalyticUnavailable(
@@ -638,20 +638,20 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     table = _interval_weight_table(system, phi)
     diameter = Fraction(1, 2) if system.wrap else Fraction(1)
     if Fraction(epsilon) >= diameter:
-        lo = [math.log(min(t)) for t in table]
-        hi = [math.log(max(t)) for t in table]
+        hi = [max(t) for t in table]
         return _degenerate_cover(kind, n, system.m, pool, rule, hi,
-                                 min(lo), max(hi))
+                                 min(min(t) for t in table), max(hi))
     if system.wrap:
-        slopes = _uniform_circle_slopes(system)
+        slopes = [Fraction(s) for s in _uniform_circle_slopes(system)]
         inv2eps = 1 / (2 * Fraction(epsilon))
 
         def word_cost(word):
             prod = Fraction(1)
             weight = 0.0
             for j in word:
-                prod *= Fraction(slopes[j - 1])
-                weight += math.log(table[j - 1][0])
+                # one slope per generator, so every branch weighs the same
+                prod *= slopes[j - 1]
+                weight += table[j - 1][0]
             count = math.ceil(prod * inv2eps)
             return log_big(count) + weight, count
     else:
@@ -661,13 +661,16 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
             ncov, _ = _single_core_numbers(system, epsilon)
         else:
             ncov = math.ceil(1 / (2 * Fraction(epsilon)))
+        # a letter's cylinders weigh the sum of its branch weights
+        letters = [(log_sum_exp(t), len(t)) for t in table]
 
         def word_cost(word):
             log_cost = math.log(ncov)
             count = ncov
             for j in word:
-                log_cost += math.log(sum(table[j - 1]))
-                count *= system.generators[j - 1].branch_count
+                log_weight, branches = letters[j - 1]
+                log_cost += log_weight
+                count *= branches
             return log_cost, count
 
     return _word_kinds(kind, n, system.m, pool, rule, word_cost,
@@ -682,22 +685,23 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     systems use per-cylinder core points: same-branch orbits expand an
     initial gap past 2 eps by the final step, different-branch orbit
     points sit across a domain gap, so 2 eps must not exceed the gap."""
-    table = _interval_weight_table(system, phi)
+    # a packing point weighs its lightest branch
+    lightest = [min(t) for t in _interval_weight_table(system, phi)]
     if system.wrap:
-        slopes = _uniform_circle_slopes(system)
+        slopes = [Fraction(s) for s in _uniform_circle_slopes(system)]
         if not wrap_guard_ok(2.0 * epsilon, system.L_max):
-            return (n * math.log(min(min(t) for t in table)), 1,
+            return (n * min(lightest), 1,
                     "wrap guard failed, trivial packing")
         if kind == "trajectory":
             prod = Fraction(1)
             weight = 0.0
             for j in rule.word_at(n):
-                prod *= Fraction(slopes[j - 1])
-                weight += math.log(min(table[j - 1]))
+                prod *= slopes[j - 1]
+                weight += lightest[j - 1]
         elif kind == "amalgamated":
             # every word expands at least at the weakest rate
-            prod = min(Fraction(s) for s in slopes) ** n
-            weight = n * math.log(min(min(t) for t in table))
+            prod = min(slopes) ** n
+            weight = n * min(lightest)
         else:
             raise AnalyticUnavailable("kind %r has no circle packing" % kind)
         count = max(math.floor(prod / (4 * Fraction(epsilon))), 1)
@@ -709,18 +713,17 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             raise AnalyticUnavailable(
                 "per-cylinder packing needs a single generator")
         _, npack = _single_core_numbers(system, epsilon)
-        word = rule.word_at(n)
         count = npack
         weight = 0.0
-        for j in word:
+        for j in rule.word_at(n):
             count *= system.generators[j - 1].branch_count
-            weight += math.log(min(table[j - 1]))
+            weight += lightest[j - 1]
         return (math.log(count) + weight, count, "per-cylinder core packing")
     if kind == "amalgamated":
         if system.m == 1:
             _, npack = _single_core_numbers(system, epsilon)
             count = npack * system.generators[0].branch_count ** n
-            w = n * math.log(min(table[0]))
+            w = n * lightest[0]
             return (math.log(count) + w, count, "per-cylinder core packing")
         # multi-generator: pack the joint-core blocks of the deepest level,
         # from 2 on, up to which every level's adjacent block gaps expand
@@ -737,6 +740,6 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             else:
                 break
         count = len(blocks) if blocks else 1
-        w = n * math.log(min(min(t) for t in table))
+        w = n * min(lightest)
         return (math.log(count) + w, count, "joint core block endpoints")
     raise AnalyticUnavailable("kind %r has no interval packing" % kind)

@@ -36,8 +36,9 @@ class BallSpec:
             raise ValueError("unknown ball kind %r" % self.kind)
         if self.depth < 1:
             raise ValueError("ball depth must be at least 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("ball radius must be positive and finite, "
+                             "got %r" % self.epsilon)
         if self.kind == TRAJECTORY:
             if self.word is None or len(self.word) != self.depth:
                 raise ValueError("trajectory ball needs a word of its depth")

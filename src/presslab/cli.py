@@ -446,6 +446,9 @@ def cmd_localent(entries, setup):
     value, line = _get(entries, "points", "sample:10")
     if value.startswith("sample:"):
         count = _parse_int(value[len("sample:"):], line, "points")
+        if count < 1:
+            raise ParseError("key 'points' needs a sample count of at "
+                             "least 1, got %d" % count, line)
         pts = sample_points(base, setup.system, count, seed=setup.seed)
     else:
         pts = _parse_points(value, line, setup.system)

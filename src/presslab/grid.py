@@ -39,7 +39,7 @@ from fractions import Fraction
 from .analytic import log_sum_exp
 from .errors import DepthTooLarge
 from .pressure import METHOD_GRID, CoverSolution
-from .words import all_words, consecutive_sum, orbit
+from .words import add_floats, all_words, consecutive_sum, orbit
 
 GRID_BUDGET = 300_000_000
 
@@ -551,32 +551,14 @@ def _side_weight(s, kind):
 
 
 def _log_mean_exp(s):
-    """Per-point log of the mean over words of exp(S)."""
+    """Per-point log of the mean over words of exp(S), the terms
+    exp(S - max S) added left to right in word order."""
     out = []
     for sums in zip(*s):
         peak = max(sums)
-        total = _pairwise_sum([math.exp(v - peak) for v in sums])
+        total = add_floats(math.exp(v - peak) for v in sums)
         out.append(peak + math.log(total / len(sums)))
     return out
-
-
-def _pairwise_sum(a):
-    """sum(a) in pairwise order, as numpy's `pairwise_sum` adds a
-    contiguous run: left to right below 8 terms, eight running sums up
-    to 128, halves (a multiple of 8 first) above.  The word means of
-    the free packing weights are summed in this order; `sum` is not,
-    as it compensates from Python 3.12."""
-    n = len(a)
-    if n < 8:
-        return functools.reduce(operator.add, a, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    end = n - n % 8
-    r = [functools.reduce(operator.add, a[j + 8:end:8], a[j])
-         for j in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return functools.reduce(operator.add, a[end:], total)
 
 
 @functools.lru_cache(maxsize=7)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import analytic
 from .balls import BallSpec, ball_contains
 from .errors import AnalyticUnavailable, ParseError
-from .words import pool_words
+from .words import add_floats, pool_words
 
 __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
@@ -55,9 +55,9 @@ class MeasureModel:
                 raise ValueError("resolution must be positive")
         elif self.kind != EMPIRICAL:
             raise ValueError("unknown measure kind %r" % self.kind)
-        elif abs(sum(self.weights) - 1.0) > 1e-9:
+        elif abs(add_floats(self.weights) - 1.0) > 1e-9:
             raise ValueError("measure mass %.12f is not 1"
-                             % sum(self.weights))
+                             % add_floats(self.weights))
         elif any(w < 0.0 for w in self.weights):
             raise ValueError("negative sample weight")
 
@@ -74,7 +74,7 @@ class ProductMeasureModel:
             raise ValueError("empty symbol weight vector")
         if any(w < 0.0 for w in self.symbol_weights):
             raise ValueError("negative symbol weight")
-        if abs(sum(self.symbol_weights) - 1.0) > 1e-9:
+        if abs(add_floats(self.symbol_weights) - 1.0) > 1e-9:
             raise ValueError("symbol weights must sum to 1")
 
 

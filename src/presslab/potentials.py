@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .words import add_floats
 
 
 def _unit_coords(point):
@@ -57,7 +58,7 @@ def _base_bound(kind, params):
     if kind == "coord":
         return 1.0
     if kind == "fourier":
-        return sum(abs(a) + abs(b) for _, _, a, b in params)
+        return add_floats(abs(a) + abs(b) for _, _, a, b in params)
     if kind == "expansion":
         return max(abs(math.log(s)) for _, s in params)
     raise ValueError("unknown potential base %r" % kind)
@@ -161,7 +162,7 @@ def random_potential(m, seed=0, amplitude=0.25):
             b = rng.uniform(-1.0, 1.0)
             params.append((p, q, a, b))
         # normalize so the amplitude bound is honest
-        total = sum(abs(a) + abs(b) for _, _, a, b in params)
+        total = add_floats(abs(a) + abs(b) for _, _, a, b in params)
         norm = amplitude / total if total > 0 else 0.0
         params = tuple((p, q, a * norm, b * norm) for p, q, a, b in params)
         comps.append(("fourier", params, 1.0, 0.0))

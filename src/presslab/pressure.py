@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
-from .words import consecutive_sum, pool_words
+from .words import add_floats, consecutive_sum, pool_words
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -340,12 +340,12 @@ class Extrapolation:
 
 def _line_fit(xs, ys):
     k = len(xs)
-    mx = sum(xs) / k
-    my = sum(ys) / k
-    sxx = sum((x - mx) ** 2 for x in xs)
+    mx = add_floats(xs) / k
+    my = add_floats(ys) / k
+    sxx = add_floats((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
         return my, 0.0
-    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    b = add_floats((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
     return my - b * mx, b
 
 

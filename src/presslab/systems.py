@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParseError
+from .words import add_floats
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
@@ -102,7 +103,7 @@ class IntervalGenerator:
         if len(slopes) < 2:
             # a single branch cannot start at 0 and end at 1 unless slope 1
             raise ValueError("need at least two branch slopes")
-        total = sum(1.0 / s for s in slopes)
+        total = add_floats(1.0 / s for s in slopes)
         if total > 1.0 + 1e-9:
             raise ValueError("overlapping branches rejected")
         gap = (1.0 - total) / (len(slopes) - 1)
@@ -123,7 +124,7 @@ class IntervalGenerator:
 
     @cached_property
     def total_width(self):
-        return sum(1.0 / s for _, s in self.branches)
+        return add_floats(1.0 / s for _, s in self.branches)
 
     @cached_property
     def has_gaps(self):

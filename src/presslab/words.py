@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ def consecutive_sum(system, phi, point, word, steps=None):
         if cur is None:
             return None
     return total
+
+
+def add_floats(values):
+    """The float sum of `values` added left to right, as `consecutive_sum`
+    adds: the builtin `sum` compensates floats from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def dn_distance(system, x, y, word):

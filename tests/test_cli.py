@@ -558,6 +558,67 @@ seed = 0
     assert reason in captured.err
 
 
+@pytest.mark.parametrize("measure,epsilon", [
+    ("dirac:0.1,0.2", "nan"),
+    ("dirac:0.1,0.2", "inf"),
+    ("lebesgue", "inf"),
+])
+def test_localent_non_finite_radius_is_invalid_input(tmp_path, capsys,
+                                                     measure, epsilon):
+    path = write_cfg(tmp_path, "loc.cfg", """system = diag:2,3|3,2
+measure = %s
+epsilon = %s
+n_range = 2..4
+points = 0.1,0.2
+""" % (measure, epsilon))
+    assert main(["localent", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ball radius must be")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_localent_sample_count_below_one_is_a_parse_error(tmp_path, capsys,
+                                                          count):
+    path = write_cfg(tmp_path, "loc.cfg", """system = diag:2,3|3,2
+epsilon = 0.125
+points = sample:%s
+""" % count)
+    assert main(["localent", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 3: key 'points'")
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "verify"])
+@pytest.mark.parametrize("system", ["cantor:3,3", "cantor:3,3|5,5"])
+def test_interval_closed_forms_take_large_constants(tmp_path, capsys,
+                                                    command, system):
+    # branch weights are held as logs: a constant whose exponential
+    # overflows or underflows a float only shifts every bracket by itself
+    keys = {"verify": "checks = chain,lift\nn = 4\nepsilon = 0.125\n"}
+    brackets = {}
+    for c in (0, 800, -800):
+        path = write_cfg(tmp_path, "c.cfg", """system = %s
+potential = constants:%d
+rule = constant:1
+%s""" % (system, c, keys.get(command, "kinds = amalgamated,trajectory\n"
+                                      "depths = 2,4\nepsilons = 0.125\n")))
+        assert main([command, "--config", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        brackets[c] = [(r["kind"], r["n"], r["lower"], r["upper"])
+                       for r in rows if r.get("method") == "AnalyticBox"]
+    if command != "verify":
+        assert brackets[0]
+    for c in (800, -800):
+        assert len(brackets[c]) == len(brackets[0])
+        for (kind, n, lo, up), (kind_c, n_c, lo_c, up_c) in zip(
+                brackets[0], brackets[c]):
+            assert (kind_c, n_c) == (kind, n)
+            assert lo_c - c == pytest.approx(lo, abs=1e-9)
+            assert up_c - c == pytest.approx(up, abs=1e-9)
+
+
 def test_localent_rates_do_not_depend_on_resolution(tmp_path, capsys):
     outputs = []
     for resolution in (8, 64):

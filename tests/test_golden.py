@@ -9,13 +9,18 @@ Cantor pair, a closed-form estimate, a box-engine and a polygon-engine
 sweep, verify, dimension on one generator and on two, and localent with
 a product measure and with Lebesgue measure.  A deliberate change to any
 number means regenerating the .json file and explaining the change.
+
+The bytes are the same on every supported Python: each case also runs
+with `sum` compensating float items, as CPython adds them from 3.12.
 """
 
+import builtins
+import math
 import pathlib
 
 import pytest
 
-from presslab import grid
+from presslab import analytic, grid, words
 from presslab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -35,6 +40,48 @@ def test_json_output_is_byte_identical(case, tmp_path):
     assert main([command, "--config", str(GOLDEN / (case + ".cfg")),
                  "--format", "json", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / (case + ".json")).read_bytes()
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(items, start=0):
+    """`sum` as CPython >= 3.12 adds an all-float sequence: Neumaier's
+    running compensation, added back at the end when finite."""
+    items = list(items)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return _builtin_sum(items, start)
+    total = comp = 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def _clear_caches():
+    for module in (analytic, grid, words):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_float_sums_run_left_to_right():
+    assert words.add_floats([1e16, 1.0, -1e16]) == 0.0
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bytes_do_not_move_under_a_compensated_sum(case, tmp_path,
+                                                   monkeypatch):
+    # every cache is emptied before and after, so no value summed under
+    # one `sum` is read under the other
+    _clear_caches()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    try:
+        test_json_output_is_byte_identical(case, tmp_path)
+    finally:
+        _clear_caches()
 
 
 # (calls, candidate atoms, picked atoms) of the cover greedy per grid case
