@@ -12,9 +12,11 @@ Three engines, all exact up to integer rounding:
   diamond lattice certified on those vertices in integers, packings use
   the exact Fraction polygon area at doubled radius.
 * interval branch maps: cylinders of a word carry exact counts, the
-  invariant core is refined to explicit blocks in one pass that builds
-  each depth once, and cover/packing numbers at a relative scale come
-  from 1-d greedy sweeps over the levels of that pass; weights are logs.
+  invariant core is refined to rational blocks from the exact branch
+  ends in one pass that builds each depth once, and cover/packing
+  numbers at the relative scale 2 eps, an exact Fraction, come from 1-d
+  greedy sweeps over the levels of that pass; every comparison is exact
+  and takes no slack, and weights are logs.
 
 Each cover engine reduces a word to its (log cost, ball count) and hands
 that to one helper, `_word_kinds`, which turns it into the trajectory
@@ -516,10 +518,10 @@ def _interval_weight_table(system, phi):
     for j, gen in enumerate(system.generators, start=1):
         kind, params, scale, offset = phi.components[j - 1]
         if kind == "zero" or scale == 0.0:
-            table.append(tuple(offset for _ in gen.branches))
+            table.append(tuple(offset for _ in gen.slopes))
         elif kind == "expansion":
             table.append(tuple(offset - scale * math.log(s)
-                               for _, s in gen.branches))
+                               for s in gen.slopes))
         else:
             raise AnalyticUnavailable(
                 "interval closed forms need constant or expansion parts")
@@ -529,23 +531,17 @@ def _interval_weight_table(system, phi):
 def _core_levels(system):
     """Blocks of the depth-1, 2, ... refinements of the set of points
     whose orbits along all words of that length stay inside the branch
-    domains, each level built once from the one before.  The pass ends
-    at CORE_DEPTH_CAP, after the first empty level, or after the first
-    level past CORE_BLOCK_CAP blocks."""
-    blocks = [(0.0, 1.0)]
+    domains, as exact (lo, hi) pairs with lo < hi, each level built once
+    from the one before.  The pass ends at CORE_DEPTH_CAP, after the
+    first empty level, or after the first level past CORE_BLOCK_CAP
+    blocks."""
+    blocks = [(Fraction(0), Fraction(1))]
     for _ in range(CORE_DEPTH_CAP):
-        per_gen = []
-        for gen in system.generators:
-            pulled = []
-            for left, slope in gen.branches:
-                width = 1.0 / slope
-                for lo, hi in blocks:
-                    a = left + lo * width
-                    b = left + hi * width
-                    if b - a > 1e-15:
-                        pulled.append((a, b))
-            pulled.sort()
-            per_gen.append(pulled)
+        # branches and blocks both run left to right and neither
+        # overlaps, so every pulled list is already in increasing order
+        per_gen = [[(left + lo / slope, left + hi / slope)
+                    for left, slope in gen.branches for lo, hi in blocks]
+                   for gen in system.generators]
         blocks = per_gen[0]
         for pulled in per_gen[1:]:
             blocks = _intersect_interval_lists(blocks, pulled)
@@ -560,7 +556,7 @@ def _intersect_interval_lists(xs, ys):
     while i < len(xs) and j < len(ys):
         lo = max(xs[i][0], ys[j][0])
         hi = min(xs[i][1], ys[j][1])
-        if hi - lo > 1e-15:
+        if lo < hi:
             out.append((lo, hi))
         if xs[i][1] < ys[j][1]:
             i += 1
@@ -571,32 +567,25 @@ def _intersect_interval_lists(xs, ys):
 
 def interval_cover_number(blocks, scale):
     """Minimal number of length-`scale` intervals covering the union of
-    nonempty blocks (greedy left-to-right sweep, exact in one
-    dimension).  Every block is wider than the 1e-15 slack, so the first
-    one always counts."""
+    the blocks, all inside [0, 1] (greedy left-to-right sweep, exact in
+    one dimension)."""
     count = 0
-    i = 0
-    cursor = None
-    while i < len(blocks):
-        lo, hi = blocks[i]
-        start = lo if cursor is None or cursor < lo else cursor
-        if start >= hi - 1e-15:
-            i += 1
-            continue
-        count += 1
-        cursor = start + scale
-        if cursor >= hi - 1e-15:
-            i += 1
+    cursor = 0
+    for lo, hi in blocks:
+        cursor = max(cursor, lo)
+        while cursor < hi:
+            count += 1
+            cursor += scale
     return count
 
 
 def interval_packing_number(blocks, scale):
     """Greedy count of block left endpoints pairwise >= scale apart; the
-    first of the nonempty blocks always counts."""
+    first block always counts."""
     count = 0
     last = None
     for lo, _ in blocks:
-        if last is None or lo - last >= scale - 1e-15:
+        if last is None or lo - last >= scale:
             count += 1
             last = lo
     return count
@@ -610,14 +599,32 @@ def _single_core_numbers(system, epsilon):
     level the pass reaches).  A pure function of (system, epsilon), so
     one refinement pass serves every potential, kind and side."""
     s_min = min(system.generators[0].slopes)
+    scale = 2 * Fraction(epsilon)
     for depth, blocks in enumerate(_core_levels(system), start=1):
-        if s_min ** depth >= 4.0 / (2.0 * epsilon):
+        if s_min ** depth * scale >= 4:
             break
     if not blocks:
         raise AnalyticUnavailable("empty invariant core refinement")
-    ncov = interval_cover_number(blocks, 2.0 * epsilon)
-    npack = interval_packing_number(blocks, 2.0 * epsilon)
-    return ncov, npack
+    return (interval_cover_number(blocks, scale),
+            interval_packing_number(blocks, scale))
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_core_packing(system, epsilon, n):
+    """Block count of the deepest joint-core level, from 2 on, up to
+    which every level's adjacent block gaps expand past 2 eps within n
+    same-branch steps (1 where level 2 already fails).  A pure function
+    of (system, epsilon, n), so one refinement pass serves every
+    potential of a root search."""
+    s_min = min(min(g.slopes) for g in system.generators)
+    need = 2 * Fraction(epsilon) / s_min ** n
+    count = 1
+    for blocks in itertools.islice(_core_levels(system), 1, None):
+        if not blocks or any(b[0] - a[0] < need
+                             for a, b in zip(blocks, blocks[1:])):
+            break
+        count = len(blocks)
+    return count
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,7 +649,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         return _degenerate_cover(kind, n, system.m, pool, rule, hi,
                                  min(min(t) for t in table), max(hi))
     if system.wrap:
-        slopes = [Fraction(s) for s in _uniform_circle_slopes(system)]
+        slopes = _uniform_circle_slopes(system)
         inv2eps = 1 / (2 * Fraction(epsilon))
 
         def word_cost(word):
@@ -688,7 +695,7 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     # a packing point weighs its lightest branch
     lightest = [min(t) for t in _interval_weight_table(system, phi)]
     if system.wrap:
-        slopes = [Fraction(s) for s in _uniform_circle_slopes(system)]
+        slopes = _uniform_circle_slopes(system)
         if not wrap_guard_ok(2.0 * epsilon, system.L_max):
             return (n * min(lightest), 1,
                     "wrap guard failed, trivial packing")
@@ -706,7 +713,7 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             raise AnalyticUnavailable("kind %r has no circle packing" % kind)
         count = max(math.floor(prod / (4 * Fraction(epsilon))), 1)
         return (log_big(count) + weight, count, "circle grid packing")
-    if system.min_gap < 2.0 * epsilon - 1e-12:
+    if system.min_gap < 2 * Fraction(epsilon):
         raise AnalyticUnavailable("2eps exceeds the branch gap")
     if kind == "trajectory":
         if system.m != 1:
@@ -725,21 +732,8 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             count = npack * system.generators[0].branch_count ** n
             w = n * lightest[0]
             return (math.log(count) + w, count, "per-cylinder core packing")
-        # multi-generator: pack the joint-core blocks of the deepest level,
-        # from 2 on, up to which every level's adjacent block gaps expand
-        # past 2 eps within n same-branch steps
-        s_min = min(min(g.slopes) for g in system.generators)
-        need = 2.0 * epsilon / s_min ** n
-        blocks = None
-        for cand in itertools.islice(_core_levels(system), 1, None):
-            if not cand:
-                break
-            if all(cand[i + 1][0] - cand[i][0] >= need
-                   for i in range(len(cand) - 1)):
-                blocks = cand
-            else:
-                break
-        count = len(blocks) if blocks else 1
+        # multi-generator: pack the block endpoints of the joint core
+        count = _joint_core_packing(system, epsilon, n)
         w = n * min(lightest)
         return (math.log(count) + w, count, "joint core block endpoints")
     raise AnalyticUnavailable("kind %r has no interval packing" % kind)

@@ -10,13 +10,14 @@ Exit codes: 0 pass, 2 check failure, 3 infeasible, 4 parse error.
 
 import argparse
 import json
+import math
 import sys
 
 from .dimension import bowen_root
 from .errors import AnalyticUnavailable, DepthTooLarge, ParseError
 from .lift import check_lift_inequalities
 from .localent import ProductMeasureModel, local_amalgamated_entropy, \
-    marginal_bound_check, parse_measure, sample_points
+    marginal_bound_check, parse_measure, parse_point, sample_points
 from .potentials import parse_potential, random_potential
 from .pressure import KINDS, estimate_pressure, extrapolate, \
     lipschitz_check, sweep_estimates, trajectory_shift_check, \
@@ -168,19 +169,7 @@ def _parse_points(value, line, system):
     groups = [g.strip() for g in value.split(";") if g.strip() != ""]
     if not groups:
         raise ParseError("empty point list", line)
-    points = []
-    for g in groups:
-        coords = _parse_list(g, line, "points", float)
-        if system.is_toral:
-            if len(coords) != 2:
-                raise ParseError("torus points need two coordinates", line)
-            points.append((coords[0], coords[1]))
-        else:
-            if len(coords) != 1:
-                raise ParseError("interval points need one coordinate",
-                                 line)
-            points.append(coords[0])
-    return points
+    return [parse_point(g, system, line) for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +296,10 @@ VERIFY_CHECKS = ("chain", "shift", "lipschitz", "lift", "marginal",
 def _verify_rows(entries, setup):
     value, line = _get(entries, "tolerance", "1e-9")
     tolerance = _parse_float(value, line, "tolerance")
+    if not math.isfinite(tolerance):
+        # an infinite tolerance passes every check and a NaN fails them all
+        raise ParseError("key 'tolerance' must be finite, got %r" % value,
+                         line)
     value, line = _get(entries, "checks", "chain,shift,lipschitz,lift")
     names = _parse_list(value, line, "checks", str)
     for name in names:

@@ -28,7 +28,7 @@ from .words import add_floats, pool_words
 __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
     "lebesgue_measure", "empirical_measure",
-    "dirac_measure", "parse_measure", "ball_measure",
+    "dirac_measure", "parse_point", "parse_measure", "ball_measure",
     "local_amalgamated_entropy",
     "lebesgue_entropy_rate", "MarginalPointCheck", "MarginalBoundReport",
     "marginal_bound_check", "sample_points",
@@ -97,6 +97,25 @@ def dirac_measure(point):
     return empirical_measure((point,), (1.0,))
 
 
+def parse_point(text, system, line=None):
+    """A point of a torus or interval system from its comma separated
+    coordinates: an (x, y) pair on the torus, a float on an interval,
+    each coordinate finite and in [0, 1]."""
+    try:
+        coords = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError("bad point coordinates %r" % text, line)
+    if system.is_toral and len(coords) != 2:
+        raise ParseError("torus points need two coordinates", line)
+    if not system.is_toral and len(coords) != 1:
+        raise ParseError("interval points need one coordinate", line)
+    if not all(0.0 <= c <= 1.0 for c in coords):
+        # NaN fails both comparisons
+        raise ParseError("point coordinates must be finite and in [0, 1]: "
+                         "%r" % text, line)
+    return tuple(coords) if system.is_toral else coords[0]
+
+
 def parse_measure(spec, system, line=None, resolution=64):
     """Measure config values: lebesgue | dirac:x[,y]
     | bernoulli:p1,...,pm x lebesgue"""
@@ -108,16 +127,7 @@ def parse_measure(spec, system, line=None, resolution=64):
     if spec == "lebesgue":
         return lebesgue_measure(system, resolution)
     if spec.startswith("dirac:"):
-        try:
-            coords = [float(v) for v in spec[len("dirac:"):].split(",")]
-        except ValueError:
-            raise ParseError("bad dirac point in %r" % spec, line)
-        if len(coords) == 1 and not system.is_toral:
-            return dirac_measure(coords[0])
-        if len(coords) == 2 and system.is_toral:
-            return dirac_measure((coords[0], coords[1]))
-        raise ParseError("dirac point dimension does not match the system",
-                         line)
+        return dirac_measure(parse_point(spec[len("dirac:"):], system, line))
     if spec.startswith("bernoulli:"):
         body = spec[len("bernoulli:"):]
         parts = body.split("x")
@@ -147,20 +157,22 @@ def _uniform_exact_mass(system, spec):
         return 1.0
     if system.is_toral and system.all_diagonal:
         entries = [g.diagonal_entries for g in system.generators]
-        lipschitz = system.L_max
     elif system.wrap:
-        slopes = analytic._uniform_circle_slopes(system)
-        lipschitz = max(slopes)  # L_max, read off without a second pass
+        # one slope per generator, checked once per system; each is then
+        # its generator's float Lipschitz constant, so no ball multiplies
+        # a Fraction
+        analytic._uniform_circle_slopes(system)
+        slopes = [g.lipschitz for g in system.generators]
     else:
         raise AnalyticUnavailable(
             "no exact ball mass: Lebesgue local entropies need a diagonal "
             "torus or a circle map with one slope per generator")
-    if not analytic.wrap_guard_ok(spec.epsilon, lipschitz):
+    if not analytic.wrap_guard_ok(spec.epsilon, system.L_max):
         raise AnalyticUnavailable(
             "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
             "ball mass" % spec.epsilon)
     if system.is_toral:
-        eps = Fraction(spec.epsilon).limit_denominator(10 ** 12)
+        eps = Fraction(spec.epsilon)
         if spec.kind == "exhaustive":
             return float(analytic._star_area(entries, spec.depth, eps))
         if spec.kind == "trajectory":

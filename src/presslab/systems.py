@@ -1,21 +1,23 @@
 """Finitely generated semigroup actions on compact spaces.
 
 Three domain families are supported: integer-matrix endomorphisms of the
-2-torus, piecewise affine expanding maps on a union of sub-intervals of
-[0,1], and full shifts acted on by powers of the shift map.  A system is
-a tuple of generator maps plus the metric of its domain; everything else
-in the package (ball geometry, cover costs, pressure estimates) is built
-on top of the `apply` / `distance` pair defined here.
+2-torus, piecewise affine expanding maps of [0, 1] given by exact
+rational branch slopes, and full shifts acted on by powers of the shift
+map.  A system is a tuple of generator maps plus the metric of its
+domain; everything else in the package (ball geometry, cover costs,
+pressure estimates) is built on top of the `apply` / `distance` pair
+defined here.  Points are floats, but the dynamics are exact: integer
+matrices, and Fraction slopes, branch ends and gaps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError
-from .words import add_floats
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
@@ -67,101 +69,77 @@ class ToralGenerator:
         return ((a * x + b * y) % 1.0, (c * x + d * y) % 1.0)
 
 
-def _check_slope(slope):
-    """A branch slope, refused unless finite and above 1 (NaN is not)."""
-    if not 1.0 < slope < math.inf:
-        raise ValueError("branch slopes must be finite and exceed 1")
-    return slope
-
-
 @dataclass(frozen=True)
 class IntervalGenerator:
-    """Piecewise affine expanding map.  Each branch is (left, slope) and
-    maps [left, left + 1/slope] onto [0, 1] increasingly.  Its slopes,
-    total width and gap test are computed once, on first use."""
+    """Piecewise affine expanding map given by its branch slopes, exact
+    rationals above 1.  Branch i maps [left_i, left_i + 1/s_i] onto
+    [0, 1] increasingly; the first branch starts at 0, the last ends at
+    1 and the interior gaps are equal, so the widths 1/s_i may not sum
+    past 1.  Everything else is derived from the slopes exactly, once,
+    on first use; `apply` alone reads float points."""
 
-    branches: tuple
+    slopes: tuple
 
     def __post_init__(self):
-        if not self.branches:
-            raise ValueError("at least one branch required")
-        prev_right = None
-        for left, slope in self.branches:
-            _check_slope(slope)
-            right = left + 1.0 / slope
-            if left < -1e-12 or right > 1.0 + 1e-12:
-                raise ValueError("branch outside [0, 1]")
-            if prev_right is not None and left < prev_right - 1e-12:
-                raise ValueError("overlapping branches rejected")
-            prev_right = right
-
-    @classmethod
-    def from_slopes(cls, slopes):
-        """Branches of widths 1/s_i: first starts at 0, last ends at 1,
-        interior gaps all equal."""
-        slopes = [_check_slope(float(s)) for s in slopes]
-        if len(slopes) < 2:
+        if len(self.slopes) < 2:
             # a single branch cannot start at 0 and end at 1 unless slope 1
             raise ValueError("need at least two branch slopes")
-        total = add_floats(1.0 / s for s in slopes)
-        if total > 1.0 + 1e-9:
+        if self.gap < 0:
             raise ValueError("overlapping branches rejected")
-        gap = (1.0 - total) / (len(slopes) - 1)
-        branches = []
-        left = 0.0
-        for s in slopes:
-            branches.append((left, s))
-            left += 1.0 / s + gap
-        return cls(tuple(branches))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # Fraction.__hash__ is Python code, and every cache keyed on a
+        # system hashes its generators
+        return hash(self.slopes)
 
     @property
     def branch_count(self):
-        return len(self.branches)
+        return len(self.slopes)
 
     @cached_property
-    def slopes(self):
-        return tuple(s for _, s in self.branches)
-
-    @cached_property
-    def total_width(self):
-        return add_floats(1.0 / s for _, s in self.branches)
+    def gap(self):
+        """The distance between consecutive branch intervals: 0 on a
+        circle map, negative where the widths 1/s_i sum past 1."""
+        return (1 - sum(1 / s for s in self.slopes)) / (len(self.slopes) - 1)
 
     @cached_property
     def has_gaps(self):
-        return self.total_width < 1.0 - 1e-9
+        return self.gap > 0
 
-    @property
-    def min_gap(self):
-        """Smallest distance between consecutive branch intervals."""
-        if not self.has_gaps:
-            return 0.0
-        gaps = []
-        for i in range(len(self.branches) - 1):
-            l0, s0 = self.branches[i]
-            l1, _ = self.branches[i + 1]
-            gaps.append(l1 - (l0 + 1.0 / s0))
-        return min(gaps) if gaps else 0.0
+    @cached_property
+    def branches(self):
+        """(left, slope) of every branch, exact."""
+        branches = []
+        left = Fraction(0)
+        for s in self.slopes:
+            branches.append((left, s))
+            left += 1 / s + self.gap
+        return tuple(branches)
 
-    @property
+    @cached_property
+    def float_branches(self):
+        """(left, right, slope) of every branch, each rounded once from
+        its exact value."""
+        return tuple((float(left), float(left + 1 / s), float(s))
+                     for left, s in self.branches)
+
+    @cached_property
     def lipschitz(self):
-        return max(self.slopes)
-
-    def branch_of(self, x):
-        """Index of the branch whose interval contains x, else None."""
-        for i, (left, slope) in enumerate(self.branches):
-            if left - 1e-12 <= x <= left + 1.0 / slope + 1e-12:
-                return i
-        return None
+        return float(max(self.slopes))
 
     def apply(self, x):
-        i = self.branch_of(x)
-        if i is None:
-            return None
-        left, slope = self.branches[i]
-        y = slope * (x - left)
-        if y >= 1.0:
-            y = 1.0 if self.has_gaps else 0.0
-        return min(max(y, 0.0), 1.0) if self.has_gaps else y % 1.0
+        """The image of x, None where x lies in no branch."""
+        for left, right, slope in self.float_branches:
+            if left <= x <= right:
+                y = slope * (x - left)
+                if y >= 1.0:
+                    return 1.0 if self.has_gaps else 0.0
+                return y
+        return None
 
 
 @dataclass(frozen=True)
@@ -188,7 +166,8 @@ class ShiftGenerator:
 class SemigroupSystem:
     """A domain and its generator maps.  The name is a label: it is
     outside equality and hashing, so every cache keyed on a system keys
-    on its dynamics.  `wrap` is computed once, on first use."""
+    on its dynamics.  `wrap` and `L_max` are computed once, on first
+    use."""
 
     domain: str
     generators: tuple
@@ -225,10 +204,10 @@ class SemigroupSystem:
 
     @property
     def min_gap(self):
-        gaps = [g.min_gap for g in self.generators if g.has_gaps]
-        return min(gaps) if gaps else 0.0
+        gaps = [g.gap for g in self.generators if g.has_gaps]
+        return min(gaps) if gaps else 0
 
-    @property
+    @cached_property
     def L_max(self):
         return max(g.lipschitz for g in self.generators)
 
@@ -271,6 +250,19 @@ def _parse_int_list(text, line=None):
         raise ParseError("expected comma separated integers: %r" % text, line)
 
 
+def _parse_slopes(text, line=None):
+    """Branch slopes read exactly, so `2.5` is 5/2; each is refused
+    unless finite and above 1 (NaN is not)."""
+    tokens = [tok for tok in text.split(",") if tok != ""]
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError("bad slope list %r" % text, line)
+    if not all(1.0 < v < math.inf for v in values):
+        raise ParseError("branch slopes must be finite and exceed 1", line)
+    return tuple(Fraction(tok) for tok in tokens)
+
+
 def parse_system(spec, line=None):
     """Build a system from its config-file name.
 
@@ -309,13 +301,8 @@ def parse_system(spec, line=None):
             gens = tuple(ToralGenerator(m) for m in mats)
             return SemigroupSystem(TORUS, gens, name=spec)
         if family == "cantor":
-            lists = []
-            for tok in body.split("|"):
-                try:
-                    lists.append([float(v) for v in tok.split(",") if v != ""])
-                except ValueError:
-                    raise ParseError("bad slope list %r" % tok, line)
-            gens = tuple(IntervalGenerator.from_slopes(s) for s in lists)
+            gens = tuple(IntervalGenerator(_parse_slopes(tok, line))
+                         for tok in body.split("|"))
             return SemigroupSystem(INTERVAL, gens, name=spec)
         if family == "shift":
             vals = _parse_int_list(body, line)

@@ -296,6 +296,24 @@ def test_verify_negative_tolerance_fails_checks(tmp_path):
     assert main(["verify", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-inf"])
+def test_verify_non_finite_tolerance_is_a_parse_error(tmp_path, capsys,
+                                                      tolerance):
+    # inf read `yes` on every row and nan `no` on every row
+    path = write_cfg(tmp_path, "ver.cfg", """system = diag:2,3|3,2
+potential = constants:0.1
+checks = chain,lift
+n = 3
+epsilon = 0.125
+tolerance = %s
+""" % tolerance)
+    assert main(["verify", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 6: key 'tolerance' "
+                                   "must be finite")
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--tolerance"])
 def test_config_settings_have_no_flag(tmp_path, capsys, flag):
     # seed and tolerance are config keys, so a flag cannot override them
@@ -535,6 +553,30 @@ seed = 0
     assert lines[0] == "x,y,h_exhaustive,h_lower,h_upper,epsilon,seed"
     parts = lines[1].split(",")
     assert float(parts[2]) <= float(parts[3]) <= float(parts[4])
+
+
+@pytest.mark.parametrize("system, measure, points", [
+    ("diag:2,3|3,2", "lebesgue", "nan,0.2"),
+    ("diag:2,3|3,2", "lebesgue", "0.1,0.2;0.3,inf"),
+    ("diag:2,3|3,2", "lebesgue", "-0.5,0.2"),
+    ("cantor:2,2", "lebesgue", "1.5"),
+    ("diag:2,3|3,2", "dirac:nan,0.2", "0.1,0.2"),
+    ("cantor:2,2", "dirac:1.5", "0.5"),
+])
+def test_localent_points_outside_the_domain_are_parse_errors(
+        tmp_path, capsys, system, measure, points):
+    # each printed rates at its point, or inf rates for a nan dirac
+    path = write_cfg(tmp_path, "loc.cfg", """system = %s
+measure = %s
+points = %s
+""" % (system, measure, points))
+    assert main(["localent", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = 2 if measure.startswith("dirac") else 3
+    assert captured.err.startswith(
+        "parse error: line %d: point coordinates must be finite and in "
+        "[0, 1]" % line)
 
 
 @pytest.mark.parametrize("system, reason", [

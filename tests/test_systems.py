@@ -1,14 +1,16 @@
 """System parsing, the zoo, the closed-form entropies, and the maps."""
 
 import functools
+import inspect
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from presslab import analytic, grid
+from presslab import analytic, grid, localent
 from presslab.errors import DepthTooLarge, ParseError
 from presslab.grid import grid_metrics, grid_points, grid_shape
 from presslab.systems import TORUS, IntervalGenerator, SemigroupSystem, \
@@ -63,6 +65,8 @@ def test_parse_shift():
     "nosuch:1",
     "plainstring",
     "cantor:a,b",
+    "cantor:3",            # one branch cannot end at 1
+    "cantor:2,1.5",        # widths 1/2 + 2/3 overlap
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
@@ -135,10 +139,12 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_generator_and_system_invariants_are_computed_once(monkeypatch):
-    # every apply reads has_gaps, and the closed forms read wrap and the
-    # circle slopes per ball; each is computed once per object
+    # every apply reads the float branches and the gap test, every cache
+    # keyed on a system hashes its generators, and the closed forms read
+    # wrap and the circle slopes per ball; each is computed once per object
+    names = ("gap", "has_gaps", "branches", "float_branches", "_hash")
     calls = {name: _count_calls(monkeypatch, IntervalGenerator, name)
-             for name in ("slopes", "total_width", "has_gaps")}
+             for name in names}
     calls["wrap"] = _count_calls(monkeypatch, SemigroupSystem, "wrap")
     for spec in ("cantor:3,3|3,3", "cantor:2,2|3,3,3"):
         system = parse_system(spec)
@@ -146,17 +152,68 @@ def test_generator_and_system_invariants_are_computed_once(monkeypatch):
             for j in (1, 2):
                 system.apply(j, x)
         for _ in range(50):
+            hash(system)
             assert system.wrap == (spec == "cantor:2,2|3,3,3")
-            assert system.generators[0].slopes[0] == float(spec[7])
-    # once per generator (slopes of the first ones alone are read) and
-    # once per system, however many reads
-    assert [len(c) for c in calls.values()] == [2, 4, 4, 2]
+            assert system.generators[0].float_branches[0][2] \
+                == float(spec[7])
+    # once per generator and once per system, however many reads
+    assert [len(c) for c in calls.values()] == [4] * len(names) + [2]
     assert all(len({id(obj) for obj in c}) == len(c) for c in calls.values())
     circle = parse_system("cantor:2,2|3,3,3")
     analytic._uniform_circle_slopes.cache_clear()
     for _ in range(50):
-        assert analytic._uniform_circle_slopes(circle) == (2.0, 3.0)
+        assert analytic._uniform_circle_slopes(circle) \
+            == (Fraction(2), Fraction(3))
     assert analytic._uniform_circle_slopes.cache_info().misses == 1
+
+
+def test_a_system_hashes_each_slope_once(monkeypatch):
+    # Fraction.__hash__ is Python code, and every lru_cache keyed on a
+    # system hashes it, once per ball on some paths
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    system = parse_system("cantor:3,3|5,5")
+    for _ in range(1000):
+        hash(system)
+    assert len(calls) <= 4
+
+
+def test_cantor_slopes_are_exact():
+    # 2.5 is 5/2, so the branch ends and the gap are exact rationals
+    gen = parse_system("cantor:2.5,2.5").generators[0]
+    assert gen.slopes == (Fraction(5, 2), Fraction(5, 2))
+    assert gen.branches == ((0, Fraction(5, 2)),
+                            (Fraction(3, 5), Fraction(5, 2)))
+    assert gen.gap == Fraction(1, 5)
+    # a float end is rounded once from the exact end, not accumulated
+    ternary = parse_system("cantor:3,3").generators[0]
+    assert ternary.branches[1][0] == Fraction(2, 3)
+    assert ternary.float_branches[1][0] == 0.6666666666666666
+    assert ternary.float_branches[0][1] == 1 / 3
+    assert ternary.float_branches[1][1] == 1.0
+    # a gap far below any float slack is still a gap
+    near = parse_system("cantor:2,2.000000001")
+    assert not near.wrap
+    assert near.min_gap == near.generators[0].gap \
+        == Fraction(1, 4000000002)
+
+
+def test_interval_code_holds_no_tolerance():
+    sources = [inspect.getsource(obj) for obj in (
+        IntervalGenerator, analytic._core_levels,
+        analytic._intersect_interval_lists, analytic.interval_cover_number,
+        analytic.interval_packing_number, analytic.interval_packing,
+        localent._uniform_exact_mass)]
+    for source in sources:
+        for banned in ("1e-15", "1e-12", "1e-9", "limit_denominator"):
+            assert banned not in source
+    assert not hasattr(IntervalGenerator, "from_slopes")
 
 
 def test_closed_form_reference_pair():
