@@ -8,8 +8,7 @@ engine everywhere else.
 
 from .balls import BallSpec, ball_contains, separation_distance, \
     vitali_disjointify
-from .dimension import DimensionResult, bowen_root, expansion_field, \
-    unstable_multipotential
+from .dimension import DimensionResult, bowen_root, unstable_multipotential
 from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
     PresslabError
 from .lift import check_lift_inequalities, lift_pressure_estimate
@@ -39,8 +38,8 @@ __all__ = [
     "bowen_root", "check_lift_inequalities", "closed_form_entropies",
     "consecutive_sum", "constant_potential", "constant_rule",
     "coordinate_potential", "dirac_measure", "dn_distance",
-    "empirical_measure", "estimate_pressure", "expansion_field",
-    "explicit_rule", "extrapolate", "lebesgue_measure",
+    "empirical_measure", "estimate_pressure", "explicit_rule",
+    "extrapolate", "lebesgue_measure",
     "lift_pressure_estimate", "lipschitz_check",
     "local_amalgamated_entropy", "marginal_bound_check",
     "min_cover_cost", "orbit", "packing_bound", "parse_measure",

@@ -18,13 +18,18 @@ Three engines, all exact up to integer rounding:
   greedy sweeps over the levels of that pass; every comparison is exact
   and takes no slack, and weights are logs.
 
-Each cover engine reduces a word to its (log cost, ball count) and hands
-that to one helper, `_word_kinds`, which turns it into the trajectory
-(the rule's word), amalgamated (the best pool word) and free (the mean
-over every word, under the enumeration cap) covers.  Only the kinds
-without a per-word form, and the diagonal free cover with its exact
-class sum, are written per engine.  A radius that covers the whole
-domain goes through the same helper with unit counts.
+A word's weight is the sum of its letters' log weights, and on the box
+and interval engines its count is a boundary term times the product of
+its letters' exact factors, from per-letter tables read once per call:
+`_word_weight_log` adds the weights left to right, and `_word_product`
+raises each factor to its letter's count.  Each cover engine reduces a
+word to its (log cost, ball count) and hands that to one helper,
+`_word_kinds`, which turns it into the trajectory (the rule's word),
+amalgamated (the best pool word) and free (the mean over every word,
+under the enumeration cap) covers.  Only the kinds without a per-word
+form, and the diagonal free cover with its exact class sum, are written
+per engine.  A radius that covers the whole domain goes through the
+same helper with unit counts.
 
 Everything here requires potentials whose consecutive sums factor over
 symbols (constant components, or per-branch expansion components); the
@@ -100,18 +105,26 @@ def _diag_entries(system):
     return entries
 
 
+def _letter_counts(word, m):
+    """How often each of the letters 1..m occurs in the word."""
+    return [word.symbols.count(j) for j in range(1, m + 1)]
+
+
+def _word_product(factors, word, start=1):
+    """start times the letters' exact factors along the word, taken as
+    each factor to the power of its letter's count."""
+    return math.prod(map(pow, factors, _letter_counts(word, len(factors))),
+                     start=start)
+
+
+def _word_weight_log(weights, word, start=0.0):
+    """start plus the letters' log weights, added left to right (letters
+    count from 1, and a list lookup maps faster than a generator)."""
+    return add_floats(map([None, *weights].__getitem__, word), start)
+
+
 def _axis_products(entries, word):
-    px = 1
-    py = 1
-    for j in word:
-        a, b = entries[j - 1]
-        px *= a
-        py *= b
-    return px, py
-
-
-def _word_weight_log(constants, word):
-    return add_floats(constants[j - 1] for j in word)
+    return _class_products(entries, _letter_counts(word, len(entries)))
 
 
 def _constants(phi):
@@ -512,8 +525,9 @@ def toral_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
 
 def _interval_weight_table(system, phi):
     """Log weights per generator, a tuple over its branches: the offset,
-    less scale * log s on a branch of slope s for an expansion component
-    tied to this system's branches; other non-constant parts decline."""
+    less scale * log s on a branch of slope s for an expansion component,
+    the slopes read from the generator; other non-constant parts
+    decline."""
     table = []
     for j, gen in enumerate(system.generators, start=1):
         kind, params, scale, offset = phi.components[j - 1]
@@ -650,17 +664,13 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
                                  min(min(t) for t in table), max(hi))
     if system.wrap:
         slopes = _uniform_circle_slopes(system)
+        # one slope per generator, so every branch weighs the same
+        weights = [t[0] for t in table]
         inv2eps = 1 / (2 * Fraction(epsilon))
 
         def word_cost(word):
-            prod = Fraction(1)
-            weight = 0.0
-            for j in word:
-                # one slope per generator, so every branch weighs the same
-                prod *= slopes[j - 1]
-                weight += table[j - 1][0]
-            count = math.ceil(prod * inv2eps)
-            return log_big(count) + weight, count
+            count = math.ceil(_word_product(slopes, word) * inv2eps)
+            return log_big(count) + _word_weight_log(weights, word), count
     else:
         # balls per cylinder: a single generator takes the sharp core
         # count, several generators cover the whole relative interval
@@ -669,16 +679,13 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         else:
             ncov = math.ceil(1 / (2 * Fraction(epsilon)))
         # a letter's cylinders weigh the sum of its branch weights
-        letters = [(log_sum_exp(t), len(t)) for t in table]
+        log_weights = [log_sum_exp(t) for t in table]
+        branches = [len(t) for t in table]
+        log_ncov = math.log(ncov)
 
         def word_cost(word):
-            log_cost = math.log(ncov)
-            count = ncov
-            for j in word:
-                log_weight, branches = letters[j - 1]
-                log_cost += log_weight
-                count *= branches
-            return log_cost, count
+            return (_word_weight_log(log_weights, word, log_ncov),
+                    _word_product(branches, word, ncov))
 
     return _word_kinds(kind, n, system.m, pool, rule, word_cost,
                        "cylinder cover")
@@ -700,11 +707,9 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             return (n * min(lightest), 1,
                     "wrap guard failed, trivial packing")
         if kind == "trajectory":
-            prod = Fraction(1)
-            weight = 0.0
-            for j in rule.word_at(n):
-                prod *= slopes[j - 1]
-                weight += lightest[j - 1]
+            word = rule.word_at(n)
+            prod = _word_product(slopes, word)
+            weight = _word_weight_log(lightest, word)
         elif kind == "amalgamated":
             # every word expands at least at the weakest rate
             prod = min(slopes) ** n
@@ -720,12 +725,11 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             raise AnalyticUnavailable(
                 "per-cylinder packing needs a single generator")
         _, npack = _single_core_numbers(system, epsilon)
-        count = npack
-        weight = 0.0
-        for j in rule.word_at(n):
-            count *= system.generators[j - 1].branch_count
-            weight += lightest[j - 1]
-        return (math.log(count) + weight, count, "per-cylinder core packing")
+        word = rule.word_at(n)
+        branches = [gen.branch_count for gen in system.generators]
+        count = _word_product(branches, word, npack)
+        return (math.log(count) + _word_weight_log(lightest, word), count,
+                "per-cylinder core packing")
     if kind == "amalgamated":
         if system.m == 1:
             _, npack = _single_core_numbers(system, epsilon)

@@ -413,6 +413,9 @@ def cmd_dimension(entries, setup):
     bracket = _parse_list(value, line, "bracket", float)
     if len(bracket) != 2:
         raise ParseError("bracket needs two endpoints", line)
+    if not all(math.isfinite(t) for t in bracket):
+        raise ParseError("key 'bracket' must be finite, got %r" % value,
+                         line)
     result = bowen_root(setup.system, n, epsilon, tuple(bracket),
                         seed=setup.seed)
     doc = {"schema_version": SCHEMA_VERSION, "command": "dimension",

@@ -5,9 +5,12 @@ with a minus sign; scaling it by t and driving the amalgamated pressure
 to zero gives the dimension-style root for the family, and the same
 root per single generator recovers the classical repeller dimension.
 Pressure in t is strictly decreasing because every component stays
-below a negative constant, so bisection on estimate midpoints is
-enough; the stopping width leaves root noise well under the bracket
-tolerance of the quoted oracles.
+below a negative constant, so the roots bisect estimate midpoints.
+The result's `bracket` is the last interval of that bisection on
+finite-depth midpoints, not a certificate on the dimension: on
+`cantor:3,3` at n = 48, eps = 1/8 it is [0.65625, 0.65723], and
+log 2/log 3 = 0.63093 lies outside it.  Midpoints that do not fall
+strictly, and a family root above a single-map root, raise ValueError.
 """
 
 import math
@@ -19,62 +22,42 @@ from .pressure import estimate_pressure
 from .systems import SemigroupSystem
 from .words import constant_rule
 
-__all__ = [
-    "ExpansionField", "expansion_field", "unstable_multipotential",
-    "DimensionResult", "bowen_root",
-]
+__all__ = ["unstable_multipotential", "DimensionResult", "bowen_root"]
 
 BRACKET_STOP = 1e-3
 
 
-@dataclass(frozen=True)
-class ExpansionField:
-    """Per-generator expansion data: a branch table (left, slope) per
-    generator, a single full branch standing in for toral maps."""
-
-    per_generator: tuple
-
-    def __post_init__(self):
-        for branches in self.per_generator:
-            for _, slope in branches:
-                if slope <= 1.0:
-                    raise ValueError("expansion rates must exceed 1")
-
-
-def expansion_field(system):
-    """Extract the scalar expansion rates, rejecting generators whose
-    derivative stretches directions unequally."""
-    rates = []
-    for gen in system.generators:
-        if system.is_interval:
-            rates.append(tuple(gen.branches))
-        elif system.is_toral:
-            if not gen.is_diagonal:
-                raise AnalyticUnavailable(
-                    "missing derivative data: non-diagonal toral generator")
-            a, b = gen.diagonal_entries
-            if a != b:
-                raise AnalyticUnavailable(
-                    "conformality fails: diagonal entries %d != %d" % (a, b))
-            rates.append(((0.0, float(a)),))
-        else:
-            raise AnalyticUnavailable(
-                "missing derivative data for this domain")
-    return ExpansionField(tuple(rates))
+def _expansion_rates(system, gen):
+    """The branch slopes of an interval map, or the one entry of a
+    conformal diagonal torus map; other generators decline."""
+    if system.is_interval:
+        return gen.slopes
+    if not system.is_toral:
+        raise AnalyticUnavailable("missing derivative data for this domain")
+    if not gen.is_diagonal:
+        raise AnalyticUnavailable(
+            "missing derivative data: non-diagonal toral generator")
+    a, b = gen.diagonal_entries
+    if a != b:
+        raise AnalyticUnavailable(
+            "conformality fails: diagonal entries %d != %d" % (a, b))
+    return (a,)
 
 
 def unstable_multipotential(system):
     """Multi-potential whose component j is minus the log expansion of
-    generator j; constant for single-rate generators, branchwise for
-    mixed-slope interval maps."""
-    field = expansion_field(system)
+    generator j: a constant for single-rate generators, and an
+    expansion component over the exact branch slopes for mixed-slope
+    interval maps."""
+    rates = [_expansion_rates(system, gen) for gen in system.generators]
+    if any(s <= 1 for slopes in rates for s in slopes):
+        raise ValueError("expansion rates must exceed 1")
     comps = []
-    for branches in field.per_generator:
-        slopes = set(s for _, s in branches)
-        if len(slopes) == 1:
-            comps.append(("zero", (), 0.0, -math.log(slopes.pop())))
+    for slopes in rates:
+        if len(set(slopes)) == 1:
+            comps.append(("zero", (), 0.0, -math.log(slopes[0])))
         else:
-            comps.append(("expansion", tuple(branches), 1.0, 0.0))
+            comps.append(("expansion", slopes, 1.0, 0.0))
     return MultiPotential(tuple(comps))
 
 
@@ -117,8 +100,9 @@ def _bisect_root(pressure_at, bracket):
     ts = sorted(evals)
     pairs = [(t, evals[t]) for t in ts]
     for (t0, p0), (t1, p1) in zip(pairs, pairs[1:]):
-        assert p0 > p1, ("pressure midpoints not strictly decreasing: "
-                         "%r" % (pairs,))
+        if not p0 > p1:
+            raise ValueError("pressure midpoints not strictly decreasing: "
+                             "%r" % (pairs,))
     return 0.5 * (lo + hi), (lo, hi), iterations
 
 
@@ -128,7 +112,9 @@ def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, seed=0):
     The family root drives the amalgamated pressure of t times the
     unstable multi-potential to zero; each per-generator root repeats
     the bisection for the one-generator subfamily.  Every pressure is a
-    closed form; where one declines this raises AnalyticUnavailable."""
+    closed form; where one declines this raises AnalyticUnavailable.
+    The returned bracket is the family bisection's last interval, not a
+    certificate."""
     phi_u = unstable_multipotential(system)
 
     def family_pressure(t):
@@ -154,6 +140,6 @@ def bowen_root(system, n, epsilon, t_bracket=(0.0, 1.0), *, seed=0):
         root, _, _ = _bisect_root(single_pressure, t_bracket)
         per_map.append(root)
     slack = 2.0 * BRACKET_STOP + 1e-9
-    assert t_ua <= min(per_map) + slack, (
-        "family root %.6f above a single-map root" % t_ua)
+    if not t_ua <= min(per_map) + slack:
+        raise ValueError("family root %.6f above a single-map root" % t_ua)
     return DimensionResult(t_ua, tuple(per_map), final_bracket, iterations)

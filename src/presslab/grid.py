@@ -463,8 +463,6 @@ class _GridEngine:
         return sol
 
     def cover(self, phi, kind, rule, pool):
-        if len(self.region) == 0:
-            return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         if kind == "free":
             return self._free_cover(phi)
         if kind == "trajectory":
@@ -503,8 +501,6 @@ class _GridEngine:
                              METHOD_GRID, "word-averaged greedy covers")
 
     def packing(self, phi, kind, rule=None):
-        if len(self.region) == 0:
-            return CoverSolution(-math.inf, 0, METHOD_GRID, "empty region")
         eps2 = 2.0 * self.epsilon
         s = self.weights(phi)
         if kind == "trajectory":

@@ -172,15 +172,18 @@ def _uniform_exact_mass(system, spec):
             "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
             "ball mass" % spec.epsilon)
     if system.is_toral:
-        eps = Fraction(spec.epsilon)
         if spec.kind == "exhaustive":
-            return float(analytic._star_area(entries, spec.depth, eps))
+            return float(analytic._star_area(entries, spec.depth,
+                                             Fraction(spec.epsilon)))
         if spec.kind == "trajectory":
             px, py = analytic._axis_products(entries, spec.word)
         else:
             px = max(e[0] for e in entries) ** spec.depth
             py = max(e[1] for e in entries) ** spec.depth
-        return float(4 * (eps / px) * (eps / py))
+        # the box area 4 eps^2/(px py) for eps = p/q, as one correctly
+        # rounded int division
+        p, q = spec.epsilon.as_integer_ratio()
+        return 4 * p * p / (q * q * px * py)
     # every ball is an arc around the center, words only set the
     # contraction factor
     if spec.kind == "trajectory":

@@ -6,7 +6,8 @@ Every component is scale * base(point) + offset with base one of
   zero      constant zero
   coord     first coordinate of the point (a proxy coordinate on shifts)
   fourier   low-frequency trigonometric polynomial, coefficients frozen
-  expansion -log branch slope (closed forms only, no pointwise value)
+  expansion -log branch slope, params the exact slopes (closed forms
+            only, no pointwise value)
 Constant-class potentials (all bases zero) are what the closed-form
 estimator paths accept; everything else goes through the grid engine.
 """
@@ -60,7 +61,7 @@ def _base_bound(kind, params):
     if kind == "fourier":
         return add_floats(abs(a) + abs(b) for _, _, a, b in params)
     if kind == "expansion":
-        return max(abs(math.log(s)) for _, s in params)
+        return max(abs(math.log(s)) for s in params)
     raise ValueError("unknown potential base %r" % kind)
 
 

@@ -504,6 +504,36 @@ epsilon = 0.125
     assert message in captured.err
 
 
+def test_dimension_with_a_huge_bracket_is_invalid(tmp_path, capsys):
+    # every pressure at t >= 2.5e307 is -inf, so the midpoints stop
+    # falling; that exited 1 with an AssertionError, and 0 under -O
+    path = write_cfg(tmp_path, "dim.cfg", """system = cantor:3,3
+n = 8
+epsilon = 0.125
+bracket = 0,1e308
+""")
+    assert main(["dimension", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "invalid input: pressure midpoints not strictly decreasing: ")
+    assert "(2.5e+307, -inf)" in captured.err
+
+
+@pytest.mark.parametrize("bracket", ["0,inf", "nan,1", "-inf,1"])
+def test_dimension_non_finite_bracket_is_a_parse_error(tmp_path, capsys,
+                                                       bracket):
+    path = write_cfg(tmp_path, "dim.cfg", """system = cantor:3,3
+n = 8
+bracket = %s
+""" % bracket)
+    assert main(["dimension", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 3: key 'bracket' must be " \
+        "finite, got %r\n" % bracket
+
+
 def test_verify_marginal_rows_show_their_tolerance(tmp_path, capsys):
     path = write_cfg(tmp_path, "marg.cfg", """system = cantor:2,2|2,2
 checks = marginal

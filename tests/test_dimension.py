@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from presslab import analytic
-from presslab.dimension import _bisect_root, bowen_root, expansion_field, \
+from presslab import dimension
+from presslab.dimension import _bisect_root, bowen_root, \
     unstable_multipotential
 from presslab.errors import AnalyticUnavailable
 from presslab.systems import parse_system
@@ -13,19 +15,30 @@ SLOPE5 = parse_system("cantor:5,5")
 PAIR = parse_system("cantor:3,3|5,5")
 
 
-def test_expansion_field_ternary():
-    field = expansion_field(TERNARY)
-    assert len(field.per_generator) == 1
-    slopes = [s for _, s in field.per_generator[0]]
-    assert slopes == [3.0, 3.0]
+def test_unstable_multipotential_reads_the_exact_slopes():
+    # uniform slopes give a constant, mixed ones an expansion component
+    # whose params are the generator's slopes themselves
+    assert unstable_multipotential(TERNARY).components == \
+        (("zero", (), 0.0, -math.log(3)),)
+    system = parse_system("cantor:2,4")
+    phi = unstable_multipotential(system)
+    assert phi.components == (("expansion", system.generators[0].slopes,
+                               1.0, 0.0),)
+    assert phi.components[0][1] == (Fraction(2), Fraction(4))
 
 
-def test_expansion_field_rejects_too_slow():
-    doubling = parse_system("cantor:2,2")
-    field = expansion_field(doubling)
-    assert field.per_generator == (((0.0, 2.0), (0.5, 2.0)),)
-    with pytest.raises(ValueError):
-        type(field)((((0.0, 0.5),),))
+def test_unstable_multipotential_rejects_too_slow():
+    for spec in ("diag:1,1", "diag:-2,-2"):
+        with pytest.raises(ValueError,
+                           match="expansion rates must exceed 1"):
+            unstable_multipotential(parse_system(spec))
+
+
+def test_declines_come_before_the_rate_check():
+    # a slow first generator is refused only once every generator has
+    # its derivative data
+    with pytest.raises(AnalyticUnavailable, match="non-diagonal"):
+        unstable_multipotential(parse_system("toral:1,0,0,1;0,1,1,2"))
 
 
 def test_unstable_multipotential_constant_for_uniform_slopes():
@@ -52,19 +65,19 @@ def test_conformality_rejection_on_anisotropic_torus():
         bowen_root(diag, 8, 0.125)
 
 
-def test_expansion_field_on_a_conformal_torus():
-    field = expansion_field(parse_system("diag:2,2|3,3"))
-    assert field.per_generator == (((0.0, 2.0),), ((0.0, 3.0),))
+def test_unstable_multipotential_on_a_conformal_torus():
+    phi = unstable_multipotential(parse_system("diag:2,2|3,3"))
+    assert phi.constant_values == (-math.log(2), -math.log(3))
 
 
 @pytest.mark.parametrize("spec, reason", [
     ("toral:0,1,1,2", "non-diagonal toral generator"),
     ("shift:2", "for this domain"),
-])
-def test_expansion_field_missing_derivative_data(spec, reason):
+], ids=["toral", "shift"])
+def test_unstable_multipotential_missing_derivative_data(spec, reason):
     with pytest.raises(AnalyticUnavailable,
                        match="missing derivative data.*" + reason):
-        expansion_field(parse_system(spec))
+        unstable_multipotential(parse_system(spec))
 
 
 def test_ternary_root_near_log2_over_log3():
@@ -139,3 +152,17 @@ def test_a_signless_bracket_is_widened_once():
     assert res.t_uA == pytest.approx(0.6573, abs=1e-3)
     with pytest.raises(ValueError, match="even widened once"):
         bowen_root(TERNARY, 48, 0.125, (2.0, 3.0))
+
+
+def test_a_family_root_above_a_single_map_root_is_invalid(monkeypatch):
+    # the family root (the first bisection) lands above the single map's
+    roots = iter([0.9, 0.5])
+    monkeypatch.setattr(dimension, "_bisect_root",
+                        lambda pressure, bracket: (next(roots), bracket, 1))
+    with pytest.raises(ValueError, match="above a single-map root"):
+        bowen_root(TERNARY, 8, 0.125)
+
+
+def test_midpoints_that_do_not_fall_are_invalid():
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        _bisect_root(lambda t: 1.0 if t < 0.5 else -math.inf, (0.0, 1.0))

@@ -2,6 +2,7 @@
 from the package stay deleted."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import pathlib
@@ -22,7 +23,8 @@ import presslab.words
 DELETED = ("BerendVerdict", "berend_check", "_commute",
            "single_generator_entropy", "conjugacy_example_report",
            "UnderResolved", "LiftPoint", "skew_apply", "lifted_potential",
-           "lift_birkhoff_sum", "WordPool", "shannon_entropy")
+           "lift_birkhoff_sum", "WordPool", "shannon_entropy",
+           "ExpansionField", "expansion_field")
 
 
 def test_every_exported_name_resolves():
@@ -35,7 +37,8 @@ def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in presslab.__all__
         for module in (presslab, presslab.systems, presslab.errors,
-                       presslab.lift, presslab.words, presslab.localent):
+                       presslab.lift, presslab.words, presslab.localent,
+                       presslab.dimension):
             assert not hasattr(module, name), (module.__name__, name)
     for attr in ("eigenvalues", "char_poly_irreducible_over_z", "trace"):
         assert not hasattr(presslab.systems.ToralGenerator, attr), attr
@@ -66,7 +69,6 @@ def test_unread_knobs_and_fields_are_gone():
             (presslab.localent.MeasureModel, "dimensions"),
             (presslab.localent.MarginalBoundReport, "h_product")):
         assert field not in [f.name for f in dataclasses.fields(record)]
-    assert not hasattr(presslab.dimension.ExpansionField, "log_lambda")
 
 
 def test_no_module_imports_numpy():
@@ -84,6 +86,17 @@ def test_no_module_imports_numpy():
     for name in ("grid_shape", "grid_points", "grid_metrics"):
         assert not hasattr(presslab.systems.SemigroupSystem, name), name
     assert not hasattr(presslab.systems, "GRID_MAX_TORUS")
+
+
+def test_no_module_asserts():
+    """No output may depend on `python -O`: the package checks with
+    exceptions, never with `assert` statements."""
+    src = pathlib.Path(presslab.__file__).parent
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], (path.name, asserts)
 
 
 def test_one_system_constructor_and_one_engine_cache():

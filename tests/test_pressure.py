@@ -419,7 +419,10 @@ def test_grid_metric_is_the_word_distance(spec):
     system = parse_system(spec)
     for n, epsilon in BALL_CASES[spec]:
         eng = _GridEngine(system, n, epsilon)
-        if not system.is_interval:
+        if system.is_interval:
+            # every first branch fixes 0, so no region is empty
+            assert eng.region[0] == 0.0
+        else:
             assert eng.region == eng.points
         dist = np.array([[[dn_distance(system, x, y, word)
                            for y in eng.region] for x in eng.region]
