@@ -10,7 +10,8 @@ The result's `bracket` is the last interval of that bisection on
 finite-depth midpoints, not a certificate on the dimension: on
 `cantor:3,3` at n = 48, eps = 1/8 it is [0.65625, 0.65723], and
 log 2/log 3 = 0.63093 lies outside it.  Midpoints that do not fall
-strictly, and a family root above a single-map root, raise ValueError.
+strictly, refused at the first such pair evaluated, and a family root
+above a single-map root raise ValueError.
 """
 
 import math
@@ -71,7 +72,9 @@ class DimensionResult:
 
 def _bisect_root(pressure_at, bracket):
     """Bisection on a decreasing function of t, returning the midpoint
-    of the final bracket.  Widens a sign-less bracket once."""
+    of the final bracket.  Widens a sign-less bracket once.  Then every
+    new point must fall strictly from its t-neighbours, or the first
+    pair that does not is refused."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo >= hi:
         raise ValueError("empty bracket")
@@ -82,6 +85,13 @@ def _bisect_root(pressure_at, bracket):
             evals[t] = pressure_at(t)
         return evals[t]
 
+    def check_falls():
+        pairs = sorted(evals.items())
+        for (t0, p0), (t1, p1) in zip(pairs, pairs[1:]):
+            if not p0 > p1:
+                raise ValueError("pressure midpoints not strictly "
+                                 "decreasing: %r" % ([(t0, p0), (t1, p1)],))
+
     if not (value(lo) > 0.0 > value(hi)):
         span = hi - lo
         lo = max(0.0, lo - span)
@@ -89,6 +99,7 @@ def _bisect_root(pressure_at, bracket):
         if not (value(lo) > 0.0 > value(hi)):
             raise ValueError("pressure does not change sign across the "
                              "bracket, even widened once")
+    check_falls()
     iterations = 0
     while hi - lo > BRACKET_STOP:
         mid = 0.5 * (lo + hi)
@@ -96,13 +107,8 @@ def _bisect_root(pressure_at, bracket):
             lo = mid
         else:
             hi = mid
+        check_falls()
         iterations += 1
-    ts = sorted(evals)
-    pairs = [(t, evals[t]) for t in ts]
-    for (t0, p0), (t1, p1) in zip(pairs, pairs[1:]):
-        if not p0 > p1:
-            raise ValueError("pressure midpoints not strictly decreasing: "
-                             "%r" % (pairs,))
     return 0.5 * (lo + hi), (lo, hi), iterations
 
 

@@ -9,12 +9,12 @@ shift, whose generators are endomorphisms of the grid's digit group
 distance depends on the difference alone, and the orbits of the region
 points on intervals.
 
-The covers and packings run on ball sets (`_Balls`).  On torus and
-shift grids every ball of radius r is a translate p + S of one support
-S = {d : D(d) < r} of a table D, and S = -S, as every map and norm is
-odd; the engine keeps S alone and lays the translates out when a greedy
-asks.  Interval balls are read off a window of the sorted points,
-filtered by the later orbit steps.
+On torus and shift grids every ball of radius r is a translate p + S of
+one support S = {d : D(d) < r} of a table D, and S = -S, as every map and
+norm is odd; the engine keeps S alone.  Covers and exhaustive packings
+read every ball, laid out as a ball set (`_Balls`) for one greedy; a
+greedy packing computes from S only the balls it keeps.  Interval balls
+are read off a window of the sorted points, filtered by the later steps.
 
 Invariant: every region point lies in its own ball along every word, as
 its distance to itself is 0, and has a finite weight.  The greedies rely
@@ -27,7 +27,6 @@ refuses them with a `ValueError`.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import heapq
 import itertools
@@ -189,8 +188,8 @@ class _GridEngine:
 
     On torus and shift grids the engine holds one length-P float32
     table per word and, per radius and metric (a word, or the largest
-    or smallest word distance), the support S of its balls: the balls
-    p + S of a greedy are laid out from S for that greedy alone.
+    or smallest word distance), the support S of its balls p + S, laid
+    out for one greedy or computed per kept centre by a greedy packing.
     Interval grids hold their region orbits, and per radius and metric
     the member list of every ball."""
 
@@ -258,6 +257,24 @@ class _GridEngine:
         if self.system.is_interval:
             return _Balls(held.__getitem__, list(map(len, held)))
         return self._translates(held)
+
+    def ball_at(self, which, r):
+        """p -> p's ball as `balls` lists it, alone: on torus and shift
+        p + S, the high and low digits added as `_translates` splits them."""
+        held = self._ball_data(which, r)
+        if self.system.is_interval:
+            return held.__getitem__
+        base, rank = self.shape
+        high, low = rank // 2, rank - rank // 2
+        size = base ** low
+        split = [divmod(s, size) for s in held]
+
+        def members(p):
+            # p + x over every x of each half, digit by digit
+            hi_row = _translation(p // size, high, base)(range(base ** high))
+            lo_row = _translation(p % size, low, base)(range(size))
+            return [hi_row[a] * size + lo_row[b] for a, b in split]
+        return members
 
     def _ball_data(self, which, r):
         """What the engine keeps of one ball set, cached: the support on
@@ -338,8 +355,8 @@ class _GridEngine:
 
     def _greedy_cover_matrix(self, balls, lw):
         """Weighted greedy set cover of every point.  balls: a _Balls of
-        A atoms, lw: A weights; every point lies in some atom.  Returns
-        (log cost, picked indices).
+        A atoms, lw: A weights, held as one array; every point lies in
+        some atom.  Returns (log cost, picked indices).
 
         Each round picks the atom of least score lw - log(gain), gain
         its count of uncovered points; scores within 1e-12 of the least
@@ -349,7 +366,7 @@ class _GridEngine:
         a heap holds stale scores, and a score only rises as its gain
         falls, so refreshing every entry within 1e-12 of the least gives
         every tied atom."""
-        lws = list(lw)
+        lws = array("d", lw)
         members, holders = balls.members, balls.holders
         gains = list(balls.sizes)
         logs = [0.0] + [math.log(g) for g in range(1, max(gains) + 1)]
@@ -361,8 +378,6 @@ class _GridEngine:
         left = balls.npts
         log_terms = []
         picked = []
-        # each atom's place in the tie order, set at the first tie
-        place = None
         while left and multi:
             # refresh the top until it is current: then it is the least
             while True:
@@ -389,19 +404,10 @@ class _GridEngine:
                 cand.append((s, i, g))
             a = cand[0][1]
             if len(cand) > 1:
-                if place is None:
-                    # a membership row sorts as its negated member list,
-                    # read only where rounded weights are equal; the
-                    # stable sort leaves equal keys in index order
-                    rounded = [round(x, 12) for x in lws]
-                    shared = collections.Counter(rounded)
-                    order = sorted(range(len(lws)), key=lambda i: (
-                        rounded[i], [-q for q in sorted(members(i))]
-                        if shared[rounded[i]] > 1 else ()))
-                    place = [0] * len(lws)
-                    for k, i in enumerate(order):
-                        place[i] = k
-                a = min((i for _, i, _ in cand), key=place.__getitem__)
+                # a membership row sorts as its negated member list; only
+                # the tied atoms are ordered
+                a = min((i for _, i, _ in cand), key=lambda i: (
+                    round(lws[i], 12), [-q for q in sorted(members(i))], i))
             for entry in cand:
                 if entry[1] != a:
                     heapq.heappush(heap, entry)
@@ -426,15 +432,15 @@ class _GridEngine:
                 picked.append(a)
         return log_sum_exp(log_terms), picked
 
-    def _greedy_packing(self, balls, w_log):
-        """Greedy separated set maximizing weights: each kept point drops
-        the points of its ball, of radius 2 epsilon."""
+    def _greedy_packing(self, members, w_log):
+        """Greedy separated set maximizing weights: each kept point p
+        drops the points of its ball members(p), of radius 2 epsilon."""
         far = [True] * len(w_log)
         kept = []
         for i in _heaviest_first(w_log):
             if far[i]:
                 kept.append(i)
-                for q in balls.members(i):
+                for q in members(i):
                     far[q] = False
         return log_sum_exp([w_log[i] for i in kept]), len(kept)
 
@@ -505,7 +511,7 @@ class _GridEngine:
         s = self.weights(phi)
         if kind == "trajectory":
             w = self.words.index(rule.word_at(self.n))
-            log_sum, count = self._greedy_packing(self.balls(w, eps2), s[w])
+            log_sum, count = self._greedy_packing(self.ball_at(w, eps2), s[w])
         elif kind.startswith("exhaustive"):
             log_sum, count = self._mask_packing(
                 self.balls(self._joint(kind), self.epsilon),
@@ -518,7 +524,7 @@ class _GridEngine:
             else:
                 w_log = _side_weight(s, kind)
             log_sum, count = self._greedy_packing(
-                self.balls(self._joint(kind), eps2), w_log)
+                self.ball_at(self._joint(kind), eps2), w_log)
         return CoverSolution(log_sum, count, METHOD_GRID,
                              "grid-certified greedy packing")
 

@@ -166,3 +166,31 @@ def test_a_family_root_above_a_single_map_root_is_invalid(monkeypatch):
 def test_midpoints_that_do_not_fall_are_invalid():
     with pytest.raises(ValueError, match="not strictly decreasing"):
         _bisect_root(lambda t: 1.0 if t < 0.5 else -math.inf, (0.0, 1.0))
+
+
+def test_the_first_pair_that_does_not_fall_is_refused_at_once():
+    # each midpoint is checked against its neighbours when evaluated: the
+    # tie at 0.5 is refused after three evaluations, and a rise at 0.375
+    # (the third midpoint) after five, each naming its two points alone
+    seen = []
+
+    def tie(t):
+        seen.append(t)
+        return 1.0 if t < 0.5 else -math.inf
+
+    with pytest.raises(ValueError) as err:
+        _bisect_root(tie, (0.0, 1.0))
+    assert seen == [0.0, 1.0, 0.5]
+    assert str(err.value) == "pressure midpoints not strictly " \
+        "decreasing: [(0.5, -inf), (1.0, -inf)]"
+    seen.clear()
+
+    def rise(t):
+        seen.append(t)
+        return 0.5 if t == 0.375 else 0.3 - t
+
+    with pytest.raises(ValueError) as err:
+        _bisect_root(rise, (0.0, 1.0))
+    assert seen == [0.0, 1.0, 0.5, 0.25, 0.375]
+    assert str(err.value).endswith("[(0.25, 0.04999999999999999), "
+                                   "(0.375, 0.5)]")

@@ -113,3 +113,39 @@ def test_cover_greedy_counts_are_unchanged(case, tmp_path, monkeypatch):
                  "--format", "json", "--out",
                  str(tmp_path / "out.json")]) == 0
     assert tuple(counts) == GREEDY_COUNTS[case]
+
+
+# (calls, kept points) of the greedy and of the exhaustive packing per
+# grid case
+PACKING_COUNTS = {
+    "estimate-torus-grid": ((5, 80), (2, 8)),
+    "estimate-shift-grid": ((5, 640), (2, 128)),
+    "estimate-shift3-grid": ((10, 636), (4, 216)),
+    "estimate-cantor-grid": ((5, 400), (2, 160)),
+}
+
+
+@pytest.mark.parametrize("case", list(PACKING_COUNTS))
+def test_packing_counts_are_unchanged(case, tmp_path, monkeypatch):
+    # a greedy packing that computes only the balls it keeps keeps the
+    # same points as one that read them from a layout of every ball
+    counts = {"_greedy_packing": [0, 0], "_mask_packing": [0, 0]}
+
+    def counter(name):
+        packing = getattr(grid._GridEngine, name)
+
+        def counted(self, balls, w_log):
+            log_sum, kept = packing(self, balls, w_log)
+            counts[name][0] += 1
+            counts[name][1] += kept
+            return log_sum, kept
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(grid._GridEngine, name, counter(name))
+    grid._grid_engine.cache_clear()
+    assert main(["estimate", "--config", str(GOLDEN / (case + ".cfg")),
+                 "--format", "json", "--out",
+                 str(tmp_path / "out.json")]) == 0
+    assert (tuple(counts["_greedy_packing"]),
+            tuple(counts["_mask_packing"])) == PACKING_COUNTS[case]

@@ -432,11 +432,15 @@ def test_grid_metric_is_the_word_distance(spec):
         for r in (epsilon, 2.0 * epsilon):
             for which, d in metrics:
                 balls = eng.balls(which, r)
+                # the balls a greedy packing computes one centre at a
+                # time, in the order of the laid-out ones
+                kept = eng.ball_at(which, r)
                 assert len(balls) == len(eng.region)
                 for p, row in enumerate(d):
                     assert sorted(balls.members(p)) \
                         == np.flatnonzero(row < r).tolist(), \
                         (n, epsilon, r, which, eng.region[p])
+                    assert list(kept(p)) == list(balls.members(p))
                     assert sorted(balls.holders(p)) == sorted(balls.members(p))
                     assert balls.sizes[p] == len(balls.members(p))
             # atom (w, p) of the "all" set is p's ball along word w, and
@@ -495,6 +499,32 @@ def test_toral_engine_holds_no_pair_matrix():
         assert all(type(d) is int and 0 <= d < npts for d in support)
     for sums in eng._phi_cache.values():
         assert [len(row) for row in sums] == [npts] * len(eng.words)
+
+
+def test_greedy_packings_lay_out_no_ball(monkeypatch):
+    # covers and the exhaustive packing lay out every ball p + S at
+    # radius eps; the greedy packings, at 2 eps, compute only the balls
+    # they keep, so no 2 eps support is laid out and the largest layout
+    # is the largest eps support's, 1,024 x 21 entries, not 1,024 x 89
+    laid_out = []
+    translates = _GridEngine._translates
+
+    def recorded(self, support):
+        laid_out.append(support)
+        return translates(self, support)
+
+    monkeypatch.setattr(_GridEngine, "_translates", recorded)
+    _grid_engine.cache_clear()
+    phi = random_potential(2, seed=6)
+    for kind in KINDS:
+        estimate_pressure(SHEAR, phi, kind, 3, 0.125, seed=0,
+                          rule=periodic_rule((1, 2)), engine="grid")
+    eng = _grid_engine(SHEAR, 3, 0.125)
+    wide = [support for (_, r), support in eng._held.items() if r == 0.25]
+    assert wide and laid_out
+    assert not any(s is t for s in laid_out for t in wide)
+    assert max(len(eng.points) * len(s) for s in laid_out) == 1024 * 21
+    assert max(map(len, wide)) == 89
 
 
 def test_a_table_entry_at_the_float32_radius_is_outside_the_ball():
