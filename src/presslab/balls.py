@@ -14,8 +14,8 @@ families is capped; past the cap only the closed-form paths can answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .records import record
 from .words import Word, all_words, dn_distance, orbit
 
 TRAJECTORY = "trajectory"
@@ -23,7 +23,7 @@ CONDENSED = "condensed"
 EXHAUSTIVE = "exhaustive"
 
 
-@dataclass(frozen=True)
+@record
 class BallSpec:
     kind: str
     center: object

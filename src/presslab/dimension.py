@@ -15,11 +15,11 @@ above a single-map root raise ValueError.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import AnalyticUnavailable
 from .potentials import MultiPotential
 from .pressure import estimate_pressure
+from .records import record
 from .systems import SemigroupSystem
 from .words import constant_rule
 
@@ -62,7 +62,7 @@ def unstable_multipotential(system):
     return MultiPotential(tuple(comps))
 
 
-@dataclass(frozen=True)
+@record
 class DimensionResult:
     t_uA: float
     per_map_roots: tuple

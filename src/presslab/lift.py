@@ -9,9 +9,9 @@ costs, and the cylinder count enters the rate as exactly log(m).
 """
 
 import math
-from dataclasses import replace
 
 from .pressure import Check, Report, estimate_pressure
+from .records import replace
 
 __all__ = ["lift_pressure_estimate", "check_lift_inequalities"]
 

@@ -17,12 +17,12 @@ for the liminf.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic
 from .balls import BallSpec, ball_contains
 from .errors import AnalyticUnavailable, ParseError
+from .records import record
 from .words import add_floats, pool_words
 
 __all__ = [
@@ -38,7 +38,7 @@ GRID = "grid"
 EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True)
+@record
 class MeasureModel:
     """Probability measure: Lebesgue measure on the domain (kind GRID,
     whose resolution sets the cell-centre lattice that `sample_points`
@@ -62,7 +62,7 @@ class MeasureModel:
             raise ValueError("negative sample weight")
 
 
-@dataclass(frozen=True)
+@record
 class ProductMeasureModel:
     """Bernoulli weights on the symbols crossed with a base measure."""
 
@@ -218,7 +218,7 @@ def ball_measure(measure, system, spec):
 # local entropies
 
 
-@dataclass(frozen=True)
+@record
 class LocalEntropyEstimate:
     """Finite-scale local entropies at one point.
 
@@ -306,7 +306,7 @@ def lebesgue_entropy_rate(system, symbol_weights):
     return rate
 
 
-@dataclass(frozen=True)
+@record
 class MarginalPointCheck:
     x: object
     h_plus: float
@@ -315,7 +315,7 @@ class MarginalPointCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class MarginalBoundReport:
     bound: float
     checks: tuple

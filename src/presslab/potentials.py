@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .records import record
 from .words import add_floats
 
 
@@ -65,7 +65,7 @@ def _base_bound(kind, params):
     raise ValueError("unknown potential base %r" % kind)
 
 
-@dataclass(frozen=True)
+@record
 class MultiPotential:
     components: tuple  # of (kind, params, scale, offset)
 

@@ -26,11 +26,11 @@ resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import analytic
 from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
+from .records import record, replace
 from .words import add_floats, consecutive_sum, pool_words
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
@@ -49,7 +49,7 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-@dataclass(frozen=True)
+@record
 class CoverSolution:
     """One side of an estimate: a weighted cover cost or packing sum."""
     log_cost: float
@@ -59,7 +59,7 @@ class CoverSolution:
     atoms: tuple = None
 
 
-@dataclass(frozen=True)
+@record
 class PressureEstimate:
     kind: str
     n: int
@@ -243,7 +243,7 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, rule=None,
 # inequality chain
 
 
-@dataclass(frozen=True)
+@record
 class Check:
     """One inequality lhs <= rhs (up to a tolerance) and its verdict."""
     name: str
@@ -252,7 +252,7 @@ class Check:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     estimates: dict
     checks: tuple
@@ -331,7 +331,7 @@ def verify_inequality_chain(system, phi, n, epsilon, *, rule=None, seed=0,
 # refinement over depth
 
 
-@dataclass(frozen=True)
+@record
 class Extrapolation:
     value: float
     error_bar: float

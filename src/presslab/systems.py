@@ -13,11 +13,11 @@ matrices, and Fraction slopes, branch ends and gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError
+from .records import record
 
 TORUS = "torus-2d"
 INTERVAL = "interval-union"
@@ -29,7 +29,7 @@ def circle_dist(a, b):
     return min(d, 1.0 - d)
 
 
-@dataclass(frozen=True)
+@record
 class ToralGenerator:
     """One integer matrix acting on the 2-torus, row-major."""
 
@@ -69,7 +69,7 @@ class ToralGenerator:
         return ((a * x + b * y) % 1.0, (c * x + d * y) % 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class IntervalGenerator:
     """Piecewise affine expanding map given by its branch slopes, exact
     rationals above 1.  Branch i maps [left_i, left_i + 1/s_i] onto
@@ -142,7 +142,7 @@ class IntervalGenerator:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class ShiftGenerator:
     """sigma^step on the full shift over `alphabet` symbols."""
 
@@ -162,7 +162,7 @@ class ShiftGenerator:
         return seq[self.step:] + (0,) * self.step
 
 
-@dataclass(frozen=True)
+@record(uncompared=("name",))
 class SemigroupSystem:
     """A domain and its generator maps.  The name is a label: it is
     outside equality and hashing, so every cache keyed on a system keys
@@ -171,7 +171,7 @@ class SemigroupSystem:
 
     domain: str
     generators: tuple
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     @property
     def m(self):

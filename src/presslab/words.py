@@ -13,16 +13,16 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import DepthTooLarge
+from .records import record
 
 ENUM_CAP = 4096
 # seeded random words the pool adds at each depth
 POOL_RANDOM_WORDS = 32
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     symbols: tuple
 
@@ -110,7 +110,7 @@ def all_words(m, n):
 # word selection rules for trajectory pressure
 
 
-@dataclass(frozen=True)
+@record
 class WordRule:
     """How the trajectory kind picks its length-n word.
 

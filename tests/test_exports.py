@@ -3,10 +3,11 @@ from the package stay deleted."""
 
 import argparse
 import ast
-import dataclasses
 import inspect
 import pathlib
 import re
+import subprocess
+import sys
 
 import presslab
 import presslab.analytic
@@ -17,6 +18,7 @@ import presslab.grid
 import presslab.lift
 import presslab.localent
 import presslab.pressure
+import presslab.records
 import presslab.systems
 import presslab.words
 
@@ -68,7 +70,8 @@ def test_unread_knobs_and_fields_are_gone():
             (presslab.pressure.Extrapolation, "depths"),
             (presslab.localent.MeasureModel, "dimensions"),
             (presslab.localent.MarginalBoundReport, "h_product")):
-        assert field not in [f.name for f in dataclasses.fields(record)]
+        assert field not in [f.name
+                             for f in presslab.records.fields(record)]
 
 
 def test_no_module_imports_numpy():
@@ -86,6 +89,19 @@ def test_no_module_imports_numpy():
     for name in ("grid_shape", "grid_points", "grid_metrics"):
         assert not hasattr(presslab.systems.SemigroupSystem, name), name
     assert not hasattr(presslab.systems, "GRID_MAX_TORUS")
+
+
+def test_no_request_imports_the_stdlib_introspection_modules():
+    """Every request imports `cli`, and a grid request `grid` as well;
+    neither loads `dataclasses`, nor `inspect`, `ast` or `dis`, which it
+    imports.  A fresh interpreter, since this test module imports them."""
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = ("import sys; import presslab.cli, presslab.grid; "
+            "print(*[m for m in %r if m in sys.modules])" % (heavy,))
+    src = pathlib.Path(presslab.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_no_module_asserts():
