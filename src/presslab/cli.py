@@ -16,7 +16,7 @@ import sys
 from .dimension import bowen_root
 from .errors import AnalyticUnavailable, DepthTooLarge, ParseError
 from .lift import check_lift_inequalities
-from .localent import ProductMeasureModel, local_amalgamated_entropy, \
+from .localent import ProductMeasureModel, local_entropies, \
     marginal_bound_check, parse_measure, parse_point, sample_points
 from .potentials import parse_potential, random_potential
 from .pressure import KINDS, estimate_pressure, extrapolate, \
@@ -465,9 +465,8 @@ def cmd_localent(entries, setup):
         return 0 if report.all_ok else 2
 
     rows = []
-    for pt in pts:
-        est = local_amalgamated_entropy(measure, setup.system, pt, epsilon,
-                                        n_range, seed=setup.seed)
+    for est in local_entropies(measure, setup.system, pts, epsilon, n_range,
+                               seed=setup.seed):
         x, y = coords(est.x)
         rows.append((x, y, est.h_exhaustive_local, est.h_lower_local,
                      est.h_upper_local, est.epsilon, setup.seed))

@@ -11,10 +11,11 @@ points on intervals.
 
 On torus and shift grids every ball of radius r is a translate p + S of
 one support S = {d : D(d) < r} of a table D, and S = -S, as every map and
-norm is odd; the engine keeps S alone.  Covers and exhaustive packings
-read every ball, laid out as a ball set (`_Balls`) for one greedy; a
-greedy packing computes from S only the balls it keeps.  Interval balls
-are read off a window of the sorted points, filtered by the later steps.
+norm is odd; the engine keeps S alone.  No greedy lays a ball out: a
+ball set (`_Balls`) adds S to p digit by digit each time a greedy reads
+p's ball, and the balls holding q are those centred in q + S.  Interval
+balls are read off a window of the sorted points, filtered by the later
+steps.
 
 Invariant: every region point lies in its own ball along every word, as
 its distance to itself is 0, and has a finite weight.  The greedies rely
@@ -156,6 +157,15 @@ def _translation(t, width, base):
     return operator.itemgetter(*perm)
 
 
+@functools.lru_cache(maxsize=None)
+def _doubled_lattice(base):
+    """The points of the base x base lattice on its doubled 2base x 2base
+    rows, row-major: entry i 2base + j is the point (i, j) mod base."""
+    points = list(range(base * base))
+    return [points[i % base * base + j % base]
+            for i in range(2 * base) for j in range(2 * base)]
+
+
 def _window(xs, lo, hi):
     """Indices of the sorted xs in [lo, hi], one more on each side: a
     superset that rounding at the ends cannot shrink."""
@@ -188,10 +198,10 @@ class _GridEngine:
 
     On torus and shift grids the engine holds one length-P float32
     table per word and, per radius and metric (a word, or the largest
-    or smallest word distance), the support S of its balls p + S, laid
-    out for one greedy or computed per kept centre by a greedy packing.
-    Interval grids hold their region orbits, and per radius and metric
-    the member list of every ball."""
+    or smallest word distance), the support S of its balls p + S, which
+    each greedy computes per centre as it reads them.  Interval grids
+    hold their region orbits, and per radius and metric the member list
+    of every ball."""
 
     def __init__(self, system, n, epsilon, words=None):
         # given words restrict the universe: certificates for them only
@@ -229,52 +239,86 @@ class _GridEngine:
             # orbits revisit points, so each (generator, point) step is
             # evaluated once
             steps = {}
-            sums = [[consecutive_sum(self.system, phi, x, word, steps)
-                     for word in self.words] for x in self.region]
+            sums = [array("d", [consecutive_sum(self.system, phi, x, word,
+                                                steps) for x in self.region])
+                    for word in self.words]
             # finite step values can still sum past the float range
             if not all(map(math.isfinite, itertools.chain(*sums))):
                 raise ValueError(
                     "the potential's consecutive sums overflow at depth %d"
                     % self.n)
-            self._phi_cache[key] = [array("d", [row[w] for row in sums])
-                                    for w in range(len(self.words))]
+            self._phi_cache[key] = sums
         return self._phi_cache[key]
 
     def balls(self, which, r):
         """The balls of radius r (strict) around every region point under
         one metric: `which` is a word index, "max" or "min" (the largest
         or smallest word distance), or "all" (every word's balls,
-        word-major, one atom per (word, centre))."""
-        if which == "all":
-            parts = [self.balls(w, r) for w in range(len(self.words))]
-            npts = len(self.region)
-            return _Balls(
-                lambda a: parts[a // npts].members(a % npts),
-                [k for part in parts for k in part.sizes],
-                lambda q: [w * npts + b for w, part in enumerate(parts)
-                           for b in part.holders(q)], npts)
-        held = self._ball_data(which, r)
+        word-major, one atom per (word, centre)).  No ball is laid out:
+        members and holders are computed per call."""
+        npts = len(self.region)
+        if which != "all":
+            held = self._ball_data(which, r)
+            if self.system.is_interval:
+                return _Balls(held.__getitem__, list(map(len, held)))
+            return _Balls(self._plus(held), [len(held)] * npts)
+        words = range(len(self.words))
+        parts = [self.balls(w, r) for w in words]
+        # one word's balls are symmetric: q lies in its members' balls
+        members = [part.members for part in parts]
         if self.system.is_interval:
-            return _Balls(held.__getitem__, list(map(len, held)))
-        return self._translates(held)
+            def holders(q):
+                return [w * npts + b for w in words for b in members[w](q)]
+        else:
+            # the atoms (w, p) holding q are the p in q + S_w, offset by
+            # word, read off one list of every word's support
+            supports = [self._ball_data(w, r) for w in words]
+            holders = self._plus(
+                [s for support in supports for s in support],
+                [w * npts for w in words for _ in supports[w]])
+        return _Balls(lambda a: members[a // npts](a % npts),
+                      [k for part in parts for k in part.sizes], holders,
+                      npts)
 
-    def ball_at(self, which, r):
-        """p -> p's ball as `balls` lists it, alone: on torus and shift
-        p + S, the high and low digits added as `_translates` splits them."""
-        held = self._ball_data(which, r)
-        if self.system.is_interval:
-            return held.__getitem__
+    def _plus(self, support, offsets=None):
+        """p -> the points p + s over the support's s, added digit by
+        digit mod base, and with offsets (multiples of the point count,
+        one per s) each plus its offset.  Base 2 adds by XOR, a rank-2
+        grid reads p + s off the doubled lattice, and other grids add
+        the high and the low digits apart through `_translation`."""
         base, rank = self.shape
+        if base == 2:
+            # an offset shares no bit with p ^ s < 2**rank
+            terms = support if offsets is None \
+                else list(map(operator.or_, offsets, support))
+            return lambda p: [p ^ t for t in terms]
+        if rank == 2:
+            # x = u base + v sits at u 2base + v of the doubled lattice,
+            # and the sum of two such positions holds x + y
+            lattice = _doubled_lattice(base)
+            cells = [s + s // base * base for s in support]
+            if offsets is None:
+                def plus(p):
+                    k = p + p // base * base
+                    return [lattice[k + c] for c in cells]
+            else:
+                terms = list(zip(offsets, cells))
+
+                def plus(p):
+                    k = p + p // base * base
+                    return [o + lattice[k + c] for o, c in terms]
+            return plus
         high, low = rank // 2, rank - rank // 2
         size = base ** low
-        split = [divmod(s, size) for s in held]
+        his = range(0, base ** rank, size)
+        terms = [(o, *divmod(s, size)) for o, s in
+                 zip(offsets or itertools.repeat(0), support)]
 
-        def members(p):
-            # p + x over every x of each half, digit by digit
-            hi_row = _translation(p // size, high, base)(range(base ** high))
-            lo_row = _translation(p % size, low, base)(range(size))
-            return [hi_row[a] * size + lo_row[b] for a, b in split]
-        return members
+        def plus(p):
+            hi = _translation(p // size, high, base)(his)
+            lo = _translation(p % size, low, base)(range(size))
+            return [o + hi[a] + lo[b] for o, a, b in terms]
+        return plus
 
     def _ball_data(self, which, r):
         """What the engine keeps of one ball set, cached: the support on
@@ -329,27 +373,6 @@ class _GridEngine:
                         rows[p].append(q)
                         rows[q].append(p)
         return rows
-
-    def _translates(self, support):
-        """The balls p + S of every grid point p, laid out row-major with
-        stride |S| over one shared list of point indices.  Each column
-        p -> p + s is gathered block by block: the high digits of p + s
-        pick a block of the low-digit points, and the low digits a
-        position in it."""
-        base, rank = self.shape
-        ids = list(range(len(self.points)))
-        low = rank - rank // 2
-        size = base ** low
-        blocks = [ids[i:i + size] for i in range(0, len(ids), size)]
-        columns = []
-        for s in support:
-            high, s = divmod(s, size)
-            columns.append(itertools.chain.from_iterable(map(
-                _translation(s, low, base),
-                _translation(high, rank - low, base)(blocks))))
-        flat = list(itertools.chain.from_iterable(zip(*columns)))
-        k = len(support)
-        return _Balls(lambda a: flat[a * k:a * k + k], [k] * len(ids))
 
     # -- greedy primitives
 
@@ -432,15 +455,16 @@ class _GridEngine:
                 picked.append(a)
         return log_sum_exp(log_terms), picked
 
-    def _greedy_packing(self, members, w_log):
+    def _greedy_packing(self, balls, w_log):
         """Greedy separated set maximizing weights: each kept point p
-        drops the points of its ball members(p), of radius 2 epsilon."""
+        drops the points of its ball of radius 2 epsilon, computed only
+        for the kept centres."""
         far = [True] * len(w_log)
         kept = []
         for i in _heaviest_first(w_log):
             if far[i]:
                 kept.append(i)
-                for q in members(i):
+                for q in balls.members(i):
                     far[q] = False
         return log_sum_exp([w_log[i] for i in kept]), len(kept)
 
@@ -511,7 +535,7 @@ class _GridEngine:
         s = self.weights(phi)
         if kind == "trajectory":
             w = self.words.index(rule.word_at(self.n))
-            log_sum, count = self._greedy_packing(self.ball_at(w, eps2), s[w])
+            log_sum, count = self._greedy_packing(self.balls(w, eps2), s[w])
         elif kind.startswith("exhaustive"):
             log_sum, count = self._mask_packing(
                 self.balls(self._joint(kind), self.epsilon),
@@ -524,7 +548,7 @@ class _GridEngine:
             else:
                 w_log = _side_weight(s, kind)
             log_sum, count = self._greedy_packing(
-                self.ball_at(self._joint(kind), eps2), w_log)
+                self.balls(self._joint(kind), eps2), w_log)
         return CoverSolution(log_sum, count, METHOD_GRID,
                              "grid-certified greedy packing")
 

@@ -15,6 +15,7 @@ exhaustive union ball, with the minimum over a depth range standing in
 for the liminf.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ __all__ = [
     "MeasureModel", "ProductMeasureModel", "LocalEntropyEstimate",
     "lebesgue_measure", "empirical_measure",
     "dirac_measure", "parse_point", "parse_measure", "ball_measure",
-    "local_amalgamated_entropy",
+    "local_amalgamated_entropy", "local_entropies",
     "lebesgue_entropy_rate", "MarginalPointCheck", "MarginalBoundReport",
     "marginal_bound_check", "sample_points",
 ]
@@ -149,52 +150,60 @@ def parse_measure(spec, system, line=None, resolution=64):
 # ball masses
 
 
-def _uniform_exact_mass(system, spec):
-    """Exact Lebesgue mass of one ball; AnalyticUnavailable where no
+def _uniform_exact_mass(system, epsilon):
+    """spec -> the exact Lebesgue mass of its ball, for the balls of
+    radius epsilon: no mass reads the ball's centre, so the family and
+    the wrap guard are checked once.  AnalyticUnavailable where no
     closed shape is the whole ball."""
-    if spec.epsilon >= 0.5 and (system.is_toral or system.wrap):
+    if epsilon >= 0.5 and (system.is_toral or system.wrap):
         # every distance is at most 1/2: the strict ball misses a null set
-        return 1.0
+        return lambda spec: 1.0
     if system.is_toral and system.all_diagonal:
         entries = [g.diagonal_entries for g in system.generators]
     elif system.wrap:
-        # one slope per generator, checked once per system; each is then
-        # its generator's float Lipschitz constant, so no ball multiplies
-        # a Fraction
+        # one slope per generator: each is then its generator's float
+        # Lipschitz constant, so no ball multiplies a Fraction
         analytic._uniform_circle_slopes(system)
         slopes = [g.lipschitz for g in system.generators]
     else:
         raise AnalyticUnavailable(
             "no exact ball mass: Lebesgue local entropies need a diagonal "
             "torus or a circle map with one slope per generator")
-    if not analytic.wrap_guard_ok(spec.epsilon, system.L_max):
+    if not analytic.wrap_guard_ok(epsilon, system.L_max):
         raise AnalyticUnavailable(
             "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
-            "ball mass" % spec.epsilon)
+            "ball mass" % epsilon)
     if system.is_toral:
-        if spec.kind == "exhaustive":
-            return float(analytic._star_area(entries, spec.depth,
-                                             Fraction(spec.epsilon)))
-        if spec.kind == "trajectory":
-            px, py = analytic._axis_products(entries, spec.word)
-        else:
-            px = max(e[0] for e in entries) ** spec.depth
-            py = max(e[1] for e in entries) ** spec.depth
         # the box area 4 eps^2/(px py) for eps = p/q, as one correctly
         # rounded int division
-        p, q = spec.epsilon.as_integer_ratio()
-        return 4 * p * p / (q * q * px * py)
-    # every ball is an arc around the center, words only set the
-    # contraction factor
-    if spec.kind == "trajectory":
-        prod = 1.0
-        for j in spec.word:
-            prod *= slopes[j - 1]
-    elif spec.kind == "condensed":
-        prod = max(slopes) ** spec.depth
-    else:
-        prod = min(slopes) ** spec.depth
-    return 2.0 * spec.epsilon / prod
+        exact = Fraction(epsilon)
+        p, q = exact.numerator, exact.denominator
+
+        def box(spec):
+            if spec.kind == "exhaustive":
+                return float(analytic._star_area(entries, spec.depth,
+                                                 exact))
+            if spec.kind == "trajectory":
+                px, py = analytic._axis_products(entries, spec.word)
+            else:
+                px = max(e[0] for e in entries) ** spec.depth
+                py = max(e[1] for e in entries) ** spec.depth
+            return 4 * p * p / (q * q * px * py)
+        return box
+
+    def arc(spec):
+        # every ball is an arc around the center, words only set the
+        # contraction factor
+        if spec.kind == "trajectory":
+            prod = 1.0
+            for j in spec.word:
+                prod *= slopes[j - 1]
+        elif spec.kind == "condensed":
+            prod = max(slopes) ** spec.depth
+        else:
+            prod = min(slopes) ** spec.depth
+        return 2.0 * epsilon / prod
+    return arc
 
 
 def ball_measure(measure, system, spec):
@@ -202,7 +211,7 @@ def ball_measure(measure, system, spec):
     sample points inside it otherwise.  Empty balls return 0 and the
     caller maps them to an infinite rate with a flag."""
     if measure.kind == GRID:
-        return _uniform_exact_mass(system, spec)
+        return _uniform_exact_mass(system, spec.epsilon)(spec)
     total = 0.0
     for p, w in zip(measure.points, measure.weights):
         # a sample at the center sits in every ball kind at any
@@ -255,28 +264,53 @@ def local_amalgamated_entropy(measure, system, x, epsilon, n_range, *,
     """Ball-mass decay rates at x: sup and inf over the words of the
     (m, seed) pool plus the exhaustive union ball, minimized over the
     depth range."""
+    return local_entropies(measure, system, (x,), epsilon, n_range,
+                           seed=seed)[0]
+
+
+def local_entropies(measure, system, points, epsilon, n_range, *, seed=0):
+    """`local_amalgamated_entropy` at each point.  No Lebesgue mass
+    reads the ball's centre, so under Lebesgue measure the depth rows
+    of the first point serve every point."""
     depths = sorted(set(int(n) for n in n_range))
+    rows = None
+    estimates = []
+    for x in points:
+        if rows is None or measure.kind != GRID:
+            rows, flags = _depth_rows(measure, system, x, epsilon, depths,
+                                      seed)
+        estimates.append(LocalEntropyEstimate(
+            h_upper_local=min(r[3] for r in rows),
+            h_lower_local=min(r[2] for r in rows),
+            h_exhaustive_local=min(r[1] for r in rows),
+            x=x, n_range=tuple(depths), epsilon=float(epsilon),
+            sequence=rows, flags=flags))
+    return estimates
+
+
+def _depth_rows(measure, system, x, epsilon, depths, seed):
+    """One (n, exhaustive, lower, upper) rate row per depth at x, and a
+    flag per depth with a zero-mass ball."""
     if not depths or depths[0] < 1:
         raise ValueError("depth range must contain positive depths")
+    mass = None
     rows = []
     flags = []
     for n in depths:
-        rates = []
-        for word in pool_words(system.m, seed, n):
-            spec = BallSpec("trajectory", x, n, epsilon, word)
-            rates.append(_rate(ball_measure(measure, system, spec), n))
-        exh_spec = BallSpec("exhaustive", x, n, epsilon, None)
-        exh = _rate(ball_measure(measure, system, exh_spec), n)
+        specs = [BallSpec("trajectory", x, n, epsilon, word)
+                 for word in pool_words(system.m, seed, n)]
+        specs.append(BallSpec("exhaustive", x, n, epsilon, None))
+        if mass is None:
+            # after a spec, so a radius BallSpec refuses is refused first
+            mass = _uniform_exact_mass(system, epsilon) \
+                if measure.kind == GRID \
+                else functools.partial(ball_measure, measure, system)
+        *rates, exh = [_rate(mass(spec), n) for spec in specs]
         lo, up = min(rates), max(rates)
         if math.isinf(up) or math.isinf(exh):
             flags.append("zero-mass ball at depth %d" % n)
         rows.append((n, exh, lo, up))
-    return LocalEntropyEstimate(
-        h_upper_local=min(r[3] for r in rows),
-        h_lower_local=min(r[2] for r in rows),
-        h_exhaustive_local=min(r[1] for r in rows),
-        x=x, n_range=tuple(depths), epsilon=float(epsilon),
-        sequence=tuple(rows), flags=tuple(flags))
+    return tuple(rows), tuple(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +408,12 @@ def marginal_bound_check(product, system, sample_points_list, epsilon,
                          "diagonal family")
     bound = lebesgue_entropy_rate(system, weights)
     checks = []
-    for x in sample_points_list:
-        est = local_amalgamated_entropy(product.base, system, x, epsilon,
-                                        n_range, seed=seed)
+    for est in local_entropies(product.base, system, sample_points_list,
+                               epsilon, n_range, seed=seed):
         lows = [row[2] for row in est.sequence if not math.isinf(row[2])]
         spread = (max(lows) - min(lows)) if lows else 0.0
         tol = spread + 1e-9
-        checks.append(MarginalPointCheck(x, est.h_exhaustive_local,
+        checks.append(MarginalPointCheck(est.x, est.h_exhaustive_local,
                                          est.h_lower_local, tol,
                                          est.h_lower_local <= bound + tol))
     return MarginalBoundReport(bound, tuple(checks))

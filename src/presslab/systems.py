@@ -153,11 +153,6 @@ class ShiftGenerator:
         if self.step < 1 or self.alphabet < 2:
             raise ValueError("need step >= 1 and alphabet >= 2")
 
-    @property
-    def lipschitz(self):
-        # d(sigma^s x, sigma^s y) <= 2^s d(x, y)
-        return float(2 ** self.step)
-
     def apply(self, seq):
         return seq[self.step:] + (0,) * self.step
 

@@ -44,6 +44,8 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
     for attr in ("eigenvalues", "char_poly_irreducible_over_z", "trace"):
         assert not hasattr(presslab.systems.ToralGenerator, attr), attr
+    # no shift closed form reads a Lipschitz constant
+    assert not hasattr(presslab.systems.ShiftGenerator, "lipschitz")
     assert not hasattr(presslab.pressure.PressureEstimate, "replaced")
     for record in (presslab.pressure.Report,
                    presslab.localent.MarginalBoundReport):

@@ -170,9 +170,10 @@ def test_an_exhaustive_rate_above_the_lower_rate_is_refused(monkeypatch):
     the exhaustive rate at the lower one."""
     exact = localent._uniform_exact_mass
 
-    def quartered(system, spec):
-        mass = exact(system, spec)
-        return mass / 4 if spec.kind == "exhaustive" else mass
+    def quartered(system, epsilon):
+        mass = exact(system, epsilon)
+        return lambda spec: mass(spec) / (
+            4 if spec.kind == "exhaustive" else 1)
 
     monkeypatch.setattr(localent, "_uniform_exact_mass", quartered)
     leb = lebesgue_measure(DIAG, resolution=64)

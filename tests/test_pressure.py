@@ -1,5 +1,6 @@
 """Pressure estimates: closed forms, the grid engine, chains, sweeps."""
 
+import itertools
 import math
 import random
 from array import array
@@ -432,15 +433,11 @@ def test_grid_metric_is_the_word_distance(spec):
         for r in (epsilon, 2.0 * epsilon):
             for which, d in metrics:
                 balls = eng.balls(which, r)
-                # the balls a greedy packing computes one centre at a
-                # time, in the order of the laid-out ones
-                kept = eng.ball_at(which, r)
                 assert len(balls) == len(eng.region)
                 for p, row in enumerate(d):
                     assert sorted(balls.members(p)) \
                         == np.flatnonzero(row < r).tolist(), \
                         (n, epsilon, r, which, eng.region[p])
-                    assert list(kept(p)) == list(balls.members(p))
                     assert sorted(balls.holders(p)) == sorted(balls.members(p))
                     assert balls.sizes[p] == len(balls.members(p))
             # atom (w, p) of the "all" set is p's ball along word w, and
@@ -501,30 +498,89 @@ def test_toral_engine_holds_no_pair_matrix():
         assert [len(row) for row in sums] == [npts] * len(eng.words)
 
 
-def test_greedy_packings_lay_out_no_ball(monkeypatch):
-    # covers and the exhaustive packing lay out every ball p + S at
-    # radius eps; the greedy packings, at 2 eps, compute only the balls
-    # they keep, so no 2 eps support is laid out and the largest layout
-    # is the largest eps support's, 1,024 x 21 entries, not 1,024 x 89
-    laid_out = []
-    translates = _GridEngine._translates
+def test_no_grid_greedy_lays_out_a_ball(monkeypatch):
+    # covers and packings read p + S per centre: XOR on base-2 shifts
+    # and the doubled lattice on rank-2 grids, so neither the shear pair
+    # nor shift:2 translates a half-row, and nothing lays out P x |S|
+    assert not hasattr(_GridEngine, "_translates")
 
-    def recorded(self, support):
-        laid_out.append(support)
-        return translates(self, support)
+    def no_translation(*args):
+        raise AssertionError("a half-row translation was asked for")
 
-    monkeypatch.setattr(_GridEngine, "_translates", recorded)
+    monkeypatch.setattr(grid, "_translation", no_translation)
     _grid_engine.cache_clear()
-    phi = random_potential(2, seed=6)
-    for kind in KINDS:
-        estimate_pressure(SHEAR, phi, kind, 3, 0.125, seed=0,
-                          rule=periodic_rule((1, 2)), engine="grid")
-    eng = _grid_engine(SHEAR, 3, 0.125)
-    wide = [support for (_, r), support in eng._held.items() if r == 0.25]
-    assert wide and laid_out
-    assert not any(s is t for s in laid_out for t in wide)
-    assert max(len(eng.points) * len(s) for s in laid_out) == 1024 * 21
-    assert max(map(len, wide)) == 89
+    for system in (SHEAR, shift_system(2)):
+        phi = random_potential(system.m, seed=6)
+        for kind in KINDS:
+            est = estimate_pressure(system, phi, kind, 3, 0.125, seed=0,
+                                    rule=periodic_rule((1, 2)),
+                                    engine="grid")
+            assert est.cover_size > 0, (system, kind)
+    _grid_engine.cache_clear()
+
+
+def _translates(eng, support):
+    """The balls p + S of every grid point p, laid out row-major with
+    stride |S| over one shared list of point indices, as the engine
+    once built them for each greedy: the reference for `balls`."""
+    base, rank = eng.shape
+    ids = list(range(len(eng.points)))
+    low = rank - rank // 2
+    size = base ** low
+    blocks = [ids[i:i + size] for i in range(0, len(ids), size)]
+    columns = []
+    for s in support:
+        high, s = divmod(s, size)
+        columns.append(itertools.chain.from_iterable(map(
+            grid._translation(s, low, base),
+            grid._translation(high, rank - low, base)(blocks))))
+    flat = list(itertools.chain.from_iterable(zip(*columns)))
+    k = len(support)
+    return grid._Balls(lambda a: flat[a * k:a * k + k], [k] * len(ids))
+
+
+def _reference_balls(eng, which, r):
+    if which != "all":
+        return _translates(eng, eng._ball_data(which, r))
+    npts = len(eng.region)
+    parts = [_translates(eng, eng._ball_data(w, r))
+             for w in range(len(eng.words))]
+    return grid._Balls(
+        lambda a: parts[a // npts].members(a % npts),
+        [k for part in parts for k in part.sizes],
+        lambda q: [w * npts + b for w, part in enumerate(parts)
+                   for b in part.holders(q)], npts)
+
+
+# (system, depth, radius): the 16 x 16 and the non-dyadic 20 x 20
+# lattice, a 7-symbol shift:2 grid (XOR) and 5- and 3-symbol shift:3
+# grids (half-row translations, high and low halves of unequal width)
+TRANSLATE_CASES = (("toral:0,1,1,2;2,1,1,0", 2, 0.25),
+                   ("toral:2,1,1,1;5,3,3,2", 2, 0.2),
+                   ("shift:2", 2, 0.2),
+                   ("shift:3", 1, 0.2),
+                   ("shift:3", 1, 0.7))
+
+
+@pytest.mark.parametrize("spec, n, epsilon", TRANSLATE_CASES)
+def test_balls_read_per_centre_match_the_laid_out_translates(spec, n,
+                                                             epsilon):
+    # for every metric at eps and 2 eps, each atom's members and each
+    # point's holders are, as sets, those of the translates laid out
+    eng = _GridEngine(parse_system(spec), n, epsilon)
+    npts = len(eng.region)
+    for r in (epsilon, 2.0 * epsilon):
+        for which in (*range(len(eng.words)), "max", "min", "all"):
+            got = eng.balls(which, r)
+            want = _reference_balls(eng, which, r)
+            assert got.npts == want.npts == npts
+            assert got.sizes == want.sizes, (spec, which, r)
+            for a in range(len(want)):
+                assert sorted(got.members(a)) == sorted(want.members(a)), \
+                    (spec, which, r, a)
+            for q in range(npts):
+                assert sorted(got.holders(q)) == sorted(want.holders(q)), \
+                    (spec, which, r, q)
 
 
 def test_a_table_entry_at_the_float32_radius_is_outside_the_ball():
