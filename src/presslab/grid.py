@@ -15,7 +15,9 @@ norm is odd; the engine keeps S alone.  No greedy lays a ball out: a
 ball set (`_Balls`) adds S to p digit by digit each time a greedy reads
 p's ball, and the balls holding q are those centred in q + S.  Interval
 balls are read off a window of the sorted points, filtered by the later
-steps.
+steps.  The cover greedy keeps one heap entry per centre, not per atom:
+about 32-38 bytes per (word, centre) atom in all, its gains and weights
+included.
 
 Invariant: every region point lies in its own ball along every word, as
 its distance to itself is 0, and has a finite weight.  The greedies rely
@@ -237,8 +239,8 @@ class _GridEngine:
         key = phi.components
         if key not in self._phi_cache:
             # orbits revisit points, so each (generator, point) step is
-            # evaluated once
-            steps = {}
+            # evaluated once, in one dict per generator
+            steps = [{} for _ in self.system.generators]
             sums = [array("d", [consecutive_sum(self.system, phi, x, word,
                                                 steps) for x in self.region])
                     for word in self.words]
@@ -378,61 +380,128 @@ class _GridEngine:
 
     def _greedy_cover_matrix(self, balls, lw):
         """Weighted greedy set cover of every point.  balls: a _Balls of
-        A atoms, lw: A weights, held as one array; every point lies in
-        some atom.  Returns (log cost, picked indices).
+        A atoms on P points, lw: A weights, held as one array; every
+        point lies in some atom.  Returns (log cost, picked indices).
 
         Each round picks the atom of least score lw - log(gain), gain
         its count of uncovered points; scores within 1e-12 of the least
         tie, and the tie goes to the least (lw to 12 places, ball, index),
         balls ordered as their membership rows: at the least point two
-        balls differ in, the ball without it first.  Lazy (Minoux 1978):
-        a heap holds stale scores, and a score only rises as its gain
-        falls, so refreshing every entry within 1e-12 of the least gives
-        every tied atom."""
+        balls differ in, the ball without it first.
+
+        Lazy (Minoux 1978), with one heap entry per centre p for the
+        atoms a = p mod P (one per word in an "all" set): (key, atom,
+        gain, next), the atom's score at that gain, the least of the
+        group when read, and a bound next on every other live atom of
+        the group.  A score only rises as its gain falls, so the key is
+        a lower bound on the group: the top's key is the least score
+        once its atom keeps its gain, and every atom within 1e-12 of it
+        lies in a group whose key is too.  The group is read again in
+        full only when its atom died or scores past next, or when next
+        itself is within 1e-12."""
         lws = array("d", lw)
         members, holders = balls.members, balls.holders
+        npts = balls.npts
         gains = list(balls.sizes)
+        atoms = len(gains)
+        inf = math.inf
         logs = [0.0] + [math.log(g) for g in range(1, max(gains) + 1)]
-        heap = [(lws[i] - logs[g], i, g) for i, g in enumerate(gains) if g]
+
+        def read(p):
+            # group p's entry, None once every atom of it is spent
+            key = nxt = inf
+            a = g = 0
+            for b in range(p, atoms, npts):
+                now = gains[b]
+                if now:
+                    s = lws[b] - logs[now]
+                    if s < key:
+                        key, nxt, a, g = s, key, b, now
+                    elif s < nxt:
+                        nxt = s
+            return (key, a, g, nxt) if g else None
+
+        # each centre's first atom, then the later ones folded in, in one
+        # pass over the atoms: a read per centre would cost a one-word
+        # greedy about a fifth of its time
+        heap = [(lws[a] - logs[g], a, g, inf) if g else (inf, a, 0, inf)
+                for a, g in enumerate(itertools.islice(gains, npts))]
+        for a in range(npts, atoms):
+            g = gains[a]
+            if g:
+                s = lws[a] - logs[g]
+                key, least, gain, nxt = heap[a % npts]
+                if s < key:
+                    heap[a % npts] = (s, a, g, key)
+                elif s < nxt:
+                    heap[a % npts] = (key, least, gain, s)
+        # a spent centre keeps an infinite key, after every live one
         heapq.heapify(heap)
         # atoms that still hold two or more uncovered points
         multi = sum(g > 1 for g in gains)
-        uncovered = [True] * balls.npts
-        left = balls.npts
+        uncovered = [True] * npts
+        left = npts
         log_terms = []
         picked = []
         while left and multi:
-            # refresh the top until it is current: then it is the least
+            # refresh the top until its atom keeps its gain: then its key
+            # is the least score
             while True:
-                s, i, g = heap[0]
-                now = gains[i]
+                s, a, g, nxt = heap[0]
+                now = gains[a]
                 if now == g:
                     break
                 if now:
-                    heapq.heapreplace(heap, (lws[i] - logs[now], i, now))
+                    s = lws[a] - logs[now]
+                    if s <= nxt:
+                        heapq.heapreplace(heap, (s, a, now, nxt))
+                        continue
+                elif nxt == inf:
+                    # the group's last live atom is spent
+                    heapq.heappop(heap)
+                    continue
+                # another atom of the group may be its least now
+                entry = read(a % npts)
+                if entry:
+                    heapq.heapreplace(heap, entry)
                 else:
                     heapq.heappop(heap)
             top = s + 1e-12
             cand = []
             while heap and heap[0][0] <= top:
-                s, i, g = heapq.heappop(heap)
-                now = gains[i]
+                entry = s, a, g, nxt = heapq.heappop(heap)
+                now = gains[a]
                 if now != g:
-                    if not now:
+                    # as above, the entry made current, or none
+                    if now and lws[a] - logs[now] <= nxt:
+                        s, g = lws[a] - logs[now], now
+                        entry = s, a, g, nxt
+                    elif nxt == inf:
                         continue
-                    s, g = lws[i] - logs[now], now
+                    else:
+                        entry = read(a % npts)
+                        if not entry:
+                            continue
+                        s, a, g, nxt = entry
                     if s > top:
-                        heapq.heappush(heap, (s, i, g))
+                        heapq.heappush(heap, entry)
                         continue
-                cand.append((s, i, g))
+                cand.append(entry)
             a = cand[0][1]
-            if len(cand) > 1:
-                # a membership row sorts as its negated member list; only
-                # the tied atoms are ordered
-                a = min((i for _, i, _ in cand), key=lambda i: (
+            if len(cand) > 1 or cand[0][3] <= top:
+                # the tied atoms: each group's own, and every atom of it
+                # within 1e-12 when next is; a membership row sorts as its
+                # negated member list, and only the tied atoms are ordered
+                tied = [b for _, c, _, nxt in cand
+                        for b in (range(c % npts, atoms, npts)
+                                  if nxt <= top else (c,))
+                        if gains[b] and lws[b] - logs[gains[b]] <= top]
+                a = min(tied, key=lambda i: (
                     round(lws[i], 12), [-q for q in sorted(members(i))], i))
             for entry in cand:
-                if entry[1] != a:
+                # the picked atom is spent: its group is gone with it
+                # unless another atom of it was live
+                if entry[1] != a or entry[3] < inf:
                     heapq.heappush(heap, entry)
             log_terms.append(lws[a])
             picked.append(a)
@@ -449,7 +518,7 @@ class _GridEngine:
             # tail: every live atom holds one uncovered point, and each
             # point takes its cheapest atom (the least index on ties), in
             # point order
-            for q in itertools.compress(range(balls.npts), uncovered):
+            for q in itertools.compress(range(npts), uncovered):
                 a = min(holders(q), key=lambda b: (lws[b], b))
                 log_terms.append(lws[a])
                 picked.append(a)

@@ -9,6 +9,7 @@ usually just skip such centers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -61,15 +62,18 @@ def consecutive_sum(system, phi, point, word, steps=None):
     """S_n Phi(x, w) = phi_{i_1}(x) + phi_{i_2}(f_{i_1} x) + ...
 
     Uses the first n orbit points.  None when the orbit breaks early.
-    `steps`, a dict shared by calls with one system and one phi, keeps
-    each (generator, point) step's value and image for the next call."""
-    steps = {} if steps is None else steps
+    `steps`, one dict per generator shared by calls with one system and
+    one phi, keeps each point's step value and image under generator j
+    in steps[j - 1] for the next call.  A symbol past the generator
+    count raises the ValueError of the potential or the map."""
+    steps = collections.defaultdict(dict) if steps is None else steps
     total = 0.0
     cur = point
     for j in word:
-        step = steps.get((j, cur))
+        memo = steps[j - 1]
+        step = memo.get(cur)
         if step is None:
-            step = steps[j, cur] = (phi.eval(j, cur), system.apply(j, cur))
+            step = memo[cur] = (phi.eval(j, cur), system.apply(j, cur))
         value, cur = step
         total += value
         if cur is None:

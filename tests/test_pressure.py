@@ -1,8 +1,10 @@
 """Pressure estimates: closed forms, the grid engine, chains, sweeps."""
 
+import heapq
 import itertools
 import math
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -13,6 +15,7 @@ from presslab.analytic import log_sum_exp
 from presslab.errors import AnalyticUnavailable, DepthTooLarge
 from presslab.grid import _grid_engine, _GridEngine
 from presslab.potentials import (
+    MultiPotential,
     constant_potential,
     coordinate_potential,
     random_potential,
@@ -656,6 +659,146 @@ def test_greedy_cover_matches_reference_loop():
                             cols.__getitem__, points)
         got = _GridEngine._greedy_cover_matrix(None, balls, lw.tolist())
         assert got == _reference_greedy_cover(masks, lw, need), trial
+
+
+def _per_atom_heap_greedy(balls, lw):
+    """The cover greedy with one lazy heap entry per atom, verbatim as
+    it stood before the heap held one entry per centre: the reference
+    for the picks and the log cost."""
+    lws = array("d", lw)
+    members, holders = balls.members, balls.holders
+    gains = list(balls.sizes)
+    logs = [0.0] + [math.log(g) for g in range(1, max(gains) + 1)]
+    heap = [(lws[i] - logs[g], i, g) for i, g in enumerate(gains) if g]
+    heapq.heapify(heap)
+    # atoms that still hold two or more uncovered points
+    multi = sum(g > 1 for g in gains)
+    uncovered = [True] * balls.npts
+    left = balls.npts
+    log_terms = []
+    picked = []
+    while left and multi:
+        # refresh the top until it is current: then it is the least
+        while True:
+            s, i, g = heap[0]
+            now = gains[i]
+            if now == g:
+                break
+            if now:
+                heapq.heapreplace(heap, (lws[i] - logs[now], i, now))
+            else:
+                heapq.heappop(heap)
+        top = s + 1e-12
+        cand = []
+        while heap and heap[0][0] <= top:
+            s, i, g = heapq.heappop(heap)
+            now = gains[i]
+            if now != g:
+                if not now:
+                    continue
+                s, g = lws[i] - logs[now], now
+                if s > top:
+                    heapq.heappush(heap, (s, i, g))
+                    continue
+            cand.append((s, i, g))
+        a = cand[0][1]
+        if len(cand) > 1:
+            # a membership row sorts as its negated member list; only
+            # the tied atoms are ordered
+            a = min((i for _, i, _ in cand), key=lambda i: (
+                round(lws[i], 12), [-q for q in sorted(members(i))], i))
+        for entry in cand:
+            if entry[1] != a:
+                heapq.heappush(heap, entry)
+        log_terms.append(lws[a])
+        picked.append(a)
+        for q in members(a):
+            if uncovered[q]:
+                uncovered[q] = False
+                left -= 1
+                for b in holders(q):
+                    g = gains[b]
+                    if g == 2:
+                        multi -= 1
+                    gains[b] = g - 1
+    if left:
+        # tail: every live atom holds one uncovered point, and each
+        # point takes its cheapest atom (the least index on ties), in
+        # point order
+        for q in itertools.compress(range(balls.npts), uncovered):
+            a = min(holders(q), key=lambda b: (lws[b], b))
+            log_terms.append(lws[a])
+            picked.append(a)
+    return log_sum_exp(log_terms), picked
+
+
+# (system, depth, radius): the 32 x 32 shear lattice at 1/8 (8,192 atoms
+# in its "all" set), the non-dyadic 20 x 20 lattice, 7- and 5-symbol
+# shift grids and the gapped Cantor pair's interval grid
+PICK_CASES = (("toral:0,1,1,2;2,1,1,0", 3, 0.125),
+              ("toral:2,1,1,1;5,3,3,2", 2, 0.2),
+              ("shift:2", 2, 0.2),
+              ("shift:3", 1, 0.2),
+              ("cantor:3,3|3,3", 2, 0.2))
+
+
+@pytest.mark.parametrize("spec, n, epsilon", PICK_CASES)
+@pytest.mark.parametrize("potential", ("random", "zero"))
+def test_greedy_cover_picks_as_the_per_atom_heap(spec, n, epsilon,
+                                                 potential):
+    # every ball set the engine covers with, at eps and 2 eps, under a
+    # random potential and under zero, where every weight ties: the same
+    # log cost and the same atoms in the same order
+    system = parse_system(spec)
+    eng = _GridEngine(system, n, epsilon)
+    phi = random_potential(system.m, seed=1) if potential == "random" \
+        else zero_potential(system.m)
+    s = eng.weights(phi)
+    weights = {w: s[w] for w in range(len(eng.words))}
+    weights["max"] = grid._side_weight(s, "condensed-lower")
+    weights["min"] = grid._side_weight(s, "exhaustive-upper")
+    weights["all"] = list(itertools.chain(*s))
+    for r in (epsilon, 2.0 * epsilon):
+        for which, lw in weights.items():
+            balls = eng.balls(which, r)
+            assert eng._greedy_cover_matrix(balls, lw) \
+                == _per_atom_heap_greedy(balls, lw), (which, r)
+
+
+@pytest.mark.parametrize("epsilon, atoms", ((0.125, 8192), (0.1, 12800)))
+def test_amalgamated_cover_greedy_holds_under_64_bytes_per_atom(epsilon,
+                                                                 atoms):
+    # the greedy over every (word, centre) atom of the shear pair's 32 x
+    # 32 and 40 x 40 lattices: its traced peak, balls and weights made
+    # before, stays under 64 B per atom; one heap entry per atom took
+    # about 130
+    eng = _GridEngine(SHEAR, 3, epsilon)
+    balls = eng.balls("all", eng.epsilon)
+    lw = list(itertools.chain(*eng.weights(random_potential(2, seed=1))))
+    assert len(balls) == len(lw) == atoms
+    tracemalloc.start()
+    try:
+        eng._greedy_cover_matrix(balls, lw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * atoms, peak / atoms
+
+
+def test_grid_weights_evaluate_each_generator_point_once(monkeypatch):
+    # every word's orbit of the 32 x 32 lattice stays on it, so one
+    # weights call evaluates each generator once at each of its points
+    calls = []
+    evaluate = MultiPotential.eval
+
+    def counted(self, j, point):
+        calls.append((j, point))
+        return evaluate(self, j, point)
+
+    monkeypatch.setattr(MultiPotential, "eval", counted)
+    eng = _GridEngine(SHEAR, 3, 0.125)
+    eng.weights(random_potential(2, seed=1))
+    assert len(calls) == len(set(calls)) == 2 * 1024
 
 
 def test_grid_engine_refuses_a_radius_its_points_cannot_resolve(

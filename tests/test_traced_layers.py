@@ -15,6 +15,8 @@ import pathlib
 import subprocess
 import sys
 
+from test_golden import GREEDY_COUNTS
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACED = ROOT / "perfbench" / "traced.py"
 
@@ -40,7 +42,8 @@ def test_every_traced_layer_resolves():
 
 def test_traced_runner_counts_the_grid_greedies(tmp_path):
     # the hooks read len(balls) of the cover greedy and the kept count
-    # of both packings; a grid estimate must read all three above 0
+    # of both packings; a grid estimate must read all three above 0,
+    # and the cover counts of the golden's own greedy count
     counters = tmp_path / "counters.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -55,3 +58,7 @@ def test_traced_runner_counts_the_grid_greedies(tmp_path):
     for name in ("grid.cover_candidates", "grid.cover_picked",
                  "grid.packing_kept"):
         assert doc["values"].get(name, 0) > 0, name
+    # and the cover hook reads the atoms and the picks the greedy sees
+    _, candidates, picked = GREEDY_COUNTS["estimate-torus-grid"]
+    assert doc["values"]["grid.cover_candidates"] == candidates
+    assert doc["values"]["grid.cover_picked"] == picked
