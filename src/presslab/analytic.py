@@ -61,6 +61,12 @@ CORE_BLOCK_CAP = 4096
 CORE_DEPTH_CAP = 12
 
 
+def exact_radius(epsilon):
+    """The radius as a Fraction, one rule for every engine: a float reads
+    as the decimal it prints as, so 0.2 is 1/5, as in a config file."""
+    return epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
+
+
 def log_big(x):
     """Natural log of a positive int without float overflow."""
     return math.log2(x) * LN2
@@ -258,16 +264,15 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     with a constant-class potential."""
     entries = _diag_entries(system)
     consts = _constants(phi)
-    if 2 * Fraction(epsilon) >= 1:
+    if 2 * exact_radius(epsilon) >= 1:
         return _degenerate_cover(kind, n, system.m, pool, rule, consts,
                                  min(consts), max(consts))
-    inv2eps = 1 / (2 * Fraction(epsilon))
+    inv2eps = 1 / (2 * exact_radius(epsilon))
     family = kind.split("-")[0]
     if family in ("condensed", "exhaustive"):
         # the condensed ball is the fastest box, the exhaustive the slowest
         pick = max if family == "condensed" else min
-        lx = pick(e[0] for e in entries)
-        ly = pick(e[1] for e in entries)
+        lx, ly = map(pick, zip(*entries))
         count = _box_tiling_count(lx ** n, ly ** n, inv2eps)
         return (log_big(count) + _side(consts, kind, n), count,
                 family + " box tiling")
@@ -293,11 +298,11 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     an explicit touching grid."""
     entries = _diag_entries(system)
     consts = _constants(phi)
-    count = _packing_guard(2.0 * epsilon, system.L_max)
+    rho = 2 * exact_radius(epsilon)
+    count = _packing_guard(rho, system.L_max)
     if count is not None:
         return (log_big(count) + n * min(consts), count,
                 "radius-only count (2eps past the diameter or wrap guard)")
-    rho = 2 * Fraction(epsilon)
     inv2eps = 1 / rho
     if kind == "trajectory":
         word = rule.word_at(n)
@@ -311,16 +316,14 @@ def diag_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         return (log_big(count) + n * min(consts), count,
                 "volume bound, union of word boxes at 2eps")
     if kind in ("condensed-lower", "condensed-upper"):
-        lx = max(e[0] for e in entries)
-        ly = max(e[1] for e in entries)
+        lx, ly = map(max, zip(*entries))
         area = 4 * min(rho / lx ** n, Fraction(1, 2)) \
             * min(rho / ly ** n, Fraction(1, 2))
         count = math.ceil(1 / area)
         return (log_big(count) + _side(consts, kind, n), count,
                 "volume bound, condensed box")
     if kind in ("exhaustive-lower", "exhaustive-upper"):
-        lx = min(e[0] for e in entries)
-        ly = min(e[1] for e in entries)
+        lx, ly = map(min, zip(*entries))
         count = max(math.floor(lx ** n * inv2eps)
                     * math.floor(ly ** n * inv2eps), 1)
         return (log_big(count) + _side(consts, kind, n), count,
@@ -400,8 +403,7 @@ def _ball_vertices(system, word, epsilon):
     stays within epsilon in the sup metric.  Every constraint is linear
     in epsilon, so every clip decision and vertex scales with it: the
     unit ball's triples as (pX, pY, qW) for epsilon = p/q, unreduced."""
-    e = Fraction(epsilon)
-    p, q = e.numerator, e.denominator
+    p, q = exact_radius(epsilon).as_integer_ratio()
     return [(p * x, p * y, q * w) for x, y, w in _unit_ball(system, word)]
 
 
@@ -480,7 +482,7 @@ def polygon_packing_count(system, words, epsilon):
     words' 2 eps balls, whose area is at most the summed areas.  Every
     word polygon has an interior (`_ball_vertices`), so the sum is
     positive."""
-    rho = 2.0 * epsilon
+    rho = 2 * exact_radius(epsilon)
     count = _packing_guard(rho, system.L_max)
     if count is not None:
         return count
@@ -492,7 +494,7 @@ def toral_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     """Polygon-engine covers for non-diagonal toral systems: trajectory
     and amalgamated kinds, plus free under the enumeration cap."""
     consts = _constants(phi)
-    if 2 * Fraction(epsilon) >= 1:
+    if 2 * exact_radius(epsilon) >= 1:
         return _degenerate_cover(kind, n, system.m, pool, rule, consts,
                                  min(consts), max(consts))
 
@@ -613,7 +615,7 @@ def _single_core_numbers(system, epsilon):
     level the pass reaches).  A pure function of (system, epsilon), so
     one refinement pass serves every potential, kind and side."""
     s_min = min(system.generators[0].slopes)
-    scale = 2 * Fraction(epsilon)
+    scale = 2 * exact_radius(epsilon)
     for depth, blocks in enumerate(_core_levels(system), start=1):
         if s_min ** depth * scale >= 4:
             break
@@ -631,7 +633,7 @@ def _joint_core_packing(system, epsilon, n):
     of (system, epsilon, n), so one refinement pass serves every
     potential of a root search."""
     s_min = min(min(g.slopes) for g in system.generators)
-    need = 2 * Fraction(epsilon) / s_min ** n
+    need = 2 * exact_radius(epsilon) / s_min ** n
     count = 1
     for blocks in itertools.islice(_core_levels(system), 1, None):
         if not blocks or any(b[0] - a[0] < need
@@ -657,8 +659,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     """Cylinder-exact cover costs for interval systems: trajectory,
     amalgamated and free kinds."""
     table = _interval_weight_table(system, phi)
-    diameter = Fraction(1, 2) if system.wrap else Fraction(1)
-    if Fraction(epsilon) >= diameter:
+    if exact_radius(epsilon) >= (Fraction(1, 2) if system.wrap else 1):
         hi = [max(t) for t in table]
         return _degenerate_cover(kind, n, system.m, pool, rule, hi,
                                  min(min(t) for t in table), max(hi))
@@ -666,7 +667,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         slopes = _uniform_circle_slopes(system)
         # one slope per generator, so every branch weighs the same
         weights = [t[0] for t in table]
-        inv2eps = 1 / (2 * Fraction(epsilon))
+        inv2eps = 1 / (2 * exact_radius(epsilon))
 
         def word_cost(word):
             count = math.ceil(_word_product(slopes, word) * inv2eps)
@@ -677,7 +678,7 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         if system.m == 1:
             ncov, _ = _single_core_numbers(system, epsilon)
         else:
-            ncov = math.ceil(1 / (2 * Fraction(epsilon)))
+            ncov = math.ceil(1 / (2 * exact_radius(epsilon)))
         # a letter's cylinders weigh the sum of its branch weights
         log_weights = [log_sum_exp(t) for t in table]
         branches = [len(t) for t in table]
@@ -703,7 +704,7 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     lightest = [min(t) for t in _interval_weight_table(system, phi)]
     if system.wrap:
         slopes = _uniform_circle_slopes(system)
-        if not wrap_guard_ok(2.0 * epsilon, system.L_max):
+        if not wrap_guard_ok(2 * exact_radius(epsilon), system.L_max):
             return (n * min(lightest), 1,
                     "wrap guard failed, trivial packing")
         if kind == "trajectory":
@@ -716,9 +717,9 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
             weight = n * min(lightest)
         else:
             raise AnalyticUnavailable("kind %r has no circle packing" % kind)
-        count = max(math.floor(prod / (4 * Fraction(epsilon))), 1)
+        count = max(math.floor(prod / (4 * exact_radius(epsilon))), 1)
         return (log_big(count) + weight, count, "circle grid packing")
-    if system.min_gap < 2 * Fraction(epsilon):
+    if system.min_gap < 2 * exact_radius(epsilon):
         raise AnalyticUnavailable("2eps exceeds the branch gap")
     if kind == "trajectory":
         if system.m != 1:

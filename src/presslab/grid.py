@@ -3,11 +3,11 @@
 Standard library only.  `pressure._solve` imports it at its grid
 fallback.  A grid is sized by `grid_shape` before any point exists;
 `grid_points` lists its points and `grid_metrics` gives the region and
-one metric table per word: a float32 difference table on torus and
-shift, whose generators are endomorphisms of the grid's digit group
-(the g x g lattice, and length-L words with zero padding), so a word
-distance depends on the difference alone, and the orbits of the region
-points on intervals.
+one metric table per word: an integer difference table (in units of
+1/g and 2**-L) on torus and shift, whose generators are endomorphisms
+of the grid's digit group (the g x g lattice, and length-L words with
+zero padding), so a word distance depends on the difference alone, and
+the orbits of the region points on intervals.
 
 On torus and shift grids every ball of radius r is a translate p + S of
 one support S = {d : D(d) < r} of a table D, and S = -S, as every map and
@@ -36,9 +36,8 @@ import itertools
 import math
 import operator
 from array import array
-from fractions import Fraction
 
-from .analytic import log_sum_exp
+from .analytic import exact_radius, log_sum_exp
 from .errors import DepthTooLarge
 from .pressure import METHOD_GRID, CoverSolution
 from .words import add_floats, all_words, consecutive_sum, orbit
@@ -61,17 +60,18 @@ def grid_shape(system, epsilon, n):
     that 2**-k < epsilon.  The shift rank n*max(step) + k holds every
     such cylinder of a depth-n word, with 2**-rank <= epsilon/2 for
     n >= 1; a rank past GRID_MAX_SHIFT_LENGTH is refused."""
+    r = exact_radius(epsilon)
     if system.is_toral:
-        return max(8, min(GRID_MAX_TORUS, math.ceil(4.0 / epsilon))), 2
+        return max(8, min(GRID_MAX_TORUS, math.ceil(4 / r))), 2
     if system.is_interval:
-        return max(32, min(GRID_MAX_LINE, math.ceil(8.0 / epsilon))) + 1, 1
+        return max(32, min(GRID_MAX_LINE, math.ceil(8 / r))) + 1, 1
     step = max(gen.step for gen in system.generators)
-    # the least k with 2**k > 1/epsilon, exact on the float's rational
-    rank = n * step + math.floor(1 / Fraction(epsilon)).bit_length()
+    # the least k with 2**k > 1/r
+    rank = n * step + math.floor(1 / r).bit_length()
     if rank > GRID_MAX_SHIFT_LENGTH:
         raise DepthTooLarge(
             "a shift grid at depth %d and radius %r needs %d symbols, "
-            "past the %d-symbol cap" % (n, epsilon, rank,
+            "past the %d-symbol cap" % (n, float(r), rank,
                                         GRID_MAX_SHIFT_LENGTH))
     return system.generators[0].alphabet, rank
 
@@ -91,10 +91,11 @@ def grid_metrics(system, points, words, base, rank):
     every word) and one metric table per word.
 
     Torus and shift maps are endomorphisms of the digit group, so
-    d_w(p, q) = D_w(p - q), and the table is D_w itself, one float32
-    entry per difference in point order: each word prefix runs the
-    base**rank differences through one more step in integers, and D_w
-    is the running max of their norm.  Interval grids have no
+    d_w(p, q) = D_w(p - q), and the table is D_w itself, one integer
+    entry per difference in point order, in units of 1/base on the torus
+    (array "B") and of 2**-rank on the shift ("H"): each word prefix
+    runs the base**rank differences through one more step in integers,
+    and D_w is the running max of their norm.  Interval grids have no
     difference, and their table is the orbit of every region point."""
     if system.is_interval:
         orbits = [[orbit(system, x, word) for x in points] for word in words]
@@ -107,18 +108,15 @@ def grid_metrics(system, points, words, base, rank):
         # the norm in units of 1/base: the larger circle distance of the
         # two digits; a step's matrix acts on the digits mod base
         units = [max(min(v, base - v) for v in d) for d in digits]
-        value = [k / base for k in range(base // 2 + 1)]
         steps = [[(a * u + b * v) % base * base + (c * u + d * v) % base
                   for u, v in digits]
                  for (a, b), (c, d) in (gen.matrix
                                         for gen in system.generators)]
     else:
-        # 2**-j at the first nonzero digit j, held as rank - j, and 0 at
-        # none; sigma^s moves digit i + s to i, padding zeros
-        units = [rank - next((j for j, v in enumerate(d) if v), rank)
-                 for d in digits]
-        value = [0.0] + [math.ldexp(1.0, k - rank)
-                         for k in range(1, rank + 1)]
+        # 2**(rank - j) units at the first nonzero digit j, 0 at none (a
+        # shift by rank + 1); sigma^s moves digit i + s to i, padding zeros
+        units = [1 << rank >> next((j for j, v in enumerate(d) if v),
+                                   rank + 1) for d in digits]
         steps = [[d * base ** gen.step % len(digits)
                   for d in range(len(digits))]
                  for gen in system.generators]
@@ -136,15 +134,15 @@ def grid_metrics(system, points, words, base, rank):
             image = list(map(steps[j - 1].__getitem__, image))
             path.append((image, list(map(max, run,
                                          map(units.__getitem__, image)))))
-        tables.append(array("f", map(value.__getitem__, path[-1][1])))
+        tables.append(array("B" if system.is_toral else "H", path[-1][1]))
         prev = word.symbols
     return points, tables
 
 
 def _f32(x):
-    """x rounded to float32.  A float32 table entry d is inside radius r
-    iff d < _f32(r): the radius is rounded as the table is, so an entry
-    equal to _f32(r) stays out even where _f32(r) < r."""
+    """x rounded to float32, for interval rows alone: a float32 orbit
+    distance d is inside radius r iff d < _f32(r), so a distance that
+    rounds to _f32(r) stays out even where _f32(r) < r."""
     return array("f", (x,))[0]
 
 
@@ -198,9 +196,10 @@ class _GridEngine:
     metric table of every length-n word is precomputed, then cover and
     packing queries are answered per kind on ball sets.
 
-    On torus and shift grids the engine holds one length-P float32
-    table per word and, per radius and metric (a word, or the largest
-    or smallest word distance), the support S of its balls p + S, which
+    The radius is held exact, as `analytic.exact_radius` reads it.  On
+    torus and shift grids the engine holds one length-P integer table
+    per word and, per radius and metric (a word, or the largest or
+    smallest word distance), the support S of its balls p + S, which
     each greedy computes per centre as it reads them.  Interval grids
     hold their region orbits, and per radius and metric the member list
     of every ball."""
@@ -210,7 +209,7 @@ class _GridEngine:
         self.words = list(all_words(system.m, n) if words is None else words)
         self.system = system
         self.n = n
-        self.epsilon = float(epsilon)
+        self.epsilon = exact_radius(epsilon)
         # sized from its shape before any point exists
         self.shape = grid_shape(system, self.epsilon, n)
         npts = self.shape[0] ** self.shape[1]
@@ -326,22 +325,24 @@ class _GridEngine:
         """What the engine keeps of one ball set, cached: the support on
         torus and shift, each ball's members on intervals.  A point lies
         within r of p in the largest word distance iff it does in every
-        word's, and in the smallest iff it does in some word's."""
-        key = (which, r)
-        if key not in self._held:
-            r32 = _f32(r)
+        word's, and in the smallest iff it does in some word's.  A table
+        entry of k units u is in iff k < ceil(r / u), r exact."""
+        r = exact_radius(r)
+        if (which, r) not in self._held:
             if not self.system.is_interval:
+                limit = math.ceil(r * (self.shape[0] if self.system.is_toral
+                                       else 1 << self.shape[1]))
                 table = self.tables[which] if isinstance(which, int) else \
                     map(max if which == "max" else min, zip(*self.tables))
-                held = [d for d, x in enumerate(table) if x < r32]
+                held = [d for d, x in enumerate(table) if x < limit]
             elif isinstance(which, int):
-                held = self._interval_rows(self.tables[which], r32)
+                held = self._interval_rows(self.tables[which], _f32(r))
             else:
                 joint = set.intersection if which == "max" else set.union
                 held = [sorted(joint(*map(set, rows))) for rows in zip(
                     *(self._ball_data(w, r) for w in range(len(self.words))))]
-            self._held[key] = held
-        return self._held[key]
+            self._held[which, r] = held
+        return self._held[which, r]
 
     def _interval_rows(self, orbits, r32):
         """The members of every region point's ball along one word, in
@@ -600,7 +601,7 @@ class _GridEngine:
                              METHOD_GRID, "word-averaged greedy covers")
 
     def packing(self, phi, kind, rule=None):
-        eps2 = 2.0 * self.epsilon
+        eps2 = 2 * self.epsilon
         s = self.weights(phi)
         if kind == "trajectory":
             w = self.words.index(rule.word_at(self.n))
@@ -665,9 +666,8 @@ def _grid_engine_for(system, kind, n, epsilon, rule):
     """Full-word engine, or a single-word engine when only a trajectory
     query is asked and full enumeration is out of reach."""
     try:
-        return _grid_engine(system, n, float(epsilon))
+        return _grid_engine(system, n, epsilon)
     except DepthTooLarge:
         if kind != "trajectory":
             raise
-        return _grid_engine(system, n, float(epsilon),
-                            words=(rule.word_at(n),))
+        return _grid_engine(system, n, epsilon, words=(rule.word_at(n),))

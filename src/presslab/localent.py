@@ -18,7 +18,6 @@ for the liminf.
 import functools
 import math
 import random
-from fractions import Fraction
 
 from . import analytic
 from .balls import BallSpec, ball_contains
@@ -174,10 +173,8 @@ def _uniform_exact_mass(system, epsilon):
             "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
             "ball mass" % epsilon)
     if system.is_toral:
-        # the box area 4 eps^2/(px py) for eps = p/q, as one correctly
-        # rounded int division
-        exact = Fraction(epsilon)
-        p, q = exact.numerator, exact.denominator
+        # the box area 4 eps^2/(px py), exact and then correctly rounded
+        exact = analytic.exact_radius(epsilon)
 
         def box(spec):
             if spec.kind == "exhaustive":
@@ -186,9 +183,8 @@ def _uniform_exact_mass(system, epsilon):
             if spec.kind == "trajectory":
                 px, py = analytic._axis_products(entries, spec.word)
             else:
-                px = max(e[0] for e in entries) ** spec.depth
-                py = max(e[1] for e in entries) ** spec.depth
-            return 4 * p * p / (q * q * px * py)
+                px, py = (max(col) ** spec.depth for col in zip(*entries))
+            return float(4 * exact * exact / (px * py))
         return box
 
     def arc(spec):

@@ -98,9 +98,11 @@ def _require_depth(n):
 
 
 def _require_radius(epsilon):
+    """The radius as `analytic.exact_radius` reads it, once valid."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("radius must be positive and finite, got %r"
                          % (epsilon,))
+    return analytic.exact_radius(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def _solve(side, system, phi, kind, n, epsilon, rule, seed, engine):
     take their words from pool_words(m, seed, n)."""
     _require_kind(kind)
     _require_depth(n)
-    _require_radius(epsilon)
+    epsilon = _require_radius(epsilon)
     if kind == "trajectory" and rule is None:
         raise ValueError("trajectory estimates need a word rule")
     pool = pool_words(system.m, seed, n)
@@ -200,7 +202,7 @@ def sweep_estimates(system, phi, kind, depths, epsilons, *, rule=None,
     construction: a cover certified at a smaller radius stays valid at a
     larger one, and a separated set at a larger radius stays separated
     at a smaller one, so brackets are carried across the radius axis."""
-    eps_sorted = sorted(set(float(e) for e in epsilons))
+    eps_sorted = sorted(set(map(_require_radius, epsilons)))
     depth_sorted = sorted(set(depths))
     fixed = {}
     # deepest first: a depth past the grid budget fails before any work

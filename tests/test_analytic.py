@@ -102,11 +102,14 @@ def _reference_ball_polygon(system, word, epsilon):
     return poly, abs(area) / 2
 
 
-@pytest.mark.parametrize("epsilon", [Fraction(1, 8), 0.1, 0.25, 0.26])
+@pytest.mark.parametrize("epsilon", [
+    Fraction(1, 8), pytest.param(Fraction(0.1), id="0.1"), 0.25,
+    pytest.param(Fraction(0.26), id="0.26")])
 def test_integer_clip_matches_fraction_clip(epsilon):
     """The homogeneous integer clip returns the Fraction clip's vertex
-    list, in order, and its area; the float radii give p/q with
-    denominators near 2**54."""
+    list, in order, and its area; the binary floats' rationals of 0.1
+    and 0.26 give p/q with denominators near 2**54 (a float radius
+    itself reads as its decimal, 1/10 or 13/50)."""
     cases = [(SHEAR, w) for n in list(range(1, 13)) + [16, 24]
              for w in pool_words(2, 1, n)]
     cases += [(SINGLE, Word((1,) * n)) for n in range(1, 33)]

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from presslab import grid
-from presslab.analytic import log_sum_exp
+from fractions import Fraction
+
+from presslab.analytic import exact_radius, log_sum_exp
 from presslab.errors import AnalyticUnavailable, DepthTooLarge
 from presslab.grid import _grid_engine, _GridEngine
 from presslab.potentials import (
@@ -474,7 +476,7 @@ ENGINE_FIELDS = {"words", "system", "n", "epsilon", "shape", "points",
 
 def test_toral_engine_holds_no_pair_matrix():
     # after every kind's cover and packing, a torus engine holds one
-    # P-entry float32 difference table per word and one support per
+    # P-entry byte difference table per word and one support per
     # (metric, radius), and nothing per atom: the balls p + S, their
     # holders, sizes and tie order live only as long as one greedy
     phi = random_potential(2, seed=6)
@@ -487,7 +489,7 @@ def test_toral_engine_holds_no_pair_matrix():
     npts = len(eng.points)
     assert len(eng.tables) == len(eng.words)
     for table in eng.tables:
-        assert isinstance(table, array) and table.typecode == "f"
+        assert isinstance(table, array) and table.typecode == "B"
         assert len(table) == npts
     assert {which for which, _ in eng._held} \
         == {*range(len(eng.words)), "max", "min"}
@@ -586,20 +588,45 @@ def test_balls_read_per_centre_match_the_laid_out_translates(spec, n,
                     (spec, which, r, q)
 
 
-def test_a_table_entry_at_the_float32_radius_is_outside_the_ball():
-    # the 20 x 20 lattice difference (7, 0) is 7/20 from 0 along word
-    # (1,), whose matrix sends it to (0, 7); its float32 entry is below
-    # 0.35, so a float64 comparison would put it inside radius 0.35, but
-    # the radius is rounded to float32 too, as numpy compares a float32
-    # table with a Python float, and the point stays out
+def test_a_table_entry_at_exactly_the_radius_is_outside_the_ball():
+    # on the 20 x 20 shear grid the lattice difference (7, 0) is 7/20 from
+    # 0 along word (1,), whose matrix sends it to (0, 7): 7 units of 1/20.
+    # A radius of exactly 7/20 or 1/5, as the float or as the Fraction,
+    # holds the entries below 7 or 4 units and no other, so a lattice
+    # distance of exactly the radius stays out of the strict ball
     eng = _GridEngine(SHEAR, 1, 0.2)
     assert eng.shape == (20, 2) and eng.words[0].symbols == (1,)
+    assert eng.epsilon == Fraction(1, 5)
     table = eng.tables[0]
-    for q in (7 * 20, 13 * 20):
-        assert table[q] == float(np.float32(0.35)) < 0.35
-        assert not np.array(table, dtype=np.float32)[q] < 0.35
-        assert q not in eng.balls(0, 0.35).members(0)
-    assert 6 * 20 in eng.balls(0, 0.35).members(0)
+    assert table[7 * 20] == table[13 * 20] == 7
+    for units, radii in ((7, (0.35, Fraction(7, 20))),
+                         (4, (0.2, Fraction(1, 5)))):
+        assert units in table
+        for r in radii:
+            assert sorted(eng.balls(0, r).members(0)) \
+                == [d for d, k in enumerate(table) if k < units], r
+
+
+@pytest.mark.parametrize("text", ["0.1", "0.2", "0.26", "0.125"])
+def test_a_float_radius_is_the_decimal_it_prints_as(text):
+    # every engine reads a float radius as the decimal it prints as, so
+    # the float and Fraction(text) give the same covers and packings on
+    # the box, the polygon and the torus grid, and the same grid shape
+    exact = Fraction(text)
+    assert exact_radius(float(text)) == exact_radius(exact) == exact
+    cases = ((DIAG, constant_potential([0.3, -0.2])),
+             (SHEAR, constant_potential([0.3, -0.2])),
+             (SHEAR, random_potential(2, seed=3)))
+    for system, phi in cases:
+        for solve in (min_cover_cost, packing_bound):
+            for kind in ("amalgamated", "trajectory"):
+                got = [solve(system, phi, kind, 2, r, seed=1,
+                             rule=periodic_rule((1, 2)))
+                       for r in (float(text), exact)]
+                assert got[0] == got[1], (system, solve, kind)
+        assert grid.grid_shape(system, float(text), 2) \
+            == grid.grid_shape(system, exact, 2)
+    assert got[0].method == "GenericGrid"
 
 
 def _reference_greedy_cover(masks, lw, need):

@@ -292,8 +292,8 @@ def _reference_shift_pair_distances(a):
     ("shift:3", 1, 0.5), ("shift:3", 1, 0.125), ("shift:3", 2, 0.5)])
 def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
     # the digit-difference table, read at the index of p - q, gives the
-    # dense P x P orbit metric bit for bit, on 4- to 10-symbol grids;
-    # every grid point is 0 from itself
+    # dense P x P orbit metric exactly, in units of 2**-rank, on 4- to
+    # 10-symbol grids; every grid point is 0 from itself
     system = parse_system(spec)
     base, rank = shape = grid_shape(system, epsilon, n)
     points = grid_points(system, *shape)
@@ -310,9 +310,10 @@ def test_shift_stencil_matches_the_dense_orbit_metric(spec, n, epsilon):
         for step in zip(*(orbit(system, x, word) for x in points)):
             np.maximum(want, _reference_shift_pair_distances(step), out=want)
         np.fill_diagonal(want, 0.0)
-        assert table.typecode == "f" and len(table) == len(points)
-        assert np.array_equal(np.array(table, dtype=np.float32)[diff],
-                              want.astype(np.float32)), word
+        assert table.typecode == "H" and len(table) == len(points)
+        # every distance is dyadic, so the float scaling is exact
+        assert np.array_equal(np.array(table)[diff], np.ldexp(want, rank)), \
+            word
 
 
 @pytest.mark.parametrize("spec, count", [("cantor:3,3,3|2,2", 3),
