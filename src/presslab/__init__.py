@@ -6,8 +6,7 @@ closed-form engines for affine model systems and a certified grid
 engine everywhere else.
 """
 
-from .balls import BallSpec, ball_contains, separation_distance, \
-    vitali_disjointify
+from .balls import BallSpec, ball_contains
 from .dimension import DimensionResult, bowen_root, unstable_multipotential
 from .errors import AnalyticUnavailable, DepthTooLarge, ParseError, \
     PresslabError
@@ -22,8 +21,7 @@ from .pressure import KINDS, Extrapolation, PressureEstimate, \
     estimate_pressure, extrapolate, lipschitz_check, min_cover_cost, \
     packing_bound, sweep_estimates, trajectory_shift_check, \
     verify_inequality_chain
-from .systems import SemigroupSystem, closed_form_entropies, \
-    parse_system, zoo_systems
+from .systems import SemigroupSystem, closed_form_entropies, parse_system
 from .words import Word, all_words, consecutive_sum, constant_rule, \
     dn_distance, explicit_rule, orbit, periodic_rule, pool_words
 
@@ -44,8 +42,7 @@ __all__ = [
     "local_amalgamated_entropy", "marginal_bound_check",
     "min_cover_cost", "orbit", "packing_bound", "parse_measure",
     "parse_potential", "parse_system", "periodic_rule", "pool_words",
-    "random_potential", "separation_distance", "sweep_estimates",
-    "trajectory_shift_check", "unstable_multipotential",
-    "vitali_disjointify", "verify_inequality_chain", "zero_potential",
-    "zoo_systems", "__version__",
+    "random_potential", "sweep_estimates", "trajectory_shift_check",
+    "unstable_multipotential", "verify_inequality_chain",
+    "zero_potential", "__version__",
 ]

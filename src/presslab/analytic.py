@@ -74,8 +74,8 @@ def log_big(x):
 
 def wrap_guard_ok(rho, lipschitz):
     """Strict balls at radius rho have no wrap component when
-    (L + 1) * rho <= 1."""
-    return (lipschitz + 1.0) * rho <= 1.0 + 1e-12
+    (L + 1) * rho <= 1, compared exactly."""
+    return (lipschitz + 1) * exact_radius(rho) <= 1
 
 
 def _packing_guard(rho, lipschitz):
@@ -548,9 +548,10 @@ def _core_levels(system):
     """Blocks of the depth-1, 2, ... refinements of the set of points
     whose orbits along all words of that length stay inside the branch
     domains, as exact (lo, hi) pairs with lo < hi, each level built once
-    from the one before.  The pass ends at CORE_DEPTH_CAP, after the
-    first empty level, or after the first level past CORE_BLOCK_CAP
-    blocks."""
+    from the one before.  The pass ends at CORE_DEPTH_CAP or after the
+    first level past CORE_BLOCK_CAP blocks."""
+    # every first branch fixes 0, so the block at 0 survives every
+    # level and every intersection: no level is empty
     blocks = [(Fraction(0), Fraction(1))]
     for _ in range(CORE_DEPTH_CAP):
         # branches and blocks both run left to right and neither
@@ -562,7 +563,7 @@ def _core_levels(system):
         for pulled in per_gen[1:]:
             blocks = _intersect_interval_lists(blocks, pulled)
         yield blocks
-        if not blocks or len(blocks) > CORE_BLOCK_CAP:
+        if len(blocks) > CORE_BLOCK_CAP:
             return
 
 
@@ -619,8 +620,6 @@ def _single_core_numbers(system, epsilon):
     for depth, blocks in enumerate(_core_levels(system), start=1):
         if s_min ** depth * scale >= 4:
             break
-    if not blocks:
-        raise AnalyticUnavailable("empty invariant core refinement")
     return (interval_cover_number(blocks, scale),
             interval_packing_number(blocks, scale))
 
@@ -636,8 +635,7 @@ def _joint_core_packing(system, epsilon, n):
     need = 2 * exact_radius(epsilon) / s_min ** n
     count = 1
     for blocks in itertools.islice(_core_levels(system), 1, None):
-        if not blocks or any(b[0] - a[0] < need
-                             for a, b in zip(blocks, blocks[1:])):
+        if any(b[0] - a[0] < need for a, b in zip(blocks, blocks[1:])):
             break
         count = len(blocks)
     return count

@@ -66,49 +66,3 @@ def ball_contains(system, spec, point):
         raise ValueError("exhaustive center must survive at least one word")
     return min(dists) < spec.epsilon
 
-
-def separation_distance(system, kind, x, y, depth, word=None):
-    """The metric in which packing points of each kind must be 2eps apart:
-    trajectory uses d_w, exhaustive/amalgamated the min over words, and
-    condensed the max over words.  Undefined orbits count as +inf."""
-    if kind == TRAJECTORY:
-        return dn_distance(system, x, y, word)
-    dists = [dn_distance(system, x, y, w)
-             for w in all_words(system.m, depth)]
-    finite = [d for d in dists if not math.isinf(d)]
-    if kind == CONDENSED:
-        return max(dists)
-    return min(finite) if finite else math.inf
-
-
-def vitali_disjointify(system, balls):
-    """Greedy disjoint subfamily of trajectory balls taken along prefixes
-    of a single infinite trajectory at a common radius.
-
-    Keeps a ball iff its center is 2eps-separated from every kept center
-    at the shallower of the two depths; since deeper prefixes dominate
-    shallower ones, that certifies genuine disjointness of the balls."""
-    if not balls:
-        return []
-    eps = balls[0].epsilon
-    for b in balls:
-        if b.kind != TRAJECTORY:
-            raise ValueError("the covering lemma applies to trajectory balls")
-        if abs(b.epsilon - eps) > 0.0:
-            raise ValueError("all balls must share one radius")
-    longest = max(balls, key=lambda b: b.depth)
-    for b in balls:
-        if b.word.symbols != longest.word.symbols[:b.depth]:
-            raise ValueError("balls must follow prefixes of one trajectory")
-    kept = []
-    for b in sorted(balls, key=lambda b: (b.depth, b.center)):
-        ok = True
-        for k in kept:
-            shallow = min(b.depth, k.depth)
-            w = Word(longest.word.symbols[:shallow])
-            if dn_distance(system, b.center, k.center, w) < 2.0 * eps:
-                ok = False
-                break
-        if ok:
-            kept.append(b)
-    return kept

@@ -227,11 +227,18 @@ def _emit_rows(setup, rows, command):
                 command)
 
 
+def _json_value(v):
+    """JSON has no infinity or NaN: the token the CSV prints stands in."""
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit_table(setup, header, rows, command):
     if setup.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": command,
-               "rows": [dict(zip(header, row)) for row in rows]}
-        _write(setup, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+               "rows": [dict(zip(header, map(_json_value, row)))
+                        for row in rows]}
+        _write(setup, json.dumps(doc, sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n")
         return
     lines = [",".join(header)]
     for row in rows:
@@ -423,7 +430,8 @@ def cmd_dimension(entries, setup):
            "per_map_roots": list(result.per_map_roots),
            "bracket": list(result.bracket),
            "iterations": result.iterations}
-    _write(setup, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(setup, json.dumps(doc, sort_keys=True, indent=2,
+                             allow_nan=False) + "\n")
     return 0
 
 

@@ -160,10 +160,10 @@ def _uniform_exact_mass(system, epsilon):
     if system.is_toral and system.all_diagonal:
         entries = [g.diagonal_entries for g in system.generators]
     elif system.wrap:
-        # one slope per generator: each is then its generator's float
-        # Lipschitz constant, so no ball multiplies a Fraction
+        # one slope per generator: each is its generator's Lipschitz
+        # constant, as a float so no ball multiplies a Fraction
         analytic._uniform_circle_slopes(system)
-        slopes = [g.lipschitz for g in system.generators]
+        slopes = [float(g.lipschitz) for g in system.generators]
     else:
         raise AnalyticUnavailable(
             "no exact ball mass: Lebesgue local entropies need a diagonal "

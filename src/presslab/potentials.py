@@ -104,13 +104,6 @@ class MultiPotential:
             (kind, params, scale, offset + c)
             for kind, params, scale, offset in self.components))
 
-    def permuted(self, perm):
-        """Reorder components by perm (1-based image list)."""
-        if sorted(perm) != list(range(1, self.m + 1)):
-            raise ValueError("not a permutation of 1..%d: %r"
-                             % (self.m, perm))
-        return MultiPotential(tuple(self.components[p - 1] for p in perm))
-
     def sup_bound(self):
         """max_j sup |phi_j|, from each component's base bound."""
         return max(abs(scale) * _base_bound(kind, params) + abs(offset)

@@ -129,7 +129,7 @@ class IntervalGenerator:
 
     @cached_property
     def lipschitz(self):
-        return float(max(self.slopes))
+        return max(self.slopes)
 
     def apply(self, x):
         """The image of x, None where x lies in no branch."""
@@ -307,14 +307,6 @@ def parse_system(spec, line=None):
     except ValueError as exc:
         raise ParseError(str(exc), line)
     raise ParseError("unknown system family %r" % family, line)
-
-
-def zoo_systems():
-    """Named menagerie used by the cross-system property suites."""
-    return [parse_system(spec) for spec in (
-        "diag:2,3|3,2", "toral:0,1,1,2;2,1,1,0", "diag:4,5|2,6",
-        "diag:2,10|3,4", "toral:2,1,1,1;5,3,3,2", "cantor:3,3|5,5",
-        "cantor:2,2|2,2", "shift:2")]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import math
 import random
 import time
 
-from presslab.balls import BallSpec, ball_contains, separation_distance, \
-    vitali_disjointify
+from presslab.balls import BallSpec, ball_contains
 from presslab.dimension import bowen_root
 from presslab.lift import check_lift_inequalities, lift_pressure_estimate
 from presslab.localent import marginal_bound_check, parse_measure, \
@@ -20,8 +19,7 @@ from presslab.potentials import constant_potential, random_potential, \
 from presslab.pressure import estimate_pressure, extrapolate, \
     lipschitz_check, min_cover_cost, packing_bound, sweep_estimates, \
     verify_inequality_chain
-from presslab.systems import closed_form_entropies, parse_system, \
-    zoo_systems
+from presslab.systems import closed_form_entropies, parse_system
 from presslab.words import Word, consecutive_sum, explicit_rule, orbit, \
     periodic_rule, pool_words
 
@@ -29,6 +27,10 @@ DIAG = parse_system("diag:2,3|3,2")
 SHEAR = parse_system("toral:0,1,1,2;2,1,1,0")
 DOUBLING_PAIR = parse_system("cantor:2,2|2,2")
 ZERO2 = zero_potential(2)
+# the systems of the cross-system property suite
+ZOO = ("diag:2,3|3,2", "toral:0,1,1,2;2,1,1,0", "diag:4,5|2,6",
+       "diag:2,10|3,4", "toral:2,1,1,1;5,3,3,2", "cantor:3,3|5,5",
+       "cantor:2,2|2,2", "shift:2")
 
 
 def _verdict(capsys, num, label, ok, detail):
@@ -120,7 +122,7 @@ def test_shear_pair_collapses_while_the_single_map_does_not(capsys):
 def test_pressure_inequality_chains_hold_across_the_zoo(capsys):
     violations = []
     checks = 0
-    for system in zoo_systems():
+    for system in map(parse_system, ZOO):
         for pseed in range(3):
             phi = random_potential(system.m, seed=pseed)
             report = verify_inequality_chain(system, phi, 2, 0.25, seed=0)
@@ -252,24 +254,6 @@ def test_structural_property_suite(capsys):
                  + consecutive_sum(DIAG, phi, tail_start, v))
         check("concatenation additivity", abs(whole - split) <= 1e-12)
 
-    # vitali: kept balls disjoint, discarded centers within three radii
-    eps = 0.05
-    vword = Word((1, 1))
-    for _ in range(10):
-        centers = [rng.random() for _ in range(25)]
-        balls = [BallSpec("trajectory", c, 2, eps, vword) for c in centers]
-        kept = vitali_disjointify(doubling, balls)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                d = separation_distance(doubling, "trajectory", a.center,
-                                        b.center, 2, vword)
-                check("vitali disjoint", d > 2 * eps - 1e-12)
-        for c in centers:
-            near = min(separation_distance(doubling, "trajectory", c,
-                                           k.center, 2, vword)
-                       for k in kept)
-            check("vitali coverage", near <= 3 * eps + 1e-12)
-
     # a separated family never outnumbers a spanning one
     for system, phi_k, n, eps_k in (
             (DIAG, ZERO2, 5, 0.125),
@@ -286,7 +270,7 @@ def test_structural_property_suite(capsys):
     # nothing
     swapped = parse_system("diag:3,2|2,3")
     phi = constant_potential([0.2, -0.1])
-    phi_sw = phi.permuted((2, 1))
+    phi_sw = constant_potential([-0.1, 0.2])
     for kind in ("amalgamated", "condensed-upper", "free"):
         a = estimate_pressure(DIAG, phi, kind, 3, 0.125, seed=0)
         b = estimate_pressure(swapped, phi_sw, kind, 3, 0.125, seed=0)

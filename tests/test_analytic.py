@@ -353,3 +353,25 @@ def test_circle_packing_past_the_wrap_guard_is_one_point():
                          "amalgamated", 3, 0.25, engine="analytic")
     assert pack.size == 1
     assert pack.log_cost == 0.0
+
+
+@pytest.mark.parametrize("excess", [Fraction(1, 2 ** 40),
+                                    Fraction(1, 2 ** 50)],
+                         ids=["2**-40", "2**-50"])
+@pytest.mark.parametrize("spec, lipschitz", [
+    ("toral:0,1,1,2;2,1,1,0", 3),
+    ("cantor:2,2", 2),
+])
+def test_wrap_guard_is_exact_at_its_edge(spec, lipschitz, excess):
+    """(L + 1) rho <= 1 holds at rho = 1/(L + 1) and fails at any radius
+    above it, on a torus and on a circle map alike."""
+    system = parse_system(spec)
+    assert system.L_max == lipschitz
+    edge = Fraction(1, lipschitz + 1)
+    assert analytic.wrap_guard_ok(edge, system.L_max)
+    assert not analytic.wrap_guard_ok(edge + excess, system.L_max)
+
+
+def test_interval_lipschitz_constant_is_the_exact_slope():
+    gen = parse_system("cantor:2.2,3.3").generators[0]
+    assert gen.lipschitz == Fraction(33, 10) != 3.3

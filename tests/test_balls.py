@@ -1,15 +1,11 @@
-"""Ball membership, separation, and the Vitali selection."""
+"""Ball specs and strict membership, and the nesting of the three
+ball families."""
 
 import random
 
 import pytest
 
-from presslab.balls import (
-    BallSpec,
-    ball_contains,
-    separation_distance,
-    vitali_disjointify,
-)
+from presslab.balls import BallSpec, ball_contains
 from presslab.systems import parse_system
 from presslab.words import Word
 
@@ -34,14 +30,6 @@ def test_membership_doubling():
     assert ball_contains(db, spec, 0.34)
     assert not ball_contains(db, spec, 0.36)
     assert ball_contains(db, spec, 0.3)
-
-
-def test_separation_distance_matches_metric():
-    db = parse_system("cantor:2,2")
-    d = separation_distance(db, "trajectory", 0.3, 0.32, 2, Word((1, 1)))
-    assert d == pytest.approx(0.08, abs=1e-12)
-    d2 = separation_distance(db, "exhaustive", 0.3, 0.32, 2)
-    assert d2 == pytest.approx(0.08, abs=1e-12)
 
 
 def test_trajectory_ball_nesting_in_depth():
@@ -83,32 +71,3 @@ def test_trajectory_ball_between_condensed_and_exhaustive():
             if ball_contains(diag, traj, p):
                 assert ball_contains(diag, exh, p)
 
-
-def test_vitali_keeps_far_centers_and_drops_overlaps():
-    db = parse_system("cantor:2,2")
-    balls = [BallSpec("trajectory", c, 1, 0.1, Word((1,)))
-             for c in (0.1, 0.15, 0.5, 0.55, 0.9)]
-    kept = vitali_disjointify(db, balls)
-    assert [b.center for b in kept] == [0.1, 0.5, 0.9]
-
-
-def test_vitali_selection_is_disjoint_and_three_eps_covers():
-    """Kept balls are pairwise disjoint and every dropped center lies
-    within 3 eps (in the word metric) of some kept center."""
-    db = parse_system("cantor:2,2")
-    rng = random.Random(13)
-    eps = 0.05
-    word = Word((1, 1))
-    for trial in range(20):
-        centers = [rng.random() for _ in range(25)]
-        balls = [BallSpec("trajectory", c, 2, eps, word) for c in centers]
-        kept = vitali_disjointify(db, balls)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                d = separation_distance(db, "trajectory", a.center,
-                                        b.center, 2, word)
-                assert d > 2 * eps - 1e-12
-        for c in centers:
-            near = min(separation_distance(db, "trajectory", c, k.center,
-                                           2, word) for k in kept)
-            assert near <= 3 * eps + 1e-12

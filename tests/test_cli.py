@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+import presslab.cli
 from presslab.cli import COMMAND_KEYS, COMMON_KEYS, _check_keys, \
     _parse_points, load_config, main
 from presslab.errors import ParseError
+from presslab.localent import lebesgue_measure, local_entropies
 from presslab.systems import parse_system
 
 
@@ -875,3 +877,118 @@ seed = %d
     row = capsys.readouterr().out.splitlines()[1]
     assert row.startswith("lipschitz,yes,")
     assert row.endswith("bound=0.500000000001")
+
+
+@pytest.mark.parametrize("command, text, err", [
+    ("estimate", None, "cannot read config: "),
+    ("estimate", "[run\nsystem = diag:2,3|3,2\n",
+     "line 1: unterminated section header"),
+    ("estimate", "system = diag:2,3|3,2\n = 3\n", "line 2: empty key"),
+    ("estimate", "system = diag:2,3|3,2\nkinds = free\ndepths = 3\n",
+     "missing required key 'epsilons'"),
+    ("verify", "system = diag:2,3|3,2\ntolerance = tiny\n",
+     "line 2: key 'tolerance' needs a number, got 'tiny'"),
+    ("verify", "system = diag:2,3|3,2\nseed = 1.5\n",
+     "line 2: key 'seed' needs an integer, got '1.5'"),
+    ("estimate", "system = diag:2,3|3,2\nkinds = free\ndepths = 3,x\n"
+     "epsilons = 0.125\n", "line 3: bad list entry in key 'depths'"),
+    ("estimate", "system = diag:2,3|3,2\nkinds = free,bogus\ndepths = 3\n"
+     "epsilons = 0.125\n", "line 2: unknown kind 'bogus'"),
+    ("estimate", "system = diag:2,3|3,2\nrule = cyclic:1\n",
+     "line 2: rules are constant:j | periodic:... | explicit:..."),
+    ("localent", "system = diag:2,3|3,2\nn_range = 5..3\n",
+     "line 2: empty depth range"),
+    ("localent", "system = diag:2,3|3,2\npoints = ;\n",
+     "line 2: empty point list"),
+    ("estimate", "system = diag:2,3|3,2\nkinds = trajectory\ndepths = 3\n"
+     "epsilons = 0.125\n", "line 2: trajectory estimates need a rule key"),
+    ("dimension", "system = cantor:3,3\nbracket = 0.5\n",
+     "line 2: bracket needs two endpoints"),
+])
+def test_parse_errors_name_their_line(tmp_path, capsys, command, text, err):
+    """Each malformed config exits 4 before any output, with the message
+    and the line it names (none where no line is at fault)."""
+    path = str(tmp_path / "missing.cfg") if text is None \
+        else write_cfg(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if text is None:
+        assert captured.err.startswith("parse error: " + err + "[Errno 2]")
+    else:
+        assert captured.err == "parse error: %s\n" % err
+
+
+def test_localent_reads_a_listed_depth_range(tmp_path, capsys,
+                                            monkeypatch):
+    """`n_range = 4,6` is the depths 4 and 6, not a range: the rows are
+    the estimate at exactly those depths."""
+    path = write_cfg(tmp_path, "loc.cfg", """system = diag:2,3|3,2
+points = 0.37,0.61
+n_range = 4,6
+""")
+    depths = []
+
+    def recorded(measure, system, points, epsilon, n_range, **kw):
+        depths.append(n_range)
+        return local_entropies(measure, system, points, epsilon, n_range,
+                               **kw)
+
+    monkeypatch.setattr(presslab.cli, "local_entropies", recorded)
+    assert main(["localent", "--config", path]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert depths == [[4, 6]]
+    diag = parse_system("diag:2,3|3,2")
+    est, = local_entropies(lebesgue_measure(diag, 64), diag, [(0.37, 0.61)],
+                           0.125, [4, 6], seed=0)
+    assert rows[1:] == [",".join(map(repr, (
+        0.37, 0.61, est.h_exhaustive_local, est.h_lower_local,
+        est.h_upper_local, 0.125))) + ",0"]
+
+
+def test_zero_mass_localent_json_is_strict(tmp_path, capsys):
+    """A Dirac measure away from the point gives empty balls and infinite
+    rates; JSON has no Infinity, so the rows carry the CSV's "inf"."""
+    path = write_cfg(tmp_path, "loc.cfg", """system = diag:2,3|3,2
+measure = dirac:0.1,0.2
+points = 0.6,0.6
+epsilon = 0.125
+n_range = 2..3
+""")
+
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+
+    assert main(["localent", "--config", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    row, = doc["rows"]
+    assert [row[k] for k in ("h_exhaustive", "h_lower", "h_upper")] \
+        == ["inf"] * 3
+    assert main(["localent", "--config", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1] \
+        == "0.6,0.6,inf,inf,inf,0.125,0"
+
+
+def test_verify_separation_across_generator_counts(tmp_path, capsys):
+    # a one-map system_b reads the zero potential, whatever the first
+    # system's potential is
+    path = write_cfg(tmp_path, "sep.cfg", """system = diag:2,3|3,2
+system_b = toral:2,1,1,1
+checks = separation
+""")
+    assert main(["verify", "--config", path]) == 0
+    assert "separation,yes,distinguishable: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("keys, err", [
+    ("system = diag:2,3|3,2\nn_range = 0..3\npoints = 0.6,0.6\n",
+     "depth range must contain positive depths"),
+    ("system = cantor:2,2|2,2\nmeasure = bernoulli:0.7,0.7 x lebesgue\n",
+     "symbol weights must sum to 1"),
+])
+def test_localent_invalid_inputs_are_refused(tmp_path, capsys, keys, err):
+    path = write_cfg(tmp_path, "loc.cfg", keys)
+    assert main(["localent", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: %s\n" % err

@@ -11,12 +11,14 @@ import sys
 
 import presslab
 import presslab.analytic
+import presslab.balls
 import presslab.cli
 import presslab.dimension
 import presslab.errors
 import presslab.grid
 import presslab.lift
 import presslab.localent
+import presslab.potentials
 import presslab.pressure
 import presslab.records
 import presslab.systems
@@ -26,7 +28,8 @@ DELETED = ("BerendVerdict", "berend_check", "_commute",
            "single_generator_entropy", "conjugacy_example_report",
            "UnderResolved", "LiftPoint", "skew_apply", "lifted_potential",
            "lift_birkhoff_sum", "WordPool", "shannon_entropy",
-           "ExpansionField", "expansion_field")
+           "ExpansionField", "expansion_field", "vitali_disjointify",
+           "separation_distance", "zoo_systems", "permuted")
 
 
 def test_every_exported_name_resolves():
@@ -38,10 +41,12 @@ def test_every_exported_name_resolves():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in presslab.__all__
-        for module in (presslab, presslab.systems, presslab.errors,
-                       presslab.lift, presslab.words, presslab.localent,
-                       presslab.dimension):
-            assert not hasattr(module, name), (module.__name__, name)
+        for owner in (presslab, presslab.systems, presslab.errors,
+                      presslab.lift, presslab.words, presslab.localent,
+                      presslab.dimension, presslab.balls, presslab.potentials,
+                      presslab.potentials.MultiPotential, presslab.pressure,
+                      presslab.analytic, presslab.grid, presslab.cli):
+            assert not hasattr(owner, name), (owner, name)
     for attr in ("eigenvalues", "char_poly_irreducible_over_z", "trace"):
         assert not hasattr(presslab.systems.ToralGenerator, attr), attr
     # no shift closed form reads a Lipschitz constant

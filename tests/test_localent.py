@@ -105,6 +105,20 @@ def test_radius_past_the_wrap_guard_has_no_exact_mass(kind, word):
         ball_measure(leb, DIAG, spec)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_circle_condensed_arc_narrows_at_the_steepest_slope(n):
+    # slopes 2 and 3 on the circle: the condensed ball is the arc of
+    # half-width eps / 3**n, and the 2,160 cell centres lie off its ends
+    circle = parse_system("cantor:2,2|3,3,3")
+    spec = BallSpec("condensed", 0.3, n, 0.125)
+    mass = ball_measure(lebesgue_measure(circle), circle, spec)
+    assert mass == 2 * 0.125 / 3 ** n
+    g = 2160
+    inside = sum(ball_contains(circle, spec, (i + 0.5) / g)
+                 for i in range(g))
+    assert inside == round(mass * g)
+
+
 @pytest.mark.parametrize("spec, area", [
     (BallSpec("trajectory", (0.5, 0.5), 2, 0.25, Word((1, 2))), 1 / 144),
     (BallSpec("condensed", (0.5, 0.5), 1, 0.25), 1 / 36),

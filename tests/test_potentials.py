@@ -72,16 +72,6 @@ def test_scale_shift_permute():
     phi = constant_potential([0.5, -0.25])
     assert phi.scale(2.0).constant_values == (1.0, -0.5)
     assert phi.shifted(0.1).constant_values == pytest.approx((0.6, -0.15))
-    assert phi.permuted((2, 1)).constant_values == (-0.25, 0.5)
-    # permuting twice restores the original
-    rt = phi.permuted((2, 1)).permuted((2, 1))
-    assert rt.constant_values == phi.constant_values
-
-
-def test_permuted_rejects_non_permutations():
-    phi = constant_potential([0.5, -0.25])
-    with pytest.raises(ValueError):
-        phi.permuted((1, 1))
 
 
 def test_sup_bound_and_distance():

@@ -259,7 +259,7 @@ def test_constant_shift_identity_on_grid():
 def test_permutation_equivariance():
     swapped = parse_system("diag:3,2|2,3")
     phi = constant_potential([0.2, -0.1])
-    phi_sw = phi.permuted((2, 1))
+    phi_sw = constant_potential([-0.1, 0.2])
     for kind in ("amalgamated", "condensed-upper", "exhaustive-upper",
                  "free"):
         a = estimate_pressure(DIAG, phi, kind, 3, 0.125, seed=0)

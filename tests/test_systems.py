@@ -1,4 +1,4 @@
-"""System parsing, the zoo, the closed-form entropies, and the maps."""
+"""System parsing, the closed-form entropies, and the maps."""
 
 import functools
 import inspect
@@ -14,7 +14,7 @@ from presslab import analytic, grid, localent
 from presslab.errors import DepthTooLarge, ParseError
 from presslab.grid import grid_metrics, grid_points, grid_shape
 from presslab.systems import TORUS, IntervalGenerator, SemigroupSystem, \
-    closed_form_entropies, parse_system, zoo_systems
+    closed_form_entropies, parse_system
 from presslab.words import Word, all_words, orbit
 
 LOG = math.log
@@ -77,22 +77,6 @@ def test_parse_error_carries_line():
     with pytest.raises(ParseError) as exc:
         parse_system("diag:2", line=12)
     assert "12" in str(exc.value)
-
-
-def test_zoo_contents():
-    names = [s.name for s in zoo_systems()]
-    assert names == [
-        "diag:2,3|3,2",
-        "toral:0,1,1,2;2,1,1,0",
-        "diag:4,5|2,6",
-        "diag:2,10|3,4",
-        "toral:2,1,1,1;5,3,3,2",
-        "cantor:3,3|5,5",
-        "cantor:2,2|2,2",
-        "shift:2",
-    ]
-    for s in zoo_systems():
-        assert parse_system(s.name) == s
 
 
 def test_a_system_is_its_dynamics_whatever_its_name():
@@ -209,6 +193,7 @@ def test_interval_code_holds_no_tolerance():
         IntervalGenerator, analytic._core_levels,
         analytic._intersect_interval_lists, analytic.interval_cover_number,
         analytic.interval_packing_number, analytic.interval_packing,
+        analytic.wrap_guard_ok, analytic._packing_guard,
         localent._uniform_exact_mass)]
     for source in sources:
         for banned in ("1e-15", "1e-12", "1e-9", "limit_denominator"):
