@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 
 from .errors import AnalyticUnavailable
-from .words import add_floats, all_words
+from .words import Word, add_floats, all_words
 
 LN2 = math.log(2.0)
 # joint-core refinements stop past this many blocks or at this depth
@@ -84,7 +84,7 @@ def _packing_guard(rho, lipschitz):
     if rho > 0.5:
         return 1
     if not wrap_guard_ok(rho, lipschitz):
-        return max(int(1.0 // rho) ** 2, 1)
+        return max((1 // rho) ** 2, 1)
     return None
 
 
@@ -697,9 +697,13 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
     Circle systems use touching grids guarded by the wrap rule.  Gapped
     systems use per-cylinder core points: same-branch orbits expand an
     initial gap past 2 eps by the final step, different-branch orbit
-    points sit across a domain gap, so 2 eps must not exceed the gap."""
-    # a packing point weighs its lightest branch
-    lightest = [min(t) for t in _interval_weight_table(system, phi)]
+    points sit across a domain gap, so 2 eps must not exceed the gap.
+    On one generator S_n phi is constant on each depth-n cylinder, which
+    holds npack core points, so the packing sum is exact, letters
+    weighed as in the cylinder cover."""
+    table = _interval_weight_table(system, phi)
+    # circle and joint-core packings weigh a point by its lightest branch
+    lightest = [min(t) for t in table]
     if system.wrap:
         slopes = _uniform_circle_slopes(system)
         if not wrap_guard_ok(2 * exact_radius(epsilon), system.L_max):
@@ -719,24 +723,22 @@ def interval_packing(system, phi, kind, n, epsilon, pool=None, rule=None):
         return (log_big(count) + weight, count, "circle grid packing")
     if system.min_gap < 2 * exact_radius(epsilon):
         raise AnalyticUnavailable("2eps exceeds the branch gap")
-    if kind == "trajectory":
-        if system.m != 1:
-            raise AnalyticUnavailable(
-                "per-cylinder packing needs a single generator")
-        _, npack = _single_core_numbers(system, epsilon)
-        word = rule.word_at(n)
-        branches = [gen.branch_count for gen in system.generators]
-        count = _word_product(branches, word, npack)
-        return (math.log(count) + _word_weight_log(lightest, word), count,
-                "per-cylinder core packing")
-    if kind == "amalgamated":
-        if system.m == 1:
-            _, npack = _single_core_numbers(system, epsilon)
-            count = npack * system.generators[0].branch_count ** n
-            w = n * lightest[0]
-            return (math.log(count) + w, count, "per-cylinder core packing")
+    if kind == "amalgamated" and system.m > 1:
         # multi-generator: pack the block endpoints of the joint core
         count = _joint_core_packing(system, epsilon, n)
         w = n * min(lightest)
         return (math.log(count) + w, count, "joint core block endpoints")
-    raise AnalyticUnavailable("kind %r has no interval packing" % kind)
+    if kind == "trajectory":
+        if system.m != 1:
+            raise AnalyticUnavailable(
+                "per-cylinder packing needs a single generator")
+        word = rule.word_at(n)
+    elif kind == "amalgamated":
+        word = Word((1,) * n)
+    else:
+        raise AnalyticUnavailable("kind %r has no interval packing" % kind)
+    _, npack = _single_core_numbers(system, epsilon)
+    count = _word_product([len(t) for t in table], word, npack)
+    return (_word_weight_log([log_sum_exp(t) for t in table], word,
+                             math.log(npack)), count,
+            "per-cylinder core packing")

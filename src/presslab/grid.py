@@ -7,7 +7,8 @@ one metric table per word: an integer difference table (in units of
 1/g and 2**-L) on torus and shift, whose generators are endomorphisms
 of the grid's digit group (the g x g lattice, and length-L words with
 zero padding), so a word distance depends on the difference alone, and
-the orbits of the region points on intervals.
+the orbits of the region points on intervals.  Weights follow the same
+orbits, and no map is applied twice.
 
 On torus and shift grids every ball of radius r is a translate p + S of
 one support S = {d : D(d) < r} of a table D, and S = -S, as every map and
@@ -40,7 +41,7 @@ from array import array
 from .analytic import exact_radius, log_sum_exp
 from .errors import DepthTooLarge
 from .pressure import METHOD_GRID, CoverSolution
-from .words import add_floats, all_words, consecutive_sum, orbit
+from .words import add_floats, all_words, orbit
 
 GRID_BUDGET = 300_000_000
 
@@ -93,10 +94,10 @@ def grid_metrics(system, points, words, base, rank):
     Torus and shift maps are endomorphisms of the digit group, so
     d_w(p, q) = D_w(p - q), and the table is D_w itself, one integer
     entry per difference in point order, in units of 1/base on the torus
-    (array "B") and of 2**-rank on the shift ("H"): each word prefix
-    runs the base**rank differences through one more step in integers,
-    and D_w is the running max of their norm.  Interval grids have no
-    difference, and their table is the orbit of every region point."""
+    (array "B") and of 2**-rank on the shift ("H"): the running max of
+    the norm along the orbit of every difference (`_walk`).  Interval
+    grids have no difference, and their table is the orbit of every
+    region point."""
     if system.is_interval:
         orbits = [[orbit(system, x, word) for x in points] for word in words]
         alive = [i for i in range(len(points))
@@ -105,38 +106,45 @@ def grid_metrics(system, points, words, base, rank):
                 [[o[i] for i in alive] for o in orbits])
     digits = list(itertools.product(range(base), repeat=rank))
     if system.is_toral:
-        # the norm in units of 1/base: the larger circle distance of the
-        # two digits; a step's matrix acts on the digits mod base
+        # in units of 1/base: the larger circle distance of the two digits
         units = [max(min(v, base - v) for v in d) for d in digits]
+    else:
+        # 2**(rank - j) units at the first nonzero digit j, 0 at none
+        units = [1 << rank >> next((j for j, v in enumerate(d) if v),
+                                   rank + 1) for d in digits]
+    runs = _walk(system, base, rank, words, units, lambda run, j, image,
+                 after: list(map(max, run, map(units.__getitem__, after))))
+    return points, [array("B" if system.is_toral else "H", run)
+                    for run in runs]
+
+
+def _walk(system, base, rank, words, start, fold):
+    """Per word in turn, a row carried along the orbit of every digit
+    index: from `start`, step j takes the orbit points `image` to their
+    images `after` and the row to fold(row, j, image, after), a torus
+    matrix acting on the digits mod base and sigma^s moving digit i + s
+    to i, padding zeros.  Words that share a prefix share its steps."""
+    size = base ** rank
+    if system.is_toral:
         steps = [[(a * u + b * v) % base * base + (c * u + d * v) % base
-                  for u, v in digits]
+                  for u, v in itertools.product(range(base), repeat=2)]
                  for (a, b), (c, d) in (gen.matrix
                                         for gen in system.generators)]
     else:
-        # 2**(rank - j) units at the first nonzero digit j, 0 at none (a
-        # shift by rank + 1); sigma^s moves digit i + s to i, padding zeros
-        units = [1 << rank >> next((j for j, v in enumerate(d) if v),
-                                   rank + 1) for d in digits]
-        steps = [[d * base ** gen.step % len(digits)
-                  for d in range(len(digits))]
+        steps = [[d * base ** gen.step % size for d in range(size)]
                  for gen in system.generators]
-    # (image of every difference, running max of its norm) after each
-    # step of the current word; words that share a prefix share its steps
-    path = [(range(len(digits)), units)]
+    path = [(range(size), start)]
     prev = ()
-    tables = []
     for word in words:
         keep = next((k for k, (i, j) in enumerate(zip(word, prev)) if i != j),
                     min(len(word), len(prev)))
         del path[keep + 1:]
         for j in word.symbols[keep:]:
-            image, run = path[-1]
-            image = list(map(steps[j - 1].__getitem__, image))
-            path.append((image, list(map(max, run,
-                                         map(units.__getitem__, image)))))
-        tables.append(array("B" if system.is_toral else "H", path[-1][1]))
+            image, row = path[-1]
+            after = list(map(steps[j - 1].__getitem__, image))
+            path.append((after, fold(row, j, image, after)))
+        yield path[-1][1]
         prev = word.symbols
-    return points, tables
 
 
 def _f32(x):
@@ -232,17 +240,27 @@ class _GridEngine:
             self.system, self.points, self.words, *self.shape)
 
     def weights(self, phi):
-        """S[word][region point]: consecutive sums along every word."""
+        """S[word][region point]: consecutive sums along every word, as
+        `words.consecutive_sum` adds them, each phi_j evaluated once per
+        point: along the held orbits on intervals, else by `_walk`."""
         # engines outlive potential objects, so id() keys would collide
         # once the allocator reuses an address
         key = phi.components
         if key not in self._phi_cache:
-            # orbits revisit points, so each (generator, point) step is
-            # evaluated once, in one dict per generator
-            steps = [{} for _ in self.system.generators]
-            sums = [array("d", [consecutive_sum(self.system, phi, x, word,
-                                                steps) for x in self.region])
-                    for word in self.words]
+            if self.system.is_interval:
+                value = functools.cache(phi.eval)
+                sums = [array("d", [add_floats(map(value, word, o))
+                                    for o in orbits])
+                        for word, orbits in zip(self.words, self.tables)]
+            else:
+                phis = [[phi.eval(j, x) for x in self.points]
+                        for j in range(1, self.system.m + 1)]
+                sums = [array("d", total) for total in _walk(
+                    self.system, *self.shape, self.words,
+                    [0.0] * len(self.points),
+                    lambda total, j, image, after: list(map(
+                        operator.add, total,
+                        map(phis[j - 1].__getitem__, image))))]
             # finite step values can still sum past the float range
             if not all(map(math.isfinite, itertools.chain(*sums))):
                 raise ValueError(
@@ -422,6 +440,21 @@ class _GridEngine:
                         nxt = s
             return (key, a, g, nxt) if g else None
 
+        def current(entry):
+            # the entry itself while its atom keeps its gain, rescored
+            # while still within next, None once the group's last live
+            # atom is spent, else the group read again: another atom of
+            # it may be its least now
+            _, a, g, nxt = entry
+            now = gains[a]
+            if now == g:
+                return entry
+            if now and (s := lws[a] - logs[now]) <= nxt:
+                return s, a, now, nxt
+            if not now and nxt == inf:
+                return None
+            return read(a % npts)
+
         # each centre's first atom, then the later ones folded in, in one
         # pass over the atoms: a read per centre would cost a one-word
         # greedy about a fifth of its time
@@ -447,47 +480,19 @@ class _GridEngine:
         while left and multi:
             # refresh the top until its atom keeps its gain: then its key
             # is the least score
-            while True:
-                s, a, g, nxt = heap[0]
-                now = gains[a]
-                if now == g:
-                    break
-                if now:
-                    s = lws[a] - logs[now]
-                    if s <= nxt:
-                        heapq.heapreplace(heap, (s, a, now, nxt))
-                        continue
-                elif nxt == inf:
-                    # the group's last live atom is spent
-                    heapq.heappop(heap)
-                    continue
-                # another atom of the group may be its least now
-                entry = read(a % npts)
+            while (entry := current(heap[0])) is not heap[0]:
                 if entry:
                     heapq.heapreplace(heap, entry)
                 else:
                     heapq.heappop(heap)
-            top = s + 1e-12
+            top = entry[0] + 1e-12
             cand = []
             while heap and heap[0][0] <= top:
-                entry = s, a, g, nxt = heapq.heappop(heap)
-                now = gains[a]
-                if now != g:
-                    # as above, the entry made current, or none
-                    if now and lws[a] - logs[now] <= nxt:
-                        s, g = lws[a] - logs[now], now
-                        entry = s, a, g, nxt
-                    elif nxt == inf:
-                        continue
-                    else:
-                        entry = read(a % npts)
-                        if not entry:
-                            continue
-                        s, a, g, nxt = entry
-                    if s > top:
-                        heapq.heappush(heap, entry)
-                        continue
-                cand.append(entry)
+                entry = current(heapq.heappop(heap))
+                if entry and entry[0] > top:
+                    heapq.heappush(heap, entry)
+                elif entry:
+                    cand.append(entry)
             a = cand[0][1]
             if len(cand) > 1 or cand[0][3] <= top:
                 # the tied atoms: each group's own, and every atom of it

@@ -9,7 +9,6 @@ usually just skip such centers.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -58,25 +57,17 @@ def orbit(system, point, word):
     return out
 
 
-def consecutive_sum(system, phi, point, word, steps=None):
+def consecutive_sum(system, phi, point, word):
     """S_n Phi(x, w) = phi_{i_1}(x) + phi_{i_2}(f_{i_1} x) + ...
 
     Uses the first n orbit points.  None when the orbit breaks early.
-    `steps`, one dict per generator shared by calls with one system and
-    one phi, keeps each point's step value and image under generator j
-    in steps[j - 1] for the next call.  A symbol past the generator
-    count raises the ValueError of the potential or the map."""
-    steps = collections.defaultdict(dict) if steps is None else steps
+    A symbol past the generator count raises the ValueError of the
+    potential or the map."""
     total = 0.0
-    cur = point
     for j in word:
-        memo = steps[j - 1]
-        step = memo.get(cur)
-        if step is None:
-            step = memo[cur] = (phi.eval(j, cur), system.apply(j, cur))
-        value, cur = step
-        total += value
-        if cur is None:
+        total += phi.eval(j, point)
+        point = system.apply(j, point)
+        if point is None:
             return None
     return total
 

@@ -347,6 +347,38 @@ def test_expansion_weights_on_a_mixed_slope_map():
     assert cover.size == 24
 
 
+def test_interval_packing_weighs_every_cylinder():
+    # on slopes 2 and 4 a depth-n cylinder weighs the product of its
+    # letters' branch weights, and the core packs npack points into each,
+    # so the packing sum is npack (1/2 + 1/4)**n, the cover's letter sum,
+    # not npack 2**n (1/4)**n from the lightest branch
+    system = parse_system("cantor:2,4")
+    phi = unstable_multipotential(system).scale(1.0)
+    _, npack = analytic._single_core_numbers(system, Fraction(1, 8))
+    for kind, rule in (("trajectory", constant_rule(1)),
+                       ("amalgamated", None)):
+        pack = packing_bound(system, phi, kind, 3, 0.125, rule=rule,
+                             engine="analytic")
+        assert pack.log_cost == pytest.approx(
+            math.log(npack) + 3 * math.log(0.75), abs=1e-12)
+        assert pack.size == npack * 8
+
+
+def test_interval_packing_counts_starts_exactly_a_scale_apart():
+    # block starts 0 and 1/4 are exactly the scale 1/4 apart: both count
+    blocks = [(Fraction(0), Fraction(1, 8)), (Fraction(1, 4), Fraction(3, 8))]
+    assert analytic.interval_packing_number(blocks, Fraction(1, 4)) == 2
+    assert analytic.interval_packing_number(blocks, Fraction(1, 3)) == 1
+
+
+def test_packing_past_the_torus_wrap_guard_floors_the_exact_radius():
+    # 2 eps = 1/5 fails the wrap guard of slope 5, and 5 points fit per
+    # axis; 1.0 // 0.2 is 4.0 in floats
+    pack = packing_bound(parse_system("diag:5,5|5,5"), zero_potential(2),
+                         "amalgamated", 3, 0.1)
+    assert pack.size == 25
+
+
 def test_circle_packing_past_the_wrap_guard_is_one_point():
     # (L + 1) 2 eps = 1.5 > 1 on the doubling circle map
     pack = packing_bound(parse_system("cantor:2,2"), zero_potential(1),

@@ -8,6 +8,7 @@ from presslab import dimension
 from presslab.dimension import _bisect_root, bowen_root, \
     unstable_multipotential
 from presslab.errors import AnalyticUnavailable
+from presslab.pressure import estimate_pressure
 from presslab.systems import parse_system
 
 TERNARY = parse_system("cantor:3,3")
@@ -101,6 +102,25 @@ def test_pair_root_sits_below_both_members():
     assert res.per_map_roots == pytest.approx(
         (0.64404296875, 0.43505859375), abs=1e-12)
     assert res.t_uA <= min(res.per_map_roots)
+
+
+def test_unequal_slopes_bracket_the_root():
+    # cantor:2,4 has dimension t = log2 of the golden ratio, where
+    # 2**-t + 4**-t = 1; there both sides weigh every depth-n cylinder by
+    # its summed branch weights, so at n = 96 they are log(ncov) / n and
+    # log(npack) / n plus rounding (the lower side was -0.258 with
+    # packings weighed by the lightest branch, and the root sat at 0.589)
+    system = parse_system("cantor:2,4")
+    truth = math.log2((1 + math.sqrt(5)) / 2)
+    est = estimate_pressure(system,
+                            unstable_multipotential(system).scale(truth),
+                            "amalgamated", 96, 0.125, engine="analytic")
+    ncov, npack = analytic._single_core_numbers(system, Fraction(1, 8))
+    assert est.upper == pytest.approx(math.log(ncov) / 96, abs=1e-12)
+    assert est.lower == pytest.approx(math.log(npack) / 96, abs=1e-12)
+    res = bowen_root(system, 96, 0.125)
+    assert res.t_uA == pytest.approx(0.70654296875, abs=1e-12)
+    assert abs(res.t_uA - truth) <= 0.02
 
 
 def test_root_tracks_slope_scaling():

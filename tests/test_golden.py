@@ -6,9 +6,10 @@ must equal tests/golden/<command>-<case>.json.  The set covers grid
 estimates on a toral pair (on a dyadic 16 x 16 lattice and a non-dyadic
 20 x 20 one), the full shift on two and on three symbols and a gapped
 Cantor pair, a closed-form estimate, a box-engine and a polygon-engine
-sweep, verify, dimension on one generator and on two, and localent with
-a product measure and with Lebesgue measure.  A deliberate change to any
-number means regenerating the .json file and explaining the change.
+sweep, verify, dimension on one generator (of equal and of unequal
+slopes) and on two, and localent with a product measure and with
+Lebesgue measure.  A deliberate change to any number means regenerating
+the .json file and explaining the change.
 
 The bytes are the same on every supported Python: each case also runs
 with `sum` compensating float items, as CPython adds them from 3.12.
@@ -28,7 +29,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
 
 def test_golden_set_is_complete():
-    assert len(CASES) == 13
+    assert len(CASES) == 14
     for case in CASES:
         assert (GOLDEN / (case + ".json")).exists(), case
 

@@ -35,7 +35,7 @@ from presslab.pressure import (
     trajectory_shift_check,
     verify_inequality_chain,
 )
-from presslab.systems import parse_system, shift_system
+from presslab.systems import SemigroupSystem, parse_system, shift_system
 from presslab.words import (
     consecutive_sum,
     constant_rule,
@@ -386,18 +386,56 @@ def test_degenerate_free_cover_needs_no_word_enumeration():
         math.log((math.exp(0.25) + math.exp(-0.5)) / 2), abs=1e-12)
 
 
-def test_grid_weights_are_consecutive_sums_at_region_points():
-    # the grid orbits follow the generators' own apply, so on a
-    # non-dyadic grid every weight is the library's consecutive sum
+def test_grid_weights_sum_along_the_exact_lattice_orbits():
+    # on the non-dyadic 20 x 20 grid of the commuting pair a weight sums
+    # phi along the lattice orbit (a u + b v, c u + d v) mod 20, read at
+    # (u / 20, v / 20), where the float orbit of the map drifts off the
+    # lattice
     system = parse_system("toral:2,1,1,1;5,3,3,2")
     phi = coordinate_potential(2)
     eng = _GridEngine(system, 3, 0.2)
     s = eng.weights(phi)
     assert (len(s), len(s[0])) == (len(eng.words), len(eng.region)) \
         == (8, 400)
+    off = 0
     for w, word in enumerate(eng.words):
         for i, x in enumerate(eng.region):
+            u, v = round(x[0] * 20), round(x[1] * 20)
+            total = 0.0
+            for j in word:
+                total += phi.eval(j, (u / 20, v / 20))
+                (a, b), (c, d) = system.generators[j - 1].matrix
+                u, v = (a * u + b * v) % 20, (c * u + d * v) % 20
+            assert s[w][i] == total
+            off += total != consecutive_sum(system, phi, x, word)
+    # the float orbits the lattice replaces would give other sums
+    assert off
+
+
+@pytest.mark.parametrize("system", (SHEAR, shift_system(2)),
+                         ids=("shear", "shift:2"))
+def test_grid_weights_are_consecutive_sums_on_exact_orbits(system):
+    # the 32 x 32 lattice and the shift grid hold their float orbits
+    # exactly, so every weight is the library's consecutive sum
+    phi = random_potential(system.m, seed=1)
+    eng = _GridEngine(system, 3, 0.125)
+    s = eng.weights(phi)
+    assert len(s) == len(eng.words) == 8
+    for w, word in enumerate(eng.words):
+        assert len(s[w]) == len(eng.region) == 1024
+        for i, x in enumerate(eng.region):
             assert s[w][i] == consecutive_sum(system, phi, x, word)
+
+
+def test_torus_and_shift_grids_apply_no_map(monkeypatch):
+    # the metric and the weights both walk the integer digit steps
+    def no_apply(self, j, point):
+        raise AssertionError("a float orbit was walked")
+
+    monkeypatch.setattr(SemigroupSystem, "apply", no_apply)
+    for system in (SHEAR, shift_system(2)):
+        eng = _GridEngine(system, 3, 0.125)
+        assert len(eng.weights(random_potential(system.m, seed=1))) == 8
 
 
 # (depth, radius) per system: coarse grids, and one finer grid per
