@@ -8,7 +8,8 @@ one metric table per word: an integer difference table (in units of
 of the grid's digit group (the g x g lattice, and length-L words with
 zero padding), so a word distance depends on the difference alone, and
 the orbits of the region points on intervals.  Weights follow the same
-orbits, and no map is applied twice.
+orbits, a cover re-weighs under another potential from them, and no map
+is applied twice.
 
 On torus and shift grids every ball of radius r is a translate p + S of
 one support S = {d : D(d) < r} of a table D, and S = -S, as every map and
@@ -41,6 +42,7 @@ from array import array
 from .analytic import exact_radius, log_sum_exp
 from .errors import DepthTooLarge
 from .pressure import METHOD_GRID, CoverSolution
+from .records import replace
 from .words import add_floats, all_words, orbit
 
 GRID_BUDGET = 300_000_000
@@ -557,53 +559,57 @@ class _GridEngine:
         term of the free cover and each single-word amalgamated
         candidate all read it."""
         key = (phi.components, w)
-        sol = self._word_covers.get(key)
-        if sol is None:
-            log_cost, picked = self._greedy_cover_matrix(
-                self.balls(w, self.epsilon), self.weights(phi)[w])
-            atoms = tuple((self.words[w], self.region[i]) for i in picked)
-            sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
-                                "grid-certified greedy cover", atoms)
-            self._word_covers[key] = sol
-        return sol
+        if key not in self._word_covers:
+            self._word_covers[key] = self._greedy_cover(
+                phi, w, operator.itemgetter(w))
+        return self._word_covers[key]
+
+    def _greedy_cover(self, phi, which, weight):
+        """The greedy cover by the balls `which` (see `balls`), atom a
+        weighing weight(S)[a] for S = self.weights(phi).  Its reweigh
+        adds the same picks' terms under another potential, in pick
+        order as the greedy adds them, so it returns the log cost itself
+        under phi."""
+        log_cost, picked = self._greedy_cover_matrix(
+            self.balls(which, self.epsilon), weight(self.weights(phi)))
+
+        def reweigh(other):
+            lw = array("d", weight(self.weights(other)))
+            return log_sum_exp([lw[a] for a in picked])
+        return CoverSolution(log_cost, len(picked), METHOD_GRID,
+                             "grid-certified greedy cover", reweigh)
 
     def cover(self, phi, kind, rule, pool):
         if kind == "free":
             return self._free_cover(phi)
         if kind == "trajectory":
             return self.word_cover(phi, self.words.index(rule.word_at(self.n)))
-        s = self.weights(phi)
         if kind != "amalgamated":
-            log_cost, picked = self._greedy_cover_matrix(
-                self.balls(self._joint(kind), self.epsilon),
-                _side_weight(s, kind))
-            return CoverSolution(log_cost, len(picked), METHOD_GRID,
-                                 "grid-certified greedy cover")
+            return self._greedy_cover(phi, self._joint(kind),
+                                      functools.partial(_side_weight,
+                                                        kind=kind))
         # one atom per (word, centre), word-major
-        log_cost, picked = self._greedy_cover_matrix(
-            self.balls("all", self.epsilon), itertools.chain(*s))
-        npts = len(self.region)
-        atoms = tuple((self.words[i // npts], self.region[i % npts])
-                      for i in picked)
-        sol = CoverSolution(log_cost, len(picked), METHOD_GRID,
-                            "grid-certified greedy cover", atoms)
+        sol = self._greedy_cover(phi, "all", lambda s: itertools.chain(*s))
         # any one-word cover is an admissible amalgamated cover, so the
         # greedy over mixed atoms must never report worse than the best
         # pool word; this keeps the induced-cover comparison exact
         for word in pool:
             cand = self.word_cover(phi, self.words.index(word))
             if cand.log_cost < sol.log_cost:
-                sol = CoverSolution(cand.log_cost, cand.size, cand.method,
-                                    "single-word cover beat the joint "
-                                    "greedy", cand.atoms)
+                sol = replace(cand, note="single-word cover beat the joint "
+                                         "greedy")
         return sol
 
     def _free_cover(self, phi):
         sols = [self.word_cover(phi, w) for w in range(len(self.words))]
-        log_mean = log_sum_exp([sol.log_cost for sol in sols]) \
-            - math.log(len(self.words))
-        return CoverSolution(log_mean, max(sol.size for sol in sols),
-                             METHOD_GRID, "word-averaged greedy covers")
+
+        def log_mean(costs):
+            return log_sum_exp(costs) - math.log(len(self.words))
+        return CoverSolution(
+            log_mean([sol.log_cost for sol in sols]),
+            max(sol.size for sol in sols), METHOD_GRID,
+            "word-averaged greedy covers",
+            lambda other: log_mean([sol.reweigh(other) for sol in sols]))
 
     def packing(self, phi, kind, rule=None):
         eps2 = 2 * self.epsilon

@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 
 from . import analytic
-from .analytic import log_sum_exp
 from .errors import AnalyticUnavailable, DepthTooLarge
 from .records import record, replace
-from .words import add_floats, consecutive_sum, pool_words
+from .words import add_floats, pool_words
 
 KINDS = ("amalgamated", "condensed-lower", "condensed-upper",
          "exhaustive-lower", "exhaustive-upper", "free", "trajectory")
@@ -49,14 +48,18 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-@record
+@record(uncompared=("reweigh",))
 class CoverSolution:
-    """One side of an estimate: a weighted cover cost or packing sum."""
+    """One side of an estimate: a weighted cover cost or packing sum.
+    A grid cover carries reweigh, phi -> the log cost of the same balls
+    under phi (so reweigh(its own phi) is log_cost); a closed form or a
+    packing carries None.  A function has no value, so == and hash
+    leave reweigh out."""
     log_cost: float
     size: int
     method: str
     note: str = ""
-    atoms: tuple = None
+    reweigh: object = None
 
 
 @record
@@ -406,34 +409,23 @@ def trajectory_shift_check(system, phi, rule, n, epsilon, *, seed=0):
                  diff <= bound + 1e-9)
 
 
-def cover_cost_for(system, phi, solution):
-    """Re-weight a frozen grid cover under another potential: the log
-    cost of the same atoms, or None when the solution carries no atoms
-    (closed-form covers are formula-based, and a condensed or exhaustive
-    ball belongs to no single word)."""
-    if not solution.atoms:
-        return None
-    return log_sum_exp([consecutive_sum(system, phi, center, word)
-                        for word, center in solution.atoms])
-
-
 def lipschitz_check(system, phi, psi, kind, n, epsilon, *, rule=None,
                     seed=0):
     """|estimate(phi) - estimate(psi)| <= sup_j sup |phi_j - psi_j| on
     the cover side.  Grid covers are cross-costed (each potential may
-    reuse the other's atoms) so the bound is structural; closed forms
+    reuse the other's cover, re-weighed from the grid engine's own
+    weights, on its lattice or held orbits) so the bound is structural
+    on every kind; closed forms
     satisfy it identically.  Both estimates use one engine."""
     a, b = _one_engine(lambda engine: [
         min_cover_cost(system, f, kind, n, epsilon, rule=rule, seed=seed,
                        engine=engine) for f in (phi, psi)])
     cost_a = a.log_cost
     cost_b = b.log_cost
-    cross = cover_cost_for(system, psi, a)
-    if cross is not None:
-        cost_b = min(cost_b, cross)
-    cross = cover_cost_for(system, phi, b)
-    if cross is not None:
-        cost_a = min(cost_a, cross)
+    if a.reweigh is not None:
+        cost_b = min(cost_b, a.reweigh(psi))
+    if b.reweigh is not None:
+        cost_a = min(cost_a, b.reweigh(phi))
     sup_diff = phi.sup_distance(psi)
     diff = abs(cost_a - cost_b) / n
     return Check("potential perturbation stability", diff, sup_diff + 1e-12,

@@ -29,7 +29,8 @@ DELETED = ("BerendVerdict", "berend_check", "_commute",
            "UnderResolved", "LiftPoint", "skew_apply", "lifted_potential",
            "lift_birkhoff_sum", "WordPool", "shannon_entropy",
            "ExpansionField", "expansion_field", "vitali_disjointify",
-           "separation_distance", "zoo_systems", "permuted")
+           "separation_distance", "zoo_systems", "permuted",
+           "cover_cost_for")
 
 
 def test_every_exported_name_resolves():
@@ -79,6 +80,15 @@ def test_unread_knobs_and_fields_are_gone():
             (presslab.localent.MarginalBoundReport, "h_product")):
         assert field not in [f.name
                              for f in presslab.records.fields(record)]
+
+
+def test_a_grid_cover_reweighs_itself():
+    """A cover carries its own re-weighing, so `pressure` walks no orbit
+    to price one: it keeps no atoms and binds no consecutive sum."""
+    assert [f.name for f in presslab.records.fields(
+        presslab.pressure.CoverSolution)] \
+        == ["log_cost", "size", "method", "note", "reweigh"]
+    assert not hasattr(presslab.pressure, "consecutive_sum")
 
 
 def test_no_module_imports_numpy():

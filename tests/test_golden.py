@@ -5,10 +5,13 @@ Each tests/golden/<command>-<case>.cfg is run as
 must equal tests/golden/<command>-<case>.json.  The set covers grid
 estimates on a toral pair (on a dyadic 16 x 16 lattice and a non-dyadic
 20 x 20 one), the full shift on two and on three symbols and a gapped
-Cantor pair, a closed-form estimate, a box-engine and a polygon-engine
-sweep, verify, dimension on one generator (of equal and of unequal
-slopes) and on two, and localent with a product measure and with
-Lebesgue measure.  A deliberate change to any number means regenerating
+Cantor pair, closed-form estimates (on a diagonal pair, at a radius so
+coarse that one box covers all, and along an explicit rule), a
+box-engine and a polygon-engine sweep, verify (the chain, shift,
+lipschitz and lift checks, and the marginal check on its own),
+dimension on one generator (of equal and of unequal slopes) and on two,
+and localent with a product measure, with Lebesgue measure and with a
+Dirac measure.  A deliberate change to any number means regenerating
 the .json file and explaining the change.
 
 The bytes are the same on every supported Python: each case also runs
@@ -29,7 +32,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
 
 def test_golden_set_is_complete():
-    assert len(CASES) == 14
+    assert len(CASES) == 18
     for case in CASES:
         assert (GOLDEN / (case + ".json")).exists(), case
 

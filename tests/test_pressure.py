@@ -1,8 +1,10 @@
 """Pressure estimates: closed forms, the grid engine, chains, sweeps."""
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from array import array
@@ -15,11 +17,13 @@ from fractions import Fraction
 
 from presslab.analytic import exact_radius, log_sum_exp
 from presslab.errors import AnalyticUnavailable, DepthTooLarge
+from presslab.cli import main
 from presslab.grid import _grid_engine, _GridEngine
 from presslab.potentials import (
     MultiPotential,
     constant_potential,
     coordinate_potential,
+    parse_potential,
     random_potential,
     zero_potential,
 )
@@ -427,8 +431,9 @@ def test_grid_weights_are_consecutive_sums_on_exact_orbits(system):
             assert s[w][i] == consecutive_sum(system, phi, x, word)
 
 
-def test_torus_and_shift_grids_apply_no_map(monkeypatch):
-    # the metric and the weights both walk the integer digit steps
+def test_torus_and_shift_grids_apply_no_map(monkeypatch, tmp_path):
+    # the metric and the weights both walk the integer digit steps, and
+    # a whole verify request re-weighs its covers on them too
     def no_apply(self, j, point):
         raise AssertionError("a float orbit was walked")
 
@@ -436,6 +441,106 @@ def test_torus_and_shift_grids_apply_no_map(monkeypatch):
     for system in (SHEAR, shift_system(2)):
         eng = _GridEngine(system, 3, 0.125)
         assert len(eng.weights(random_potential(system.m, seed=1))) == 8
+    grid._grid_engine.cache_clear()
+    for spec in ("toral:0,1,1,2;2,1,1,0", "shift:2"):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("system = %s\npotential = random:5,0.25\n"
+                       "checks = lipschitz,shift\nrule = periodic:1,2\n"
+                       "n = 3\nepsilon = 0.125\nseed = 1\n" % spec)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) \
+            == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] \
+            == [["lipschitz", "yes"], ["shift", "yes"]], rows
+    grid._grid_engine.cache_clear()
+
+
+def _recorded_picks(monkeypatch):
+    """The picks of every cover greedy from now on, in call order."""
+    picks = []
+    greedy = _GridEngine._greedy_cover_matrix
+
+    def recorded(self, balls, lw):
+        log_cost, picked = greedy(self, balls, lw)
+        picks.append(picked)
+        return log_cost, picked
+
+    monkeypatch.setattr(_GridEngine, "_greedy_cover_matrix", recorded)
+    return picks
+
+
+def test_every_grid_cover_reweighs_to_its_own_cost(monkeypatch):
+    # on the non-dyadic 20 x 20 lattice the float orbits drift off the
+    # lattice, so a float re-walk of a word cover's picks prices some
+    # word's cover apart from its greedy cost; the engine re-weighs on
+    # its own lattice weights, bit for bit
+    system = parse_system("toral:2,1,1,1;5,3,3,2")
+    phi = parse_potential("random:11,0.25", 2)
+    eng = _GridEngine(system, 3, 0.2)
+    picks = _recorded_picks(monkeypatch)
+    drift = 0
+    for w, word in enumerate(eng.words):
+        sol = eng.word_cover(phi, w)
+        assert sol.reweigh(phi) == sol.log_cost, word
+        drift += sol.log_cost != log_sum_exp(
+            [consecutive_sum(system, phi, eng.region[i], word)
+             for i in picks[-1]])
+    assert drift
+    pool = pool_words(2, 0, 3)
+    for kind in KINDS:
+        sol = eng.cover(phi, kind, periodic_rule((1, 2)), pool)
+        assert sol.method == "GenericGrid"
+        assert sol.reweigh(phi) == sol.log_cost, kind
+
+
+def test_grid_cross_cost_is_the_consecutive_sum_of_the_picks(monkeypatch):
+    # on the 32 x 32 shear lattice the float orbits stay on the lattice,
+    # so re-weighing a cover under psi is the library's consecutive sums
+    # of psi over its picks, per word, for "all" atoms (w, p) at word
+    # w = a // P, and the largest or smallest over words for every-word
+    # and some-word balls
+    eng = _GridEngine(SHEAR, 3, 0.125)
+    phi, psi = random_potential(2, seed=1), random_potential(2, seed=2)
+    picks = _recorded_picks(monkeypatch)
+    npts = len(eng.region)
+
+    def sums(i):
+        return [consecutive_sum(SHEAR, psi, eng.region[i], word)
+                for word in eng.words]
+
+    rules = {w: (operator.itemgetter(w), lambda a, w=w: sums(a)[w])
+             for w in (0, 5)}
+    rules["all"] = (lambda s: itertools.chain(*s),
+                    lambda a: sums(a % npts)[a // npts])
+    rules["max"] = (functools.partial(grid._side_weight,
+                                      kind="condensed-upper"),
+                    lambda a: max(sums(a)))
+    rules["min"] = (functools.partial(grid._side_weight,
+                                      kind="exhaustive-lower"),
+                    lambda a: min(sums(a)))
+    for which, (weight, term) in rules.items():
+        sol = eng._greedy_cover(phi, which, weight)
+        assert sol.reweigh(psi) \
+            == log_sum_exp([term(a) for a in picks[-1]]), which
+
+
+@pytest.mark.parametrize("spec, epsilon", (
+    ("toral:0,1,1,2;2,1,1,0", 0.125), ("cantor:3,3|3,3", 1 / 32)))
+def test_lipschitz_check_holds_on_every_grid_kind(spec, epsilon):
+    # every grid cover is cross-costed, so the bound holds on all seven
+    # kinds for any pair of potentials
+    system = parse_system(spec)
+    rule = periodic_rule((1, 2))
+    for seed in (3, 5, 9):
+        phi = random_potential(2, seed=seed)
+        psi = random_potential(2, seed=seed + 100)
+        for kind in KINDS:
+            assert min_cover_cost(system, phi, kind, 3, epsilon,
+                                  rule=rule).method == "GenericGrid"
+            check = lipschitz_check(system, phi, psi, kind, 3, epsilon,
+                                    rule=rule)
+            assert check.ok, (seed, kind, check)
 
 
 # (depth, radius) per system: coarse grids, and one finer grid per
@@ -649,9 +754,12 @@ def test_a_table_entry_at_exactly_the_radius_is_outside_the_ball():
 def test_a_float_radius_is_the_decimal_it_prints_as(text):
     # every engine reads a float radius as the decimal it prints as, so
     # the float and Fraction(text) give the same covers and packings on
-    # the box, the polygon and the torus grid, and the same grid shape
+    # the box, the polygon and the torus grid, and the same grid shape;
+    # a grid cover re-weighs alike under another potential, as the same
+    # picks do
     exact = Fraction(text)
     assert exact_radius(float(text)) == exact_radius(exact) == exact
+    psi = random_potential(2, seed=4)
     cases = ((DIAG, constant_potential([0.3, -0.2])),
              (SHEAR, constant_potential([0.3, -0.2])),
              (SHEAR, random_potential(2, seed=3)))
@@ -662,6 +770,8 @@ def test_a_float_radius_is_the_decimal_it_prints_as(text):
                              rule=periodic_rule((1, 2)))
                        for r in (float(text), exact)]
                 assert got[0] == got[1], (system, solve, kind)
+                if got[0].reweigh is not None:
+                    assert got[0].reweigh(psi) == got[1].reweigh(psi)
         assert grid.grid_shape(system, float(text), 2) \
             == grid.grid_shape(system, exact, 2)
     assert got[0].method == "GenericGrid"

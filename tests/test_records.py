@@ -51,6 +51,7 @@ def _instances():
         chain, *chain.checks, *chain.estimates.values(), *sweep,
         extrapolate(sweep),
         min_cover_cost(DIAG, PHI, "amalgamated", 2, 0.125),
+        min_cover_cost(SHIFT, PHI, "amalgamated", 2, 0.25),
         bowen_root(CANTOR, 8, 0.125),
     ]
 
