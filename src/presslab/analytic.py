@@ -4,7 +4,9 @@ Three engines, all exact up to integer rounding:
 
 * diagonal toral: dynamical balls are axis boxes, covers are box tilings
   and packing counts come from the maximal-packing volume argument with
-  the exact area of the union of the per-word boxes.
+  the exact area of the union of the per-word boxes.  A circle map with
+  one slope per generator is the one-axis case: `_exact_axes` gives
+  both their per-axis factors, and arcs tile through the same count.
 * general toral: the no-wrap ball is a centrally symmetric polygon cut
   out by the prefix matrices, clipped exactly on homogeneous integer
   vertices (X, Y, W); each word's ball is clipped once at radius 1 and
@@ -103,12 +105,26 @@ def log_sum_exp(terms):
 
 
 def _diag_entries(system):
-    if not system.is_toral or not system.all_diagonal:
+    if not system.all_diagonal:
         raise AnalyticUnavailable("box model needs diagonal generators")
-    entries = [g.diagonal_entries for g in system.generators]
+    entries = _exact_axes(system)
     if any(e < 2 for pair in entries for e in pair):
         raise AnalyticUnavailable("box model needs diagonal entries >= 2")
     return entries
+
+
+def _exact_axes(system):
+    """Each generator's expansion per axis where a Lebesgue ball is a
+    box: the diagonal entries on a diagonal torus, the one slope on a
+    circle map (whose arcs are one-axis boxes); None elsewhere.  A
+    circle generator of mixed slopes raises AnalyticUnavailable.  Every
+    factor is an int, so no product of them builds a Fraction: k
+    branches of one slope fill the circle only at slope k."""
+    if system.all_diagonal:
+        return [g.diagonal_entries for g in system.generators]
+    if system.wrap:
+        return [(int(s),) for s in _uniform_circle_slopes(system)]
+    return None
 
 
 def _letter_counts(word, m):
@@ -129,8 +145,8 @@ def _word_weight_log(weights, word, start=0.0):
     return add_floats(map([None, *weights].__getitem__, word), start)
 
 
-def _axis_products(entries, word):
-    return _class_products(entries, _letter_counts(word, len(entries)))
+def _axis_products(axes, word):
+    return _class_products(axes, _letter_counts(word, len(axes)))
 
 
 def _constants(phi):
@@ -188,9 +204,10 @@ def _degenerate_cover(kind, n, m, pool, rule, step_weights, lo, hi):
     return (cost, 1, note)
 
 
-def _box_tiling_count(px, py, inv2eps):
-    """Boxes of half sides eps/px, eps/py tile the torus in this many."""
-    return math.ceil(px * inv2eps) * math.ceil(py * inv2eps)
+def _box_tiling_count(prods, inv2eps):
+    """Boxes of half sides eps/p, for p the per-axis products, tile the
+    torus (arcs the circle, on one axis) in this many."""
+    return math.prod(math.ceil(p * inv2eps) for p in prods)
 
 
 def _diag_class_iter(m, n):
@@ -211,39 +228,29 @@ def _diag_class_iter(m, n):
         yield counts, size
 
 
-def _class_products(entries, counts):
-    px = 1
-    py = 1
-    for (a, b), c in zip(entries, counts):
-        px *= a ** c
-        py *= b ** c
-    return px, py
+def _class_products(axes, counts):
+    """Per axis, the product of the letters' factors, each to the power
+    of its letter's count."""
+    return [math.prod(map(pow, col, counts)) for col in zip(*axes)]
 
 
-def _star_area(entries, n, rho):
-    """Exact area of the union of the per-word-class boxes at radius rho
-    (a Fraction) for a diagonal family."""
-    boxes = []
-    for counts, _ in _diag_class_iter(len(entries), n):
-        px, py = _class_products(entries, counts)
-        boxes.append((rho / px, rho / py))
-    boxes.sort()
-    frontier = []
-    best_y = Fraction(0)
-    for x, y in reversed(boxes):
-        if y > best_y:
-            frontier.append((x, y))
-            best_y = y
-    frontier.reverse()
+def _star_area(axes, n, rho):
+    """Exact measure of the union of the per-word-class boxes at radius
+    rho (a Fraction) for a diagonal family of one or two axes: widest
+    box first, the slab down to the next width is as tall as the
+    tallest box reaching it (on one axis a slab has no height to take,
+    the empty product 1, so the union is the widest arc)."""
+    half = Fraction(1, 2)
+    boxes = sorted((tuple(min(rho / p, half)
+                          for p in _class_products(axes, counts))
+                    for counts, _ in _diag_class_iter(len(axes), n)),
+                   reverse=True)
     area = Fraction(0)
-    prev_x = Fraction(0)
-    for x, y in frontier:
-        xc = min(x, Fraction(1, 2))
-        yc = min(y, Fraction(1, 2))
-        if xc > prev_x:
-            area += (xc - prev_x) * yc
-            prev_x = xc
-    return 4 * area
+    tallest = 0
+    for (x, *y), (narrower, *_) in zip(boxes, boxes[1:] + [(0,)]):
+        tallest = max(tallest, math.prod(y))
+        area += (x - narrower) * tallest
+    return 2 ** len(boxes[0]) * area
 
 
 def _diag_weight_terms(system, entries, consts, n, with_counts, inv2eps):
@@ -253,8 +260,8 @@ def _diag_weight_terms(system, entries, consts, n, with_counts, inv2eps):
         w = add_floats(consts[idx] * c for idx, c in enumerate(counts))
         t = math.log(size) + w
         if with_counts:
-            px, py = _class_products(entries, counts)
-            t += log_big(_box_tiling_count(px, py, inv2eps))
+            t += log_big(_box_tiling_count(_class_products(entries, counts),
+                                           inv2eps))
         terms.append(t)
     return terms
 
@@ -272,8 +279,8 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
     if family in ("condensed", "exhaustive"):
         # the condensed ball is the fastest box, the exhaustive the slowest
         pick = max if family == "condensed" else min
-        lx, ly = map(pick, zip(*entries))
-        count = _box_tiling_count(lx ** n, ly ** n, inv2eps)
+        count = _box_tiling_count([pick(col) ** n for col in zip(*entries)],
+                                  inv2eps)
         return (log_big(count) + _side(consts, kind, n), count,
                 family + " box tiling")
     if kind == "free":
@@ -283,7 +290,7 @@ def diag_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
                 "class-averaged word costs")
 
     def word_cost(word):
-        count = _box_tiling_count(*_axis_products(entries, word), inv2eps)
+        count = _box_tiling_count(_axis_products(entries, word), inv2eps)
         return log_big(count) + _word_weight_log(consts, word), count
 
     return _word_kinds(kind, n, system.m, pool, rule, word_cost,
@@ -662,13 +669,14 @@ def interval_cover(system, phi, kind, n, epsilon, pool=None, rule=None):
         return _degenerate_cover(kind, n, system.m, pool, rule, hi,
                                  min(min(t) for t in table), max(hi))
     if system.wrap:
-        slopes = _uniform_circle_slopes(system)
-        # one slope per generator, so every branch weighs the same
+        # arcs are one-axis boxes, tiled as on the diagonal torus; one
+        # slope per generator, so every branch weighs the same
+        axes = _exact_axes(system)
         weights = [t[0] for t in table]
         inv2eps = 1 / (2 * exact_radius(epsilon))
 
         def word_cost(word):
-            count = math.ceil(_word_product(slopes, word) * inv2eps)
+            count = _box_tiling_count(_axis_products(axes, word), inv2eps)
             return log_big(count) + _word_weight_log(weights, word), count
     else:
         # balls per cylinder: a single generator takes the sharp core

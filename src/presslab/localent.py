@@ -2,8 +2,9 @@
 
 A measure is Lebesgue measure on the domain or a weighted point sample.
 Sample masses are sums over the sample points inside a ball.  Lebesgue
-masses are exact: boxes and their union on diagonal tori, arcs on
-circle maps whose generators each have one slope, under the wrap guard
+masses are exact: boxes and their union on diagonal tori, arcs (the
+one-axis boxes) on circle maps whose generators each have one slope,
+both read off `analytic._exact_axes`, under the wrap guard
 (L + 1) eps <= 1 that keeps every ball a single box or arc; a radius of
 1/2 or more gives mass 1.  Everywhere else `ball_measure` raises
 AnalyticUnavailable rather than answer from a discretisation, which
@@ -157,14 +158,8 @@ def _uniform_exact_mass(system, epsilon):
     if epsilon >= 0.5 and (system.is_toral or system.wrap):
         # every distance is at most 1/2: the strict ball misses a null set
         return lambda spec: 1.0
-    if system.is_toral and system.all_diagonal:
-        entries = [g.diagonal_entries for g in system.generators]
-    elif system.wrap:
-        # one slope per generator: each is its generator's Lipschitz
-        # constant, as a float so no ball multiplies a Fraction
-        analytic._uniform_circle_slopes(system)
-        slopes = [float(g.lipschitz) for g in system.generators]
-    else:
+    axes = analytic._exact_axes(system)
+    if axes is None:
         raise AnalyticUnavailable(
             "no exact ball mass: Lebesgue local entropies need a diagonal "
             "torus or a circle map with one slope per generator")
@@ -172,34 +167,31 @@ def _uniform_exact_mass(system, epsilon):
         raise AnalyticUnavailable(
             "radius %g fails the wrap guard (L + 1) eps <= 1: no exact "
             "ball mass" % epsilon)
-    if system.is_toral:
-        # the box area 4 eps^2/(px py), exact and then correctly rounded
-        exact = analytic.exact_radius(epsilon)
+    # a box (an arc, on one axis) of half sides eps/p has mass (2 eps)^k
+    # over the product of its k axis expansions p, which is the product
+    # of its letters' volume factors: one correctly rounded division of
+    # ints
+    exact = analytic.exact_radius(epsilon)
+    num = (2 * exact.numerator) ** len(axes[0])
+    den = exact.denominator ** len(axes[0])
+    volume_of = [None, *map(math.prod, axes)].__getitem__
+    cols = list(zip(*axes))
+    fastest, slowest = math.prod(map(max, cols)), math.prod(map(min, cols))
+    # where one generator is slowest on every axis, as on any circle
+    # map, its box holds every other and is the union ball
+    nested = tuple(map(min, cols)) in axes
 
-        def box(spec):
-            if spec.kind == "exhaustive":
-                return float(analytic._star_area(entries, spec.depth,
-                                                 exact))
-            if spec.kind == "trajectory":
-                px, py = analytic._axis_products(entries, spec.word)
-            else:
-                px, py = (max(col) ** spec.depth for col in zip(*entries))
-            return float(4 * exact * exact / (px * py))
-        return box
-
-    def arc(spec):
-        # every ball is an arc around the center, words only set the
-        # contraction factor
+    def mass(spec):
         if spec.kind == "trajectory":
-            prod = 1.0
-            for j in spec.word:
-                prod *= slopes[j - 1]
+            volume = math.prod(map(volume_of, spec.word.symbols))
         elif spec.kind == "condensed":
-            prod = max(slopes) ** spec.depth
+            volume = fastest ** spec.depth
+        elif nested:
+            volume = slowest ** spec.depth
         else:
-            prod = min(slopes) ** spec.depth
-        return 2.0 * epsilon / prod
-    return arc
+            return float(analytic._star_area(axes, spec.depth, exact))
+        return num / (den * volume)
+    return mass
 
 
 def ball_measure(measure, system, spec):
@@ -315,25 +307,17 @@ def _depth_rows(measure, system, x, epsilon, depths, seed):
 
 def lebesgue_entropy_rate(system, symbol_weights):
     """Entropy rate of the uniform base measure under the weighted
-    generator mix: the weighted mean of per-generator volume growth."""
-    rate = 0.0
-    for p, gen in zip(symbol_weights, system.generators):
-        if p == 0.0:
-            continue
-        if system.is_toral:
-            if not gen.is_diagonal:
-                raise ValueError("analytic base rate needs diagonal "
-                                 "generators")
-            a, b = gen.diagonal_entries
-            rate += p * (math.log(a) + math.log(b))
-        elif system.is_interval:
-            if len(set(gen.slopes)) != 1 or not system.wrap:
-                raise ValueError("analytic base rate needs uniform-slope "
-                                 "circle maps")
-            rate += p * math.log(gen.slopes[0])
-        else:
-            raise ValueError("no analytic base rate for this domain")
-    return rate
+    generator mix: the weighted mean of per-generator volume growth, the
+    sum of the logs of its axis expansions."""
+    try:
+        axes = analytic._exact_axes(system)
+    except AnalyticUnavailable:
+        axes = None
+    if axes is None:
+        raise ValueError("no analytic base rate: needs a diagonal torus or "
+                         "a circle map with one slope per generator")
+    return add_floats(p * add_floats(map(math.log, factors))
+                      for p, factors in zip(symbol_weights, axes))
 
 
 @record

@@ -4,6 +4,7 @@ The polygon engine works in exact integer and rational arithmetic end
 to end, so these tests can assert exact areas and counts rather than
 tolerances."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -407,3 +408,63 @@ def test_wrap_guard_is_exact_at_its_edge(spec, lipschitz, excess):
 def test_interval_lipschitz_constant_is_the_exact_slope():
     gen = parse_system("cantor:2.2,3.3").generators[0]
     assert gen.lipschitz == Fraction(33, 10) != 3.3
+
+
+def _circle(*slopes):
+    """The circle map whose generator j has slopes[j - 1] branches of
+    that one slope."""
+    return parse_system("cantor:" + "|".join(",".join([str(s)] * s)
+                                             for s in slopes))
+
+
+def test_circle_arcs_tile_as_one_axis_boxes():
+    """An arc is the one-axis box, so the box tiling count is the arc
+    count ceil(s_w / 2 eps), for s_w the slope product along the word,
+    at every slope 2..7, depth 1..12 and radius k/64 below 1/2."""
+    for s in range(2, 8):
+        slopes = (s, 9 - s)
+        axes = analytic._exact_axes(_circle(*slopes))
+        assert axes == [(s,), (9 - s,)]
+        assert all(type(f) is int for (f,) in axes)
+        for n in range(1, 13):
+            word = Word(tuple((1, 2, 2)[i % 3] for i in range(n)))
+            prods = analytic._axis_products(axes, word)
+            slope = math.prod(Fraction(slopes[j - 1]) for j in word)
+            for k in range(1, 32):
+                inv2eps = 1 / (2 * Fraction(k, 64))
+                assert analytic._box_tiling_count(prods, inv2eps) \
+                    == math.ceil(slope * inv2eps)
+
+
+def _union_area(boxes):
+    """Area of the union of centred boxes of half sides (x, y), all
+    below 1/2, summed over the cells between their sides."""
+    xs = sorted({0, *(x for x, _ in boxes)})
+    ys = sorted({0, *(y for _, y in boxes)})
+    return 4 * sum((x1 - x0) * (y1 - y0)
+                   for x0, x1 in zip(xs, xs[1:])
+                   for y0, y1 in zip(ys, ys[1:])
+                   if any(x >= x1 and y >= y1 for x, y in boxes))
+
+
+@pytest.mark.parametrize("spec", [
+    "diag:2,5|5,2|3,3", "diag:2,2|3,3", "diag:2,3|3,5", "diag:4,7",
+])
+def test_star_area_is_the_union_of_the_word_boxes(spec):
+    # one, two and three generators, with and without one generator
+    # slowest on both axes
+    entries = analytic._exact_axes(parse_system(spec))
+    rho = Fraction(1, 8)
+    for n in range(1, 7):
+        boxes = {(rho / px, rho / py) for px, py in (
+            analytic._axis_products(entries, Word(w))
+            for w in itertools.product(range(1, len(entries) + 1),
+                                       repeat=n))}
+        assert analytic._star_area(entries, n, rho) == _union_area(boxes)
+
+
+def test_star_area_of_arcs_is_the_widest_arc():
+    axes = analytic._exact_axes(_circle(3, 2))
+    for n in range(1, 9):
+        assert analytic._star_area(axes, n, Fraction(1, 10)) \
+            == 2 * Fraction(1, 10) / 2 ** n

@@ -6,12 +6,14 @@ must equal tests/golden/<command>-<case>.json.  The set covers grid
 estimates on a toral pair (on a dyadic 16 x 16 lattice and a non-dyadic
 20 x 20 one), the full shift on two and on three symbols and a gapped
 Cantor pair, closed-form estimates (on a diagonal pair, at a radius so
-coarse that one box covers all, and along an explicit rule), a
-box-engine and a polygon-engine sweep, verify (the chain, shift,
-lipschitz and lift checks, and the marginal check on its own),
-dimension on one generator (of equal and of unequal slopes) and on two,
-and localent with a product measure, with Lebesgue measure and with a
-Dirac measure.  A deliberate change to any number means regenerating
+coarse that one box covers all, along an explicit rule, and the arc
+cover and packing counts of a circle pair), a box-engine and a
+polygon-engine sweep, verify (the chain, shift, lipschitz and lift
+checks, the marginal check on its own, and the chain along a rule with
+the separation check against a circle pair, whose grid reads the wrap
+windows), dimension on one generator (of equal and of unequal slopes)
+and on two, and localent with a product measure, with Lebesgue measure
+and with a Dirac measure.  A deliberate change to any number means regenerating
 the .json file and explaining the change.
 
 The bytes are the same on every supported Python: each case also runs
@@ -32,7 +34,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
 
 def test_golden_set_is_complete():
-    assert len(CASES) == 18
+    assert len(CASES) == 20
     for case in CASES:
         assert (GOLDEN / (case + ".json")).exists(), case
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -262,3 +264,93 @@ def test_off_centre_samples_count_by_ball_membership(other, mass):
     emp = empirical_measure([0.5, other], [0.25, 0.75])
     spec = BallSpec("trajectory", 0.5, 1, 0.1, Word((1,)))
     assert ball_measure(emp, single, spec) == mass
+
+
+def test_arc_masses_read_the_exact_radius():
+    # 0.1 is 1/10, as in a config file; the float arc 2.0 * 0.1 / 3**5
+    # rounds twice and lands one ulp off the exact mass
+    system = parse_system("cantor:3,3,3")
+    spec = BallSpec("trajectory", 0.3, 5, 0.1, Word((1,) * 5))
+    mass = ball_measure(lebesgue_measure(system), system, spec)
+    assert mass == float(2 * Fraction(1, 10) / 3 ** 5)
+    assert mass != 2.0 * 0.1 / 3.0 ** 5
+
+
+def _circle(*slopes):
+    return parse_system("cantor:" + "|".join(",".join([str(s)] * s)
+                                             for s in slopes))
+
+
+def test_exact_masses_keep_the_float_formulas_at_dyadic_radii():
+    """At a dyadic radius the float arc 2 eps / s_w is exact up to its
+    last rounding, so the one mass over the axes gives the floats of the
+    arc and box formulas it replaced, at every slope 2..7, depth 1..12
+    and radius k/64 inside the wrap guard; the base rate adds the same
+    logs."""
+    for s in range(2, 8):
+        slopes = (float(s), float(9 - s))
+        circle = _circle(s, 9 - s)
+        torus = parse_system("diag:%d,%d|%d,%d" % (s, 9 - s, 9 - s, s))
+        entries = ((s, 9 - s), (9 - s, s))
+        for k in range(1, 64 // (max(s, 9 - s) + 1) + 1):
+            eps = k / 64
+            arc = localent._uniform_exact_mass(circle, eps)
+            box = localent._uniform_exact_mass(torus, eps)
+            r = Fraction(k, 64)
+            for n in range(1, 13):
+                word = Word(tuple((1, 2, 2)[i % 3] for i in range(n)))
+                prod = 1.0
+                for j in word:
+                    prod *= slopes[j - 1]
+                assert arc(BallSpec("trajectory", 0.3, n, eps, word)) \
+                    == 2.0 * eps / prod
+                assert arc(BallSpec("condensed", 0.3, n, eps)) \
+                    == 2.0 * eps / max(slopes) ** n
+                assert arc(BallSpec("exhaustive", 0.3, n, eps)) \
+                    == 2.0 * eps / min(slopes) ** n
+                px = math.prod(entries[j - 1][0] for j in word)
+                py = math.prod(entries[j - 1][1] for j in word)
+                assert box(BallSpec("trajectory", (0.3, 0.3), n, eps, word)) \
+                    == float(4 * r * r / (px * py))
+                top = max(s, 9 - s) ** n
+                assert box(BallSpec("condensed", (0.3, 0.3), n, eps)) \
+                    == float(4 * r * r / (top * top))
+        for p in (0.3, 0.5, 1.0):
+            weights = (p, 1.0 - p)
+            rate = 0.0
+            for w, slope in zip(weights, slopes):
+                rate += w * math.log(slope)
+            assert lebesgue_entropy_rate(circle, weights) == rate
+            rate = 0.0
+            for w, (a, b) in zip(weights, entries):
+                rate += w * (math.log(a) + math.log(b))
+            assert lebesgue_entropy_rate(torus, weights) == rate
+
+
+@pytest.mark.parametrize("spec", [
+    "toral:0,1,1,2", "cantor:3,3", "cantor:2,4,4",
+])
+def test_a_base_rate_needs_exact_axes(spec):
+    with pytest.raises(ValueError, match="no analytic base rate"):
+        lebesgue_entropy_rate(parse_system(spec), (1.0,))
+
+
+def test_localent_leaves_the_family_to_the_exact_axes():
+    # the torus-or-circle decision for masses and rates is made once, in
+    # analytic._exact_axes
+    source = inspect.getsource(localent)
+    for name in ("diagonal_entries", "slopes", "is_diagonal"):
+        assert name not in source
+
+
+def test_arcs_past_the_float_range_keep_their_exact_mass():
+    # 2**1030 has no float, but the mass 2 (1/8) / 2**1030 = 2**-1032 is
+    # a subnormal one: the exact division gives it where a float slope
+    # power overflowed
+    system = parse_system("cantor:2,2")
+    est = local_amalgamated_entropy(lebesgue_measure(system), system, 0.3,
+                                    0.125, (1030,))
+    rate = -math.log(2.0 ** -1032) / 1030
+    assert est.h_upper_local == est.h_lower_local == rate
+    assert est.h_exhaustive_local == rate
+    assert est.flags == ()
